@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure (axiom violations,
-non-invariant sections, failed checks), 2 numerical non-convergence,
-3 I/O and schema problems.  Human output keeps results on stdout and a
-reproducibility echo of the effective parameters on stderr; --json
-emits a single JSON object including the parameters.
+non-invariant sections, failed checks, parameters out of range),
+2 numerical non-convergence, 3 I/O and schema problems.  Human output
+keeps results on stdout and a reproducibility echo of the effective
+parameters on stderr; --json emits a single JSON object including the
+parameters.
 """
 
 from __future__ import annotations
@@ -411,18 +412,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
+    # the decode errors are ValueErrors, so this clause must come first
+    except (SchemaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationFailure as exc:
+    except (ValidationFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -51,12 +51,11 @@ class GroupModel:
 
     Kinds: "finite" (explicit multiplication table), "circle" (angle in
     [0, 2pi)), "torus" (tuple of angles, ``rank`` of them), "o2" (pairs
-    (flag, angle) with flag 1 for reflections), "su2" (volume bookkeeping
-    only; its integration lives in the Cartan-model module).  The scale
-    multiplies the Haar measure coming from the parametrization.
+    (flag, angle) with flag 1 for reflections).  The scale multiplies the
+    Haar measure coming from the parametrization.
     """
 
-    KINDS = ("finite", "circle", "torus", "o2", "su2")
+    KINDS = ("finite", "circle", "torus", "o2")
 
     def __init__(self, kind: str, haar_scale: float = 1.0, rank: int = 1, group=None):
         if kind not in self.KINDS:
@@ -84,10 +83,8 @@ class GroupModel:
             return TWO_PI * self.haar_scale
         if self.kind == "torus":
             return TWO_PI ** self.rank * self.haar_scale
-        if self.kind == "o2":
-            return 2.0 * TWO_PI * self.haar_scale
-        # su2: the caller supplies the already-normalized total volume
-        return self.haar_scale
+        # o2
+        return 2.0 * TWO_PI * self.haar_scale
 
     def identity_element(self):
         if self.kind == "finite":
@@ -96,9 +93,8 @@ class GroupModel:
             return 0.0
         if self.kind == "torus":
             return (0.0,) * self.rank
-        if self.kind == "o2":
-            return (0, 0.0)
-        raise NotImplementedError("su2 elements are not parametrized here")
+        # o2
+        return (0, 0.0)
 
     def compose_elements(self, h1, h2):
         if self.kind == "finite":
@@ -107,12 +103,11 @@ class GroupModel:
             return (h1 + h2) % TWO_PI
         if self.kind == "torus":
             return tuple((u + v) % TWO_PI for u, v in zip(h1, h2))
-        if self.kind == "o2":
-            s1, p1 = h1
-            s2, p2 = h2
-            sign = -1.0 if s1 else 1.0
-            return (s1 ^ s2, (p1 + sign * p2) % TWO_PI)
-        raise NotImplementedError("su2 elements are not parametrized here")
+        # o2
+        s1, p1 = h1
+        s2, p2 = h2
+        sign = -1.0 if s1 else 1.0
+        return (s1 ^ s2, (p1 + sign * p2) % TWO_PI)
 
     def random_element(self, rng: random.Random):
         if self.kind == "finite":
@@ -121,9 +116,8 @@ class GroupModel:
             return rng.uniform(0.0, TWO_PI)
         if self.kind == "torus":
             return tuple(rng.uniform(0.0, TWO_PI) for _ in range(self.rank))
-        if self.kind == "o2":
-            return (rng.randint(0, 1), rng.uniform(0.0, TWO_PI))
-        raise NotImplementedError("su2 elements are not parametrized here")
+        # o2
+        return (rng.randint(0, 1), rng.uniform(0.0, TWO_PI))
 
     def integrate(self, fn: Callable, tol: float = 1e-9):
         """Haar integral of fn over the group; returns (value, evaluations)."""
@@ -139,14 +133,13 @@ class GroupModel:
                 res = integrate_box(lambda u, v: fn((u, v)),
                                     [(0.0, TWO_PI), (0.0, TWO_PI)], tol=tol)
             return self.haar_scale * res.value, res.evaluations
-        if self.kind == "o2":
-            total, evals = 0.0, 0
-            for flag in (0, 1):
-                res = integrate_1d(lambda t: fn((flag, t)), 0.0, TWO_PI, tol=tol)
-                total += res.value
-                evals += res.evaluations
-            return self.haar_scale * total, evals
-        raise NotImplementedError("integrate over su2 is handled by the Cartan model")
+        # o2
+        total, evals = 0.0, 0
+        for flag in (0, 1):
+            res = integrate_1d(lambda t: fn((flag, t)), 0.0, TWO_PI, tol=tol)
+            total += res.value
+            evals += res.evaluations
+        return self.haar_scale * total, evals
 
     def __repr__(self):
         return f"GroupModel({self.kind}, scale={self.haar_scale})"
@@ -273,6 +266,19 @@ def _restrict_bounds(am: ActionModel, param_region):
     return tuple(new)
 
 
+def _b_over_fiber(am: ActionModel, p) -> float:
+    """Integrand of the stack volume at p: b(p) over the fiber integral of a.
+
+    The fiber counts as vanishing when it is negligible against the fiber
+    a constant a = a(p) would give, so rescaling the Haar measure or the
+    densities never changes whether a model is degenerate.
+    """
+    fib = fiber_integral(am, p)
+    if abs(fib) <= 1e-12 * abs(float(am.a_density(p))) * am.group.volume:
+        raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
+    return float(am.b_density(p)) / fib
+
+
 def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> QuadratureResult:
     """Volume of the quotient stack: integral of b over the reciprocal fibers.
 
@@ -283,25 +289,14 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
     if isinstance(am.chart, PointChart):
         if param_region is not None:
             raise ValueError("param_region is meaningless for point charts")
-        total = 0.0
-        for p in am.chart.points:
-            fib = fiber_integral(am, p)
-            if abs(fib) < 1e-12:
-                raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
-            total += float(am.b_density(p)) / fib
+        total = sum((_b_over_fiber(am, p) for p in am.chart.points), 0.0)
         return QuadratureResult(total, 0.0, len(am.chart.points))
 
     if not am.chart.compact:
         raise NonCompactChartError(f"model {am.name} has an unbounded chart")
     bounds = _restrict_bounds(am, param_region)
 
-    def integrand(*p):
-        fib = fiber_integral(am, p)
-        if abs(fib) < 1e-12:
-            raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
-        return float(am.b_density(p)) / fib
-
-    return integrate_box(integrand, bounds, tol=tol)
+    return integrate_box(lambda *p: _b_over_fiber(am, p), bounds, tol=tol)
 
 
 def _truncations(bounds):
@@ -325,19 +320,19 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     sequence of truncations and reported divergent if the values keep
     growing.
     """
+    if not am.a_constant:
+        raise ValueError("homogeneous_volume requires a constant a_density")
     if isinstance(am.chart, PointChart):
         total = sum(float(am.b_density(p)) for p in am.chart.points)
         a0 = float(am.a_density(am.chart.points[0]))
         return QuadratureResult(total / (a0 * am.group.volume), 0.0, len(am.chart.points))
 
-    if not am.a_constant:
-        raise ValueError("homogeneous_volume requires a constant a_density")
     probe = tuple(
         lo if math.isfinite(lo) else 0.0 for lo, _ in am.chart.bounds
     )
     a0 = float(am.a_density(probe))
     denom = a0 * am.group.volume
-    if abs(denom) < 1e-12:
+    if a0 == 0.0:
         raise DegenerateModelError("group volume weighted by a vanishes")
 
     def b_only(*p):

@@ -2,12 +2,13 @@
 
 Everything that could be a magic constant is computed at runtime from
 the chosen Lie-algebra basis: the exponential period along the Cartan
-line (by minimizing the defect of the matrix exponential), the root
-value entering the orbit density (from the eigenvalues of the adjoint
+line (from the eigenvalues of the Cartan generator), the root value
+entering the orbit density (from the eigenvalues of the adjoint
 representation), and the Euclidean-coordinate volume of the group (by
-integrating the exponential Jacobian over a ball).  A Monte Carlo /
-quadrature cross-check of the Weyl integration identity then validates
-the whole normalization chain.
+integrating the exponential Jacobian, a product over the same adjoint
+eigenvalues, over a ball).  A Monte Carlo / quadrature cross-check of
+the Weyl integration identity then validates the whole normalization
+chain.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .quadrature import NonConvergenceError, QuadratureResult, integrate_1d, integrate_mc
 
@@ -59,53 +58,33 @@ def _adjoint_matrix(v, basis):
     return np.column_stack(cols)
 
 
-def _exp_defect(t, h):
-    d = expm(t * h) - np.eye(2)
-    return float(np.real(np.sum(d * d.conj())))
-
-
 def _find_period(h) -> float:
-    """Smallest t > 0 with exp(t h) = identity, found numerically.
+    """Smallest t > 0 with exp(t h) = identity, from the eigenvalues of h.
 
-    The defect is also small near t = 0, so the scan first waits for the
-    exponential to leave the identity before accepting a dip.
+    The exponential closes up when every eigenvalue of t h is a multiple
+    of 2 pi i; the fastest rotation fixes the candidate, and the defect
+    check confirms that the slower ones close up with it.
     """
-    ts = np.arange(0.01, 10.0, 0.01)
-    departed = False
-    hit = None
-    for t in ts:
-        defect = _exp_defect(t, h)
-        if not departed:
-            departed = defect > 1.0
-        elif defect < 0.5:
-            hit = t
-            break
-    if hit is None:
-        raise ArithmeticError("no exponential period found below t=10")
-    res = minimize_scalar(
-        lambda t: _exp_defect(t, h),
-        bounds=(hit - 0.05, hit + 0.7),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    period = float(res.x)
-    if math.sqrt(_exp_defect(period, h)) > 1e-7:
+    eigs, vecs = np.linalg.eig(h)
+    speed = float(np.max(np.abs(eigs.imag)))
+    if speed <= 0:
+        raise ArithmeticError("exponential has no rotation component")
+    period = 2.0 * math.pi / speed
+    closed = (vecs * np.exp(period * eigs)) @ np.linalg.inv(vecs)
+    if np.linalg.norm(closed - np.eye(len(eigs))) > 1e-7:
         raise ArithmeticError(f"exponential defect too large at candidate period {period}")
     return period
 
 
-def _phi1(a):
-    """phi1(A) = (exp(A) - 1)/A evaluated by an augmented exponential."""
-    n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a
-    block[:n, n:] = np.eye(n)
-    return expm(block)[:n, n:]
-
-
 def _exp_jacobian(rho, ad_h):
-    """|det d exp| at a Cartan point of norm rho, in basis coordinates."""
-    return abs(float(np.linalg.det(_phi1(-rho * ad_h))))
+    """|det d exp| at a Cartan point of norm rho, in basis coordinates.
+
+    The differential is phi1(A) with A = -rho ad_h and phi1(z) = expm1(z)/z.
+    A is normal, so its eigenvalues are well conditioned, and det phi1(A)
+    is the product of phi1 over them, with phi1(0) = 1.
+    """
+    lam = -rho * np.linalg.eigvals(ad_h)
+    return abs(math.prod(np.expm1(z) / z if z else 1.0 for z in lam))
 
 
 @lru_cache(maxsize=1)
@@ -176,22 +155,15 @@ def adjoint_orbit_density(t: float, cartan: CartanData = None) -> OrbitDensity:
 def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndarray:
     """Project Lie-algebra coordinate vectors to their chamber parameters.
 
-    Each row is the coordinate vector of an algebra element; the class
-    invariant sqrt(det) of the corresponding matrix gives the conjugate
-    Cartan point, converted to lattice units by the period.
+    Each row is the coordinate vector of an algebra element.  The basis
+    is orthonormal for an invariant inner product, so the coordinate norm
+    is the class invariant (it equals sqrt(det) of the matrix) and gives
+    the conjugate Cartan point, converted to lattice units by the period.
     """
     if cartan is None:
         cartan = su2_cartan()
-    h, x, y = cartan.basis
     pts = np.asarray(points, dtype=float)
-    m = (
-        pts[:, 0, None, None] * h
-        + pts[:, 1, None, None] * x
-        + pts[:, 2, None, None] * y
-    )
-    dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    theta = np.sqrt(np.clip(dets.real, 0.0, None))
-    return theta / cartan.period
+    return np.linalg.norm(pts, axis=1) / cartan.period
 
 
 def gaussian_test_function(width: float = 0.25):

@@ -367,6 +367,31 @@ class TestErrorPaths:
         assert code == 3
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "finite-sets", "--cutoff", "-1"],
+        ["smooth", "weyl-check", "--samples", "1"],
+        ["smooth", "weyl-check", "--width", "0"],
+        ["smooth", "example", "plane-so2", "R=2", "--tol", "0"],
+        ["smooth", "example", "plane-so2", "R=-1"],
+        ["smooth", "example", "plane-so2", "ts=5"],
+        ["smooth", "example", "symplectic-bk", "k=0"],
+        ["smooth", "example", "poisson-sphere-bundle", "ts=7"],
+    ])
+    def test_parameter_out_of_range_exits_one(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_undecodable_file_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, ["finite", "cardinality",
+                                    "--groupoid", str(path)])
+        assert code == 3
+        assert err.startswith("error: ")
+
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, ["finite", "cardinality",
                                     "--groupoid", str(tmp_path / "absent.json")])
@@ -398,6 +423,17 @@ class TestErrorPaths:
                                     "--weights", str(wpath)])
         assert code == 3
         assert "rational" in err
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stackvol.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackvol.catalog import plane_o2, plane_so2, torus_free
 from stackvol.groups import FiniteGroup
@@ -45,14 +47,14 @@ class TestGroupModels:
         assert group_volume(GroupModel("torus", rank=2)) == pytest.approx(TWO_PI ** 2)
         s3 = GroupModel("finite", group=FiniteGroup.symmetric(3))
         assert group_volume(s3) == 6.0
-        assert group_volume(GroupModel("su2", haar_scale=19.74)) == 19.74
 
     def test_scale_multiplies(self):
         assert group_volume(GroupModel("circle", haar_scale=0.5)) == pytest.approx(math.pi)
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            GroupModel("quaternionic")
+        for kind in ("quaternionic", "su2"):
+            with pytest.raises(ValueError):
+                GroupModel(kind)
         with pytest.raises(ValueError):
             GroupModel("circle", haar_scale=0.0)
         with pytest.raises(ValueError):
@@ -70,14 +72,6 @@ class TestGroupModels:
         gm = GroupModel("o2")
         value, _ = gm.integrate(lambda h: 1.0 if h[0] else 0.0)
         assert value == pytest.approx(TWO_PI)
-
-    def test_su2_has_no_parametrized_elements(self):
-        gm = GroupModel("su2", haar_scale=1.0)
-        import random
-        with pytest.raises(NotImplementedError):
-            gm.random_element(random.Random(0))
-        with pytest.raises(NotImplementedError):
-            gm.integrate(lambda h: 1.0)
 
     def test_o2_composition_law(self):
         gm = GroupModel("o2")
@@ -175,6 +169,32 @@ class TestStackVolume:
         with pytest.raises(DegenerateModelError):
             stack_volume(am)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e13])
+    def test_haar_rescale_scales_volume_inversely(self, scale):
+        z3 = FiniteGroup.cyclic(3)
+        weights = {0: 1, 1: 2, 2: 4}
+
+        def finite(haar_scale):
+            return finite_action_model(z3, range(3), lambda h, x: (x + h) % 3,
+                                       weights, weights, haar_scale=haar_scale)
+
+        expect = stack_volume(finite(1.0)).value / scale
+        assert stack_volume(finite(scale)).value == pytest.approx(expect, rel=1e-12)
+        disk = dataclasses.replace(plane_so2(R=2.0),
+                                   group=GroupModel("circle", haar_scale=scale))
+        assert stack_volume(disk).value == pytest.approx(2.0 / scale, rel=1e-6)
+
+        # a vanishing on one orbit stays degenerate at every scale
+        fixed = finite_action_model(z3, range(4), lambda h, x: (x + h) % 3 if x < 3 else x,
+                                    {0: 0, 1: 0, 2: 0, 3: 1}, {x: 1 for x in range(4)},
+                                    haar_scale=scale)
+        with pytest.raises(DegenerateModelError):
+            stack_volume(fixed)
+        inner_zero = dataclasses.replace(disk, a_density=lambda p: float(p[0] > 1.0),
+                                         a_constant=False)
+        with pytest.raises(DegenerateModelError):
+            stack_volume(inner_zero)
+
     def test_unbounded_chart_rejected(self):
         am = _half_line_model(lambda x: math.exp(-x))
         with pytest.raises(NonCompactChartError):
@@ -218,6 +238,31 @@ class TestHomogeneousVolume:
         am = finite_action_model(z4, range(3), lambda h, x: x, unit, unit)
         res = homogeneous_volume(am)
         assert res.value == pytest.approx(3 / 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_finite_actions_agree_with_stack_or_refuse(self, data):
+        # Z/n acting on a disjoint union of cyclic orbits Z/d, d | n
+        n = data.draw(st.integers(1, 6))
+        sizes = data.draw(st.lists(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+                                   min_size=1, max_size=4))
+        points = [(i, r) for i, d in enumerate(sizes) for r in range(d)]
+        weight = st.integers(1, 5)
+        if data.draw(st.booleans()):
+            a = dict.fromkeys(points, data.draw(weight))
+        else:
+            a = {p: data.draw(weight) for p in points}
+        b = {p: data.draw(weight) for p in points}
+        scale = data.draw(st.sampled_from([1e-13, 1.0, 7.0, 1e13]))
+        am = finite_action_model(FiniteGroup.cyclic(n), points,
+                                 lambda h, p: (p[0], (p[1] + h) % sizes[p[0]]),
+                                 a, b, haar_scale=scale)
+        try:
+            homog = homogeneous_volume(am).value
+        except ValueError:
+            assert not am.a_constant
+            return
+        assert homog == pytest.approx(stack_volume(am).value, rel=1e-12)
 
     def test_convergent_half_line(self):
         am = _half_line_model(lambda x: math.exp(-x))
