@@ -16,9 +16,10 @@ b/a is constant on orbits; the test suite leans on that identity heavily.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ValidationFailure, ValidationReport
 from .groups import FiniteGroup, group_zoo
@@ -78,6 +79,7 @@ class FiniteGroupoid:
         self._by_l = None
         self._by_r = None
         self._orbit_cache = None
+        self._fiber_index = None
         self._check_structure()
 
     def _check_structure(self):
@@ -161,6 +163,20 @@ class FiniteGroupoid:
         if self._by_r is None:
             self._build_indexes()
         return self._by_r[y]
+
+    def fiber_index(self) -> tuple:
+        """Hom-set sizes over every r-fiber, built once and memoized.
+
+        One entry ``(y, ((x, |Hom(x, y)|), ...))`` per object y, in
+        ``objects`` order, listing each source object x of the r-fiber of
+        y once with its multiplicity.
+        """
+        if self._fiber_index is None:
+            self._fiber_index = tuple(
+                (y, tuple(Counter(self._arrows[aid][0] for aid in self.arrows_into(y)).items()))
+                for y in self._objects
+            )
+        return self._fiber_index
 
     def isotropy(self, x):
         return [g for g in self.arrows_from(x) if self.r(g) == x]
@@ -542,18 +558,24 @@ def fiber_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
 
     For each object y, the arrows with r = y are weighted by a at their
     left object; the volume is the sum of b(y) over the reciprocal of
-    that fiber mass.  A zero fiber mass raises
-    :class:`DegenerateWeightError`.
+    that fiber mass.  The mass depends on the arrows only through the
+    hom-set sizes, so it is read off the groupoid's memoized
+    :meth:`FiniteGroupoid.fiber_index`.  With a written over one common
+    denominator D, each mass is the integer sum of |Hom(x, y)| times the
+    numerator of a(x), and b(y) / mass is one exact step per object.  A
+    zero fiber mass raises :class:`DegenerateWeightError`.
     """
     _require_coverage(g, w)
+    a = {x: w.a[x] for x in g.objects}
+    den = lcm(*(v.denominator for v in a.values()))
+    num = {x: v.numerator * (den // v.denominator) for x, v in a.items()}
     total = Fraction(0)
-    for y in g.objects:
-        mass = Fraction(0)
-        for aid in g.arrows_into(y):
-            mass += w.a[g.l(aid)]
+    for y, sources in g.fiber_index():
+        mass = sum(m * num[x] for x, m in sources)
         if mass == 0:
             raise DegenerateWeightError(f"fiber over {y!r} has total weight zero")
-        total += w.b[y] / mass
+        by = w.b[y]
+        total += Fraction(by.numerator * den, by.denominator * mass)
     return total
 
 

@@ -1,12 +1,13 @@
 """Bibundles, linking groupoids, and exact volume transfer.
 
 Two finite groupoids are Morita equivalent when an invertible bibundle
-connects them.  The computational route for transfer goes through the
-linking groupoid: the disjoint object sets of both groupoids become one
+connects them.  A valid bibundle matches the orbits of both sides, so an
+invariant section transfers along its anchors: the value at the left
+anchor of each element lands at its right anchor, and the volumes
+computed with corresponding weights then agree exactly.  The linking
+groupoid joins the disjoint object sets of both groupoids into one
 groupoid whose extra arrows are the bibundle elements and their formal
-inverses.  Both object sets are full in the linking groupoid, so an
-invariant section extends from one side and restricts to the other; the
-volumes computed with corresponding weights then agree exactly.
+inverses; both object sets are full in it.
 """
 
 from __future__ import annotations
@@ -365,17 +366,29 @@ def extend_invariant_section(g: FiniteGroupoid, subset, partial: dict) -> dict:
 
 def transfer_section(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
                      section: dict) -> dict:
-    """Carry an invariant section of g1 to g2 through the linking groupoid."""
+    """Carry an invariant section of g1 to g2 along the bibundle anchors.
+
+    A valid bibundle is biprincipal, so elements with one right anchor
+    have left anchors in one orbit of g1; an orbit-constant section then
+    gives each object y of g2 the single value ``section[left_anchor(b)]``
+    over the elements b with ``right_anchor(b) == y``.
+    """
     for orb in orbits(g1):
         vals = {section[x] for x in orb.objects}
         if len(vals) > 1:
             raise InconsistentSectionError(
                 f"input section is not constant on the orbit of {orb.representative!r}"
             )
-    link = linking_groupoid(g1, g2, bib)
-    lifted = {(LEFT, x): section[x] for x in g1.objects}
-    extended = extend_invariant_section(link, left_object_ids(g1), lifted)
-    return {y: extended[(RIGHT, y)] for y in g2.objects}
+    validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
+    out = {}
+    for b in bib.elements:
+        y = bib.right_anchor[b]
+        val = section[bib.left_anchor[b]]
+        if out.setdefault(y, val) != val:
+            raise InconsistentSectionError(
+                f"section takes two values at {y!r}: {out[y]} and {val}"
+            )
+    return {y: out[y] for y in g2.objects}
 
 
 @dataclass(frozen=True)

@@ -323,17 +323,17 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     if not am.a_constant:
         raise ValueError("homogeneous_volume requires a constant a_density")
     if isinstance(am.chart, PointChart):
-        total = sum(float(am.b_density(p)) for p in am.chart.points)
-        a0 = float(am.a_density(am.chart.points[0]))
-        return QuadratureResult(total / (a0 * am.group.volume), 0.0, len(am.chart.points))
-
-    probe = tuple(
-        lo if math.isfinite(lo) else 0.0 for lo, _ in am.chart.bounds
-    )
+        probe = am.chart.points[0]
+    else:
+        probe = tuple(lo if math.isfinite(lo) else 0.0 for lo, _ in am.chart.bounds)
     a0 = float(am.a_density(probe))
-    denom = a0 * am.group.volume
     if a0 == 0.0:
         raise DegenerateModelError("group volume weighted by a vanishes")
+    denom = a0 * am.group.volume
+
+    if isinstance(am.chart, PointChart):
+        total = sum(float(am.b_density(p)) for p in am.chart.points)
+        return QuadratureResult(total / denom, 0.0, len(am.chart.points))
 
     def b_only(*p):
         return float(am.b_density(p))

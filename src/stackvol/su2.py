@@ -204,8 +204,10 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     algebra, with coordinates normalized by the computed group volume;
     the right side integrates the orbit density times phi over the
     chamber.  Agreement validates the period, root, and volume
-    normalizations simultaneously.
+    normalizations simultaneously.  ``tol`` must be positive and finite.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if cartan is None:
         cartan = su2_cartan()
     if s_max is None:

@@ -376,6 +376,8 @@ class TestErrorPaths:
         ["smooth", "example", "plane-so2", "ts=5"],
         ["smooth", "example", "symplectic-bk", "k=0"],
         ["smooth", "example", "poisson-sphere-bundle", "ts=7"],
+        ["smooth", "weyl-check", "--tol", "-1"],
+        ["smooth", "weyl-check", "--tol", "nan"],
     ])
     def test_parameter_out_of_range_exits_one(self, capsys, argv):
         code, _, err = run(capsys, argv)

@@ -420,3 +420,98 @@ def test_product_with_pair_block_preserves_cardinality_times_orbit(n, m):
     # a block with n points over a group of order m has cardinality 1/m
     g = block_groupoid(range(n), FiniteGroup.cyclic(m))
     assert cardinality(g) == Fraction(1, m)
+
+
+def naive_fiber_volume(g, w):
+    """Reference fiber formula: one Fraction add per arrow."""
+    total = Fraction(0)
+    for y in g.objects:
+        mass = Fraction(0)
+        for aid in g.arrows_into(y):
+            mass += w.a[g.l(aid)]
+        if mass == 0:
+            raise DegenerateWeightError(f"fiber over {y!r} has total weight zero")
+        total += w.b[y] / mass
+    return total
+
+
+def _small_groupoid(seed):
+    return random_groupoid(seed, max_objects=6, max_group_order=4, max_blocks=3)
+
+
+_signed_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+
+
+class TestFiberIndex:
+    def test_hom_counts_per_fiber(self):
+        g = disjoint_union(block_groupoid([0, 1], FiniteGroup.cyclic(3)), z_n(2))
+        assert g.fiber_index() == (
+            ((0, 0), (((0, 0), 3), ((0, 1), 3))),
+            ((0, 1), (((0, 0), 3), ((0, 1), 3))),
+            ((1, "pt"), (((1, "pt"), 2),)),
+        )
+        assert g.fiber_index() is g.fiber_index()
+
+    def test_fiber_volume_uses_no_orbit_data(self, monkeypatch):
+        import stackvol.finite as finite_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fiber_volume must not use orbits or isotropy")
+
+        g = random_groupoid(5)
+        w = random_invariant_weights(g, 6)
+        expected = orbit_volume(g, w)
+        monkeypatch.setattr(finite_module, "orbits", forbidden)
+        monkeypatch.setattr(FiniteGroupoid, "isotropy", forbidden)
+        assert fiber_volume(g, w) == expected
+
+    def test_shared_object_ids_do_not_share_the_index(self):
+        # same object ids 0, 1, 2, different hom-set sizes
+        g1 = pair_groupoid([0, 1, 2])
+        g2 = block_groupoid([0, 1, 2], FiniteGroup.cyclic(3))
+        w = WeightData({0: Fraction(1, 2), 1: 3, 2: Fraction(-5, 7)}, {0: 1, 1: 2, 2: 3})
+        v1, v2 = naive_fiber_volume(g1, w), naive_fiber_volume(g2, w)
+        assert v1 != v2
+        for _ in range(3):
+            assert fiber_volume(g1, w) == v1
+            assert fiber_volume(g2, w) == v2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_indexed_fiber_sum_matches_per_arrow_sum(seed, data):
+    # a and b are arbitrary: not invariant, signed, with large denominators
+    g = _small_groupoid(seed)
+    a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
+    b = {x: data.draw(_signed_rationals) for x in g.objects}
+    w = WeightData(a, b)
+    try:
+        expected = naive_fiber_volume(g, w)
+    except DegenerateWeightError as exc:
+        with pytest.raises(DegenerateWeightError) as got:
+            fiber_volume(g, w)
+        assert str(got.value) == str(exc)
+        return
+    got = fiber_volume(g, w)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_zero_fiber_mass_names_the_same_object(seed, data):
+    # the pair block guarantees a fiber with two source objects
+    g = disjoint_union(_small_groupoid(seed), pair_groupoid([0, 1]))
+    a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
+    # cancel the mass over one fiber with at least two source objects
+    fibers = [src for _, src in g.fiber_index() if len(src) > 1]
+    (x0, m0), *rest = data.draw(st.sampled_from(fibers))
+    if sum(m * a[x] for x, m in rest) == 0:
+        a[rest[0][0]] *= 2
+    a[x0] = -sum((m * a[x] for x, m in rest), Fraction(0)) / m0
+    w = WeightData(a, {x: 1 for x in g.objects})
+    with pytest.raises(DegenerateWeightError) as want:
+        naive_fiber_volume(g, w)
+    with pytest.raises(DegenerateWeightError) as got:
+        fiber_volume(g, w)
+    assert str(got.value) == str(want.value)

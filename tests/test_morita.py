@@ -184,6 +184,8 @@ class TestLinkingGroupoid:
                        left, frozen_right)
         with pytest.raises(InvalidBibundleError):
             linking_groupoid(g1, g2, bad)
+        with pytest.raises(InvalidBibundleError):
+            transfer_section(g1, g2, bad, {"pt": Fraction(1)})
 
     def test_restriction_to_left_factor_is_isomorphic(self):
         g = disjoint_union(classifying_groupoid(FiniteGroup.cyclic(2)),
@@ -334,6 +336,19 @@ def test_equivalent_presentations_share_volume(seed):
     w1, w2 = random_morita_weights(g1, g2, bib, seed + 1)
     report = morita_volume_check(g1, g2, bib, w1, w2)
     assert report.equal
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=100_000))
+def test_anchor_transfer_matches_linking_extension(seed, weight_seed):
+    g1, g2, bib = random_morita_triple(seed)
+    w1 = random_invariant_weights(g1, weight_seed)
+    section = {x: w1.ratio(x) for x in g1.objects}
+    link = linking_groupoid(g1, g2, bib)
+    lifted = {(LEFT, x): section[x] for x in g1.objects}
+    extended = extend_invariant_section(link, left_object_ids(g1), lifted)
+    via_link = {y: extended[(RIGHT, y)] for y in g2.objects}
+    assert transfer_section(g1, g2, bib, section) == via_link
 
 
 @settings(max_examples=15, deadline=None)

@@ -264,6 +264,15 @@ class TestHomogeneousVolume:
             return
         assert homog == pytest.approx(stack_volume(am).value, rel=1e-12)
 
+    def test_point_chart_with_zero_a_is_degenerate(self):
+        z2 = FiniteGroup.cyclic(2)
+        am = finite_action_model(z2, [0, 1], lambda h, x: (x + h) % 2,
+                                 {0: 0, 1: 0}, {0: 1, 1: 1})
+        with pytest.raises(DegenerateModelError):
+            homogeneous_volume(am)
+        with pytest.raises(DegenerateModelError):
+            stack_volume(am)
+
     def test_convergent_half_line(self):
         am = _half_line_model(lambda x: math.exp(-x))
         res = homogeneous_volume(am)

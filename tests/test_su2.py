@@ -199,6 +199,17 @@ class TestWeylCheck:
             weyl_integration_check(gaussian_test_function(), mc_samples=1000,
                                    s_max=-1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_refused_before_sampling(self, monkeypatch, tol):
+        import stackvol.su2 as su2_module
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("Monte Carlo sampling must not start")
+
+        monkeypatch.setattr(su2_module, "integrate_mc", no_sampling)
+        with pytest.raises(ValueError, match="tol"):
+            weyl_integration_check(gaussian_test_function(), tol=tol)
+
     def test_report_fields(self):
         phi = gaussian_test_function()
         report = weyl_integration_check(phi, mc_samples=150_000, seed=3,
