@@ -59,7 +59,7 @@ class FiniteGroupoid:
     ``compose`` may be a dict of exactly the composable pairs or a callable
     raising :class:`UndefinedComposition` on non-composable input.  Large
     generated families use closures so that no quadratic table has to be
-    materialized; JSON-loaded groupoids keep their explicit table.
+    materialized; JSON-loaded and linking groupoids keep an explicit table.
     """
 
     def __init__(self, objects, arrows, identity, inverse, compose):
@@ -347,11 +347,18 @@ _FULL_PAIR_SCAN_CAP = 400_000
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustive axiom check; every violation carries a witness.
 
-    Associativity is checked on all composable triples, so keep the input
-    small (a few hundred arrows) when a full validation is wanted.  The
-    scan for spuriously composable pairs is skipped above a size cap when
-    the composition is closure-backed, since closures cannot store stray
-    entries anyway.
+    Associativity is decided by Light's test: it is checked only on the
+    triples (a, s, c) whose middle arrow s lies in a generating set chosen
+    by :func:`_generators`, so an associativity witness always has that
+    form.  Given the closure and endpoint checks, the arrows that pass
+    for every a and c are closed under composition, so the test is as
+    strong as a scan of all composable triples.  It costs one lookup pair
+    per generator s, arrow a into l(s) and arrow c out of r(s); at worst,
+    when every arrow is a generator, that is the full scan.  The scan for
+    spuriously composable pairs walks the table keys of a table-backed
+    groupoid; for a closure-backed one it probes every non-composable
+    pair and is skipped above a size cap, since closures cannot store
+    stray entries anyway.
     """
     report = ValidationReport()
 
@@ -383,12 +390,13 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         except UndefinedComposition:
             report.add("identity unit", (a,), "unit composite undefined")
 
+    table = g.compose_table
     composite = {}
     for a in g.arrow_ids:
         for b in g.arrows_from(g.r(a)):
             try:
-                c = g.compose(a, b)
-            except UndefinedComposition:
+                c = table[(a, b)] if table is not None else g.compose(a, b)
+            except KeyError:  # a table miss or UndefinedComposition
                 report.add("missing composition", (a, b))
                 continue
             if c not in g._arrows:
@@ -398,8 +406,8 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                 report.add("composition endpoints", (a, b, c))
             composite[(a, b)] = c
 
-    if g.compose_table is not None:
-        for (a, b) in g.compose_table:
+    if table is not None:
+        for (a, b) in table:
             if a not in g._arrows or b not in g._arrows or g.r(a) != g.l(b):
                 report.add("spurious composition", (a, b))
     elif g.arrow_count ** 2 <= _FULL_PAIR_SCAN_CAP:
@@ -413,17 +421,57 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                     continue
                 report.add("spurious composition", (a, b))
 
-    for (a, b), ab in composite.items():
-        for c in g.arrows_from(g.r(b)):
-            bc = composite.get((b, c))
-            left = composite.get((ab, c))
-            if bc is None or left is None:
+    for s in _generators(g, composite):
+        for a in g.arrows_into(g.l(s)):
+            a_s = composite.get((a, s))
+            if a_s is None:
                 continue  # already reported as missing
-            right = composite.get((a, bc))
-            if right is None or left != right:
-                report.add("associativity", (a, b, c))
+            for c in g.arrows_from(g.r(s)):
+                sc = composite.get((s, c))
+                left = composite.get((a_s, c))
+                if sc is None or left is None:
+                    continue  # already reported as missing
+                right = composite.get((a, sc))
+                if right is None or left != right:
+                    report.add("associativity", (a, s, c))
 
     return report
+
+
+def _generators(g: FiniteGroupoid, composite: dict) -> list:
+    """A generating set for Light's associativity test, in arrow order.
+
+    One greedy pass: an arrow that is not yet a left-bracketed product
+    ``(..((s1 s2) s3)..) sk`` of earlier generators becomes a generator,
+    and the set of reached products is extended by right multiplication
+    with every generator.  ``composite`` maps composable pairs to their
+    composite; a pair missing from it extends nothing.
+    """
+    gens = []
+    gens_from = {}  # object x -> generators s with l(s) == x
+    reached = set()
+    reached_into = {}  # object y -> reached products p with r(p) == y
+    for a in g.arrow_ids:
+        if a in reached:
+            continue
+        gens.append(a)
+        gens_from.setdefault(g.l(a), []).append(a)
+        frontier = [a]
+        for p in reached_into.get(g.l(a), ()):
+            pa = composite.get((p, a))
+            if pa is not None:
+                frontier.append(pa)
+        while frontier:
+            p = frontier.pop()
+            if p in reached:
+                continue
+            reached.add(p)
+            reached_into.setdefault(g.r(p), []).append(p)
+            for s in gens_from.get(g.r(p), ()):
+                ps = composite.get((p, s))
+                if ps is not None and ps not in reached:
+                    frontier.append(ps)
+    return gens
 
 
 # ---------------------------------------------------------------------------

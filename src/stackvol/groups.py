@@ -63,16 +63,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 
-    def check_associative(self) -> bool:
-        """Exhaustive associativity scan, used by tests on custom tables."""
-        for a in self.elements:
-            for b in self.elements:
-                ab = self._table[(a, b)]
-                for c in self.elements:
-                    if self._table[(ab, c)] != self._table[(a, self._table[(b, c)])]:
-                        return False
-        return True
-
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:

@@ -35,8 +35,9 @@ from stackvol.finite import (
     restrict_to_objects,
     unit_weights,
     validate,
+    _generators,
 )
-from stackvol.groups import FiniteGroup
+from stackvol.groups import FiniteGroup, group_zoo
 
 # frozen oracles, each derived by hand before implementation:
 #   one object with symmetry group of order n      -> cardinality 1/n
@@ -309,6 +310,84 @@ class TestValidate:
         report = validate(g)
         assert any(v.witness for v in report.violations)
         assert report.summary()
+
+
+def _corrupted_block_union(data, closure):
+    """A union of blocks whose table has 1-3 composites swapped.
+
+    Each swapped composite is replaced by another arrow with the same
+    endpoints, so the closure and endpoint checks still pass and only
+    associativity, units and inverses can break.
+    """
+    groups = [grp for grp in group_zoo(4) if grp.order >= 2]
+    blocks = [block_groupoid(range(data.draw(st.integers(1, 3))), data.draw(st.sampled_from(groups)))
+              for _ in range(data.draw(st.integers(1, 2)))]
+    union = disjoint_union(*blocks)
+    arrows, identity, inverse, table = TestValidate._materialize(union)
+    swapped = data.draw(st.lists(st.sampled_from(sorted(table, key=repr)),
+                                 min_size=1, max_size=3, unique=True))
+    for p, q in swapped:
+        ends = (arrows[p][0], arrows[q][1])
+        others = sorted((c for c in arrows if arrows[c] == ends and c != table[(p, q)]), key=repr)
+        table[(p, q)] = data.draw(st.sampled_from(others))
+    if not closure:
+        return FiniteGroupoid(union.objects, arrows, identity, inverse, table)
+
+    def compose(p, q):
+        try:
+            return table[(p, q)]
+        except KeyError:
+            raise UndefinedComposition((p, q)) from None
+
+    return FiniteGroupoid(union.objects, arrows, identity, inverse, compose)
+
+
+def _is_associative(g, a, b, c):
+    return g.compose(g.compose(a, b), c) == g.compose(a, g.compose(b, c))
+
+
+def _composable_triples(g):
+    for a in g.arrow_ids:
+        for b in g.arrows_from(g.r(a)):
+            for c in g.arrows_from(g.r(b)):
+                yield a, b, c
+
+
+def _composites(g):
+    return {(a, b): g.compose(a, b) for a in g.arrow_ids for b in g.arrows_from(g.r(a))}
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["table", "closure"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_light_test_agrees_with_all_triples_scan(closure, data):
+    g = _corrupted_block_union(data, closure)
+    assert (g.compose_table is None) == closure
+    brute_force = any(not _is_associative(g, *t) for t in _composable_triples(g))
+    report = validate(g)
+    assert ("associativity" in report.axioms()) == brute_force
+    gens = set(_generators(g, _composites(g)))
+    for v in report.violations:
+        if v.axiom == "associativity":
+            a, s, c = v.witness
+            assert s in gens
+            assert not _is_associative(g, a, s, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.data())
+def test_generators_reach_every_arrow_by_right_products(seed, corrupt, data):
+    g = _corrupted_block_union(data, False) if corrupt else _small_groupoid(seed)
+    composite = _composites(g)
+    gens = _generators(g, composite)
+    assert gens == [a for a in g.arrow_ids if a in set(gens)]
+    reached, frontier = set(), list(gens)
+    while frontier:
+        p = frontier.pop()
+        if p not in reached:
+            reached.add(p)
+            frontier.extend(composite[(p, s)] for s in gens if g.r(p) == g.l(s))
+    assert reached == set(g.arrow_ids)
 
 
 class TestConstructors:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stackvol.finite import (
     FiniteGroupoid,
+    UndefinedComposition,
     WeightData,
     block_groupoid,
     cardinality,
@@ -134,6 +135,43 @@ class TestValidateBibundle:
         report = validate_bibundle(g1, g2, bib)
         assert not report.ok
         assert "anchor range" in report.axioms()
+
+    def test_refused_factor_composite_is_a_violation(self):
+        g, _, bib = z2_self_equivalence()
+        refused = (_arrow(1), _arrow(1))
+
+        def compose(p, q):
+            if (p, q) == refused:
+                raise UndefinedComposition((p, q))
+            return g.compose(p, q)
+
+        broken = FiniteGroupoid(g.objects, {a: (g.l(a), g.r(a)) for a in g.arrow_ids},
+                                {x: g.identity(x) for x in g.objects},
+                                {a: g.inverse(a) for a in g.arrow_ids}, compose)
+        left = validate_bibundle(broken, g, bib)
+        assert any(v.axiom == "left action compatibility" and v.witness[:2] == refused
+                   for v in left.violations)
+        right = validate_bibundle(g, broken, bib)
+        assert any(v.axiom == "right action compatibility" and v.witness[1:] == refused
+                   for v in right.violations)
+
+    def test_volume_check_then_link_scans_the_bibundle_once(self, monkeypatch):
+        import stackvol.morita as morita_module
+
+        g1, g2, bib = random_morita_triple(11)
+        # weights drawn on an equal copy, so no scan of bib happens here
+        w1, w2 = random_morita_weights(*random_morita_triple(11), 12)
+        scans = []
+        scan = morita_module._scan_bibundle
+        monkeypatch.setattr(morita_module, "_scan_bibundle",
+                            lambda *args: scans.append(args) or scan(*args))
+        assert morita_volume_check(g1, g2, bib, w1, w2).equal
+        assert validate(linking_groupoid(g1, g2, bib)).ok
+        assert len(scans) == 1
+        # the memo is keyed on the groupoid objects, not on equal tables
+        h1, h2, _ = random_morita_triple(11)
+        assert validate_bibundle(h1, h2, bib).ok
+        assert len(scans) == 2
 
 
 class TestLinkingGroupoid:
@@ -359,3 +397,13 @@ def test_linking_cardinality_counts_one_merged_orbit_per_block(seed):
     # each merged orbit has isotropy of the shared block group, and unit
     # weights on the linking groupoid see both presentations at once
     assert fiber_volume(link, unit_weights(link)) == cardinality(link)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_linking_table_covers_exactly_the_composable_pairs(seed):
+    link = linking_groupoid(*random_morita_triple(seed))
+    composable = {(p, q) for p in link.arrow_ids for q in link.arrow_ids
+                  if link.r(p) == link.l(q)}
+    assert link.compose_table is not None
+    assert set(link.compose_table) == composable
