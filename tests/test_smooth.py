@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from stackvol.catalog import plane_o2, plane_so2, torus_free
 from stackvol.groups import FiniteGroup
+from stackvol.quadrature import NonConvergenceError
 from stackvol.smooth import (
     TWO_PI,
     ActionModel,
@@ -24,7 +26,6 @@ from stackvol.smooth import (
     check_invariance,
     fiber_integral,
     finite_action_model,
-    group_volume,
     homogeneous_volume,
     invariance_defect,
     pushforward_density,
@@ -38,18 +39,43 @@ from stackvol.smooth import (
 #   free circle translation on the flat 2-torus: volume = (2pi)^2/(2pi) = 2pi
 #   disk fiber integral for a(r, theta) = 1 + r^2: 2pi (1 + r^2)
 #   annulus 1 <= r <= 2 under rotations: (4 - 1)/2 = 3/2
+#   integral of 1/(1.1 + cos t) over the circle: 2pi/sqrt(1.1^2 - 1)
+
+POLE = 1.1
+POLE_INTEGRAL = TWO_PI / math.sqrt(POLE ** 2 - 1.0)
+
+_coeff = st.floats(-1.0, 1.0)
+# a mean in [1, 2] plus cosine and sine terms of frequency 1..15
+_circle_poly = st.tuples(st.floats(1.0, 2.0),
+                         st.lists(st.tuples(st.integers(1, 15), _coeff, _coeff), max_size=6))
+_torus_poly = st.tuples(
+    st.floats(1.0, 2.0),
+    st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15), _coeff, _coeff)
+             .filter(lambda term: term[:2] != (0, 0)), max_size=6),
+)
+
+
+def _trig(poly):
+    mean, terms = poly
+    return lambda t: mean + sum(c * math.cos(k * t) + s * math.sin(k * t) for k, c, s in terms)
+
+
+def _trig2(poly):
+    mean, terms = poly
+    return lambda u, v: mean + sum(c * math.cos(j * u + k * v) + s * math.sin(j * u + k * v)
+                                   for j, k, c, s in terms)
 
 
 class TestGroupModels:
     def test_volumes(self):
-        assert group_volume(GroupModel("circle")) == pytest.approx(TWO_PI)
-        assert group_volume(GroupModel("o2")) == pytest.approx(2 * TWO_PI)
-        assert group_volume(GroupModel("torus", rank=2)) == pytest.approx(TWO_PI ** 2)
+        assert GroupModel("circle").volume == pytest.approx(TWO_PI)
+        assert GroupModel("o2").volume == pytest.approx(2 * TWO_PI)
+        assert GroupModel("torus", rank=2).volume == pytest.approx(TWO_PI ** 2)
         s3 = GroupModel("finite", group=FiniteGroup.symmetric(3))
-        assert group_volume(s3) == 6.0
+        assert s3.volume == 6.0
 
     def test_scale_multiplies(self):
-        assert group_volume(GroupModel("circle", haar_scale=0.5)) == pytest.approx(math.pi)
+        assert GroupModel("circle", haar_scale=0.5).volume == pytest.approx(math.pi)
 
     def test_bad_parameters(self):
         for kind in ("quaternionic", "su2"):
@@ -73,12 +99,70 @@ class TestGroupModels:
         value, _ = gm.integrate(lambda h: 1.0 if h[0] else 0.0)
         assert value == pytest.approx(TWO_PI)
 
-    def test_o2_composition_law(self):
-        gm = GroupModel("o2")
-        h = gm.compose_elements((1, 1.0), (1, 2.0))
-        assert h[0] == 0
-        assert h[1] == pytest.approx((1.0 - 2.0) % TWO_PI)
-        assert gm.modular((1, 1.0)) == 1.0
+    @settings(max_examples=40, deadline=None)
+    @given(_circle_poly, _circle_poly, _torus_poly)
+    def test_trig_polynomials_below_degree_16_are_exact(self, p, q, t):
+        value, _ = GroupModel("circle").integrate(_trig(p))
+        assert value == pytest.approx(TWO_PI * p[0], rel=1e-12)
+        f, g = _trig(p), _trig(q)
+        value, _ = GroupModel("o2").integrate(lambda h: g(h[1]) if h[0] else f(h[1]))
+        assert value == pytest.approx(TWO_PI * (p[0] + q[0]), rel=1e-12)
+        h2 = _trig2(t)
+        value, _ = GroupModel("torus", rank=2).integrate(lambda h: h2(*h))
+        assert value == pytest.approx(TWO_PI ** 2 * t[0], rel=1e-12)
+
+    def test_node_count_ignores_scales(self):
+        def f(t):
+            return 1.0 / (POLE + math.cos(t))
+
+        value, base = GroupModel("circle").integrate(f)
+        assert value == pytest.approx(POLE_INTEGRAL, rel=1e-9)
+        assert base > 2 * 16  # the first two grids do not settle this integrand
+        for scale in (1e-13, 1.0, 1e13):
+            value, evals = GroupModel("circle", haar_scale=scale).integrate(f)
+            assert evals == base
+            assert value == pytest.approx(scale * POLE_INTEGRAL, rel=1e-9)
+            _, evals = GroupModel("circle").integrate(lambda t: scale * f(t))
+            assert evals == base
+
+    @pytest.mark.parametrize("gm, fn", [
+        (GroupModel("finite", group=FiniteGroup.symmetric(3)), lambda h: 1.0 + h[0]),
+        (GroupModel("circle"), lambda t: 1.0 / (POLE + math.cos(t))),
+        (GroupModel("o2"), lambda h: 1.0 / (POLE + math.cos(h[1])) if h[0] else 1.0),
+        (GroupModel("torus", rank=2), lambda h: 1.0 / (POLE + math.cos(h[0] - h[1]))),
+    ], ids=["finite", "circle", "o2", "torus2"])
+    def test_reported_evaluations_equal_calls(self, gm, fn):
+        calls = 0
+
+        def counted(h):
+            nonlocal calls
+            calls += 1
+            return fn(h)
+
+        _, evals = gm.integrate(counted)
+        assert evals == calls
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
+    def test_kinked_integrand_meets_tol_or_raises(self, tol):
+        gm = GroupModel("circle")
+        try:
+            value, _ = gm.integrate(lambda t: abs(math.sin(t)), tol=tol)
+        except NonConvergenceError as exc:
+            assert exc.result.evaluations > 0
+        else:
+            assert abs(value - 4.0) <= tol * 4.0
+
+    def test_random_element_keeps_the_seeded_stream(self):
+        s3 = FiniteGroup.symmetric(3)
+        new, old = random.Random(5), random.Random(5)
+        for _ in range(20):
+            assert GroupModel("circle").random_element(new) == old.uniform(0.0, TWO_PI)
+            assert (GroupModel("o2").random_element(new)
+                    == (old.randint(0, 1), old.uniform(0.0, TWO_PI)))
+            assert (GroupModel("torus", rank=2).random_element(new)
+                    == (old.uniform(0.0, TWO_PI), old.uniform(0.0, TWO_PI)))
+            assert (GroupModel("finite", group=s3).random_element(new)
+                    == old.choice(s3.elements))
 
 
 class TestCharts:
@@ -95,6 +179,12 @@ class TestCharts:
         assert oc.is_singular(0.0)
         assert oc.is_singular(1e-13)
         assert not oc.is_singular(1e-10)
+
+    def test_singular_window_scales_with_the_range(self):
+        tiny = plane_so2(R=1e-12)
+        assert tiny.orbit_chart.is_singular(0.0)
+        assert not tiny.orbit_chart.is_singular(5e-13)
+        assert pushforward_density(tiny, 5e-13) == pytest.approx(5e-13, rel=1e-12)
 
     def test_density_mode_validation(self):
         with pytest.raises(ValueError):
@@ -113,6 +203,15 @@ class TestFiberIntegral:
         for r in (0.25, 1.0, 1.75):
             expect = TWO_PI * (1.0 + r * r)
             assert fiber_integral(am, (r, 1.0)) == pytest.approx(expect, rel=1e-9)
+
+    def test_frequency_16_is_not_aliased(self):
+        # adaptive Simpson's equispaced first levels read 1.5 * 2pi here
+        am = dataclasses.replace(plane_so2(R=2.0),
+                                 a_density=lambda p: 1.0 + 0.5 * math.cos(16 * p[1]),
+                                 a_constant=False)
+        assert fiber_integral(am, (1.0, 0.3)) == pytest.approx(TWO_PI, rel=1e-9)
+        res = stack_volume(am)
+        assert abs(res.value - 2.0) <= 1e-6
 
     def test_finite_fiber_matches_group_sum(self):
         s3 = FiniteGroup.symmetric(3)
@@ -150,6 +249,39 @@ class TestStackVolume:
         assert res.value == pytest.approx(0.5, abs=1e-15)
         assert res.error_estimate == 0.0
         assert res.evaluations == 3
+
+    def test_evaluations_include_the_fiber_rules(self):
+        # a varies along each orbit; b = a r keeps the volume at 2
+        counts = {"b": 0, "act": 0}
+
+        def theta(p):
+            r, phi = p
+            return 1.5 + 0.5 * math.sin(phi) + 0.1 * r
+
+        def b(p):
+            counts["b"] += 1
+            return theta(p) * p[0]
+
+        base = plane_so2(R=2.0)
+
+        def act(h, p):
+            counts["act"] += 1
+            return base.act(h, p)
+
+        am = dataclasses.replace(base, act=act, a_density=theta, b_density=b,
+                                 a_constant=False)
+        res = stack_volume(am)
+        assert abs(res.value - 2.0) <= 1e-6
+        # b is read once per integrand call, act once per fiber-rule node
+        assert res.evaluations == counts["b"] + counts["act"]
+        assert counts["act"] > counts["b"]
+
+    def test_point_chart_evaluations_include_the_group_sums(self):
+        s3 = FiniteGroup.symmetric(3)
+        am = finite_action_model(s3, range(3), lambda p, x: p[x], {0: 1, 1: 2, 2: 3},
+                                 {x: 1 for x in range(3)})
+        assert not am.a_constant
+        assert stack_volume(am).evaluations == 3 + 3 * 6
 
     def test_param_region_needs_orbit_chart(self):
         s3 = FiniteGroup.symmetric(3)
@@ -325,6 +457,22 @@ class TestInvariance:
         h, p = report.witness
         assert invariance_defect(am, h, p) == pytest.approx(report.max_defect)
 
+    @pytest.mark.parametrize("model", [plane_so2, plane_o2])
+    @pytest.mark.parametrize("R", [2.0, 1e4, 1e6])
+    def test_verdict_is_relative_to_b(self, model, R):
+        report = check_invariance(model(R=R), samples=100, seed=3)
+        assert report.passed, str(report)
+        scaled = dataclasses.replace(model(R=R), b_density=lambda p: 1e13 * p[0])
+        assert check_invariance(scaled, samples=100, seed=3).passed
+
+    def test_non_invariant_density_caught_at_large_radius(self):
+        am = dataclasses.replace(plane_so2(R=1e4),
+                                 b_density=lambda p: p[0] * abs(math.cos(p[1])))
+        report = check_invariance(am, samples=100, seed=3)
+        assert not report.passed
+        h, p = report.witness
+        assert invariance_defect(am, h, p) == pytest.approx(report.max_defect)
+
     def test_finite_orbit_constant_section(self):
         s3 = FiniteGroup.symmetric(3)
         unit = {x: 1 for x in range(3)}
@@ -428,7 +576,7 @@ class TestFiniteBridge:
         am = finite_action_model(z2, [0, 1], lambda h, x: (x + h) % 2, unit, unit)
         assert isinstance(am.chart, PointChart)
         assert am.a_constant
-        assert group_volume(am.group) == 2.0
+        assert am.group.volume == 2.0
 
     def test_nonconstant_a_detected(self):
         z2 = FiniteGroup.cyclic(2)
