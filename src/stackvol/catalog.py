@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import ValidationFailure
 from .families import PoissonFamilyModel, SymplecticModel
 from .smooth import ActionModel, BoxChart, GroupModel, OrbitChart
-from .su2 import su2_cartan
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +113,8 @@ def torus_free() -> ActionModel:
 
 def adjoint_su2():
     """Computed normalization data for the rank-one adjoint quotient."""
+    from .su2 import su2_cartan  # loads numpy, which no other model needs
+
     return su2_cartan()
 
 

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from .catalog import build_model
 from .errors import NumericalFailure, SchemaError, ValidationFailure
 from .families import (
     PoissonFamilyModel,
@@ -44,8 +43,6 @@ from .jsonio import (
     load_weights,
 )
 from .morita import linking_groupoid, morita_volume_check
-from .smooth import ActionModel, pushforward_density, stack_volume
-from .su2 import CartanData, adjoint_orbit_density, gaussian_test_function, weyl_integration_check
 
 DEFAULT_SEED = 94720
 DEFAULT_TOL = 1e-6
@@ -221,6 +218,10 @@ def _parse_ts(raw):
 
 
 def _cmd_smooth_example(args) -> int:
+    # the engines load here, so the finite, morita and series commands skip them
+    from .catalog import build_model
+    from .smooth import ActionModel, pushforward_density, stack_volume
+
     kv = _parse_kv(args.params)
     ts = _parse_ts(kv.pop("ts")) if "ts" in kv else None
     measure = kv.pop("measure", "stack")
@@ -246,6 +247,17 @@ def _cmd_smooth_example(args) -> int:
         lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
         return _emit(args, lines, {"table": table}, params)
 
+    if isinstance(model, ActionModel):
+        if ts is not None:
+            table = [{"t": t, "density": pushforward_density(model, t)} for t in ts]
+            lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
+            return _emit(args, lines, {"table": table}, params)
+        res = stack_volume(model, tol=args.tol)
+        return _emit(args, [_quadrature_line(res)], _quadrature_payload(res), params)
+
+    # only the SU(2) model needs numpy, so su2 loads last
+    from .su2 import CartanData, adjoint_orbit_density
+
     if isinstance(model, CartanData):
         if ts is not None:
             table = []
@@ -264,18 +276,12 @@ def _cmd_smooth_example(args) -> int:
                  f"volumeNorm {_fmt_real(model.volume_norm)}"]
         return _emit(args, lines, payload, params)
 
-    if isinstance(model, ActionModel):
-        if ts is not None:
-            table = [{"t": t, "density": pushforward_density(model, t)} for t in ts]
-            lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
-            return _emit(args, lines, {"table": table}, params)
-        res = stack_volume(model, tol=args.tol)
-        return _emit(args, [_quadrature_line(res)], _quadrature_payload(res), params)
-
     raise ValidationFailure(f"model {args.name!r} produced an unsupported type")
 
 
 def _cmd_smooth_weyl(args) -> int:
+    from .su2 import gaussian_test_function, weyl_integration_check
+
     phi = gaussian_test_function(args.width)
     report = weyl_integration_check(phi, mc_samples=args.samples, seed=args.seed,
                                     tol=args.tol)

@@ -184,29 +184,6 @@ class FiniteGroupoid:
     def __repr__(self):
         return f"FiniteGroupoid({len(self._objects)} objects, {len(self._arrows)} arrows)"
 
-    @classmethod
-    def from_tables(cls, objects, arrows, identity, inverse, compose_triples):
-        """Build from fully explicit tables.
-
-        ``arrows`` is a list of (id, l, r) triples or of mappings with keys
-        id/l/r; ``compose_triples`` lists (g, h, gh).
-        """
-        arrow_map = {}
-        for entry in arrows:
-            if isinstance(entry, dict):
-                aid, lo, ro = entry["id"], entry["l"], entry["r"]
-            else:
-                aid, lo, ro = entry
-            if aid in arrow_map:
-                raise ValueError(f"duplicate arrow id {aid!r}")
-            arrow_map[aid] = (lo, ro)
-        table = {}
-        for g, h, gh in compose_triples:
-            if (g, h) in table:
-                raise ValueError(f"duplicate composition entry for {(g, h)!r}")
-            table[(g, h)] = gh
-        return cls(objects, arrow_map, identity, inverse, table)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -580,9 +557,6 @@ class WeightData:
     def ratio(self, x) -> Fraction:
         """The section value b(x)/a(x)."""
         return self.b[x] / self.a[x]
-
-    def covers(self, objects) -> bool:
-        return all(x in self.a and x in self.b for x in objects)
 
     def rescaled(self, factor_map) -> "WeightData":
         """Multiply both weights by the same nowhere-zero rational function."""

@@ -125,8 +125,3 @@ def group_zoo(max_order: int) -> list[FiniteGroup]:
         zoo.append(FiniteGroup.dihedral(4))
         zoo.append(FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)))
     return zoo
-
-
-def regular_action(group: FiniteGroup):
-    """Left translation of a group on itself, always free and transitive."""
-    return group.elements, group.mult

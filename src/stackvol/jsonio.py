@@ -30,6 +30,16 @@ def _as_str_id(value, where: str) -> str:
     return value
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply to read") from None
+
+
 # ---------------------------------------------------------------------------
 # groupoids
 
@@ -134,12 +144,7 @@ def groupoid_to_dict(g: FiniteGroupoid, rename=None) -> dict:
 
 
 def load_groupoid(path) -> FiniteGroupoid:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return groupoid_from_dict(data)
+    return groupoid_from_dict(_read_json(path))
 
 
 def dump_groupoid(g: FiniteGroupoid, path):
@@ -192,12 +197,7 @@ def weights_to_dict(w: WeightData, rename=None) -> dict:
 
 
 def load_weights(path) -> WeightData:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return weights_from_dict(data)
+    return weights_from_dict(_read_json(path))
 
 
 def dump_weights(w: WeightData, path, rename=None):
@@ -291,12 +291,7 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
 
 
 def load_bibundle(path) -> Bibundle:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    return bibundle_from_dict(data)
+    return bibundle_from_dict(_read_json(path))
 
 
 def dump_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle, path):

@@ -21,10 +21,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import NumericalFailure, ValidationFailure
-from .quadrature import NonConvergenceError, QuadratureResult, integrate_1d, integrate_box
+from .quadrature import (
+    NonConvergenceError,
+    QuadratureResult,
+    integrate_1d,
+    integrate_box,
+    require_positive_finite,
+)
 
 TWO_PI = 2.0 * math.pi
 # trapezoid Haar rule: first grid per angle, cap on one grid over all angles
@@ -108,6 +112,7 @@ class GroupModel:
         estimate; it never returns silently.  A frequency that aliases on
         two successive grids, such as 32 on the first two, goes unseen.
         """
+        require_positive_finite("tol", tol)
         n = HAAR_START_NODES
         total = size = 0.0
         prev = None
@@ -376,10 +381,15 @@ class InvarianceReport:
 
 
 def _jacobian_det(am: ActionModel, h, p) -> float:
-    """|det| of the chart Jacobian of the action of h at p, by central differences."""
+    """|det| of the chart Jacobian of the action of h at p, by central differences.
+
+    Charts of dimension 1 and 2 only, the dimensions ``integrate_box`` covers.
+    """
     chart = am.chart
     d = chart.dim
-    mat = np.empty((d, d))
+    if d not in (1, 2):
+        raise ValueError("invariance checks support charts of dimension 1 and 2")
+    cols = []
     for j in range(d):
         lo, hi = chart.bounds[j]
         eps = 1e-6 * (hi - lo)
@@ -389,14 +399,19 @@ def _jacobian_det(am: ActionModel, h, p) -> float:
         minus[j] -= eps
         fp = am.act(h, tuple(plus))
         fm = am.act(h, tuple(minus))
+        col = []
         for i in range(d):
             diff = fp[i] - fm[i]
             period = chart.periods[i]
             if period:
                 # wrapped coordinates may jump by a full period
                 diff -= period * round(diff / period)
-            mat[i, j] = diff / (2.0 * eps)
-    return abs(float(np.linalg.det(mat)))
+            col.append(diff / (2.0 * eps))
+        cols.append(col)
+    if d == 1:
+        return abs(cols[0][0])
+    (j00, j10), (j01, j11) = cols  # cols[j][i] is d(act_i)/dp_j
+    return abs(j00 * j11 - j01 * j10)
 
 
 def invariance_defect(am: ActionModel, h, p) -> float:
@@ -425,7 +440,8 @@ def check_invariance(am: ActionModel, samples: int = 200, tol: float = 1e-8,
     """Sample (h, p) pairs and verify the density transformation law for b.
 
     A sample fails when its defect exceeds ``tol`` times |b(p)|, so
-    multiplying b by a constant never changes the verdict.  ``max_defect``
+    multiplying b by a constant never changes the verdict.  A sample
+    where b is NaN or infinite fails with an infinite defect.  ``max_defect``
     is the largest defect and the witness the worst failing sample.
     """
     rng = random.Random(seed)
@@ -436,8 +452,11 @@ def check_invariance(am: ActionModel, samples: int = 200, tol: float = 1e-8,
         h = am.group.random_element(rng)
         p = _sample_point(am, rng)
         defect = invariance_defect(am, h, p)
+        if not math.isfinite(defect):
+            defect = math.inf
         worst = max(worst, defect)
-        if defect > tol * abs(float(am.b_density(p))) and defect > witness_defect:
+        failed = defect == math.inf or defect > tol * abs(float(am.b_density(p)))
+        if failed and defect > witness_defect:
             witness, witness_defect = (h, p), defect
     return InvarianceReport(witness is None, worst, witness, samples, tol)
 

@@ -19,7 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import NonConvergenceError, QuadratureResult, integrate_1d, integrate_mc
+from .quadrature import (
+    NonConvergenceError,
+    QuadratureResult,
+    integrate_1d,
+    integrate_mc,
+    require_positive_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,7 @@ def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndar
 
 def gaussian_test_function(width: float = 0.25):
     """Centered Gaussian in the chamber parameter, vectorization-friendly."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    require_positive_finite("width", width)
     inv = 1.0 / (2.0 * width * width)
 
     def phi(s):
@@ -206,8 +211,7 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     chamber.  Agreement validates the period, root, and volume
     normalizations simultaneously.  ``tol`` must be positive and finite.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    require_positive_finite("tol", tol)
     if cartan is None:
         cartan = su2_cartan()
     if s_max is None:

@@ -378,6 +378,9 @@ class TestErrorPaths:
         ["smooth", "example", "poisson-sphere-bundle", "ts=7"],
         ["smooth", "weyl-check", "--tol", "-1"],
         ["smooth", "weyl-check", "--tol", "nan"],
+        ["smooth", "example", "plane-so2", "--tol", "nan"],
+        ["smooth", "example", "plane-so2", "--tol", "inf"],
+        ["smooth", "weyl-check", "--width", "nan", "--samples", "1000"],
     ])
     def test_parameter_out_of_range_exits_one(self, capsys, argv):
         code, _, err = run(capsys, argv)
@@ -385,6 +388,19 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("deep", ["groupoid", "weights"])
+    def test_deeply_nested_json_exits_three(self, capsys, tmp_path, half_point, deep):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"a": {"pt": "1"}, "b": {"pt": "1"}}))
+        files = {"groupoid": half_point, "weights": str(weights), deep: str(path)}
+        code, _, err = run(capsys, ["finite", "volume", "--groupoid", files["groupoid"],
+                                    "--weights", files["weights"]])
+        assert code == 3
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert len(err.splitlines()) == 1
 
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         path = tmp_path / "binary.json"
@@ -436,6 +452,27 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["finite", "volume", "--groupoid", "{left}", "--weights", "{w1}"], False),
+    (["morita", "check", "--left", "{left}", "--right", "{right}", "--bibundle", "{bib}",
+      "--left-weights", "{w1}", "--right-weights", "{w2}"], False),
+    (["series", "finite-sets"], False),
+    (["smooth", "example", "plane-so2"], False),
+    (["smooth", "example", "adjoint-su2"], True),
+])
+def test_only_su2_commands_load_numpy(tmp_path, argv, loads_numpy):
+    paths = {key: str(path) for key, path in morita_fixture(tmp_path).items()}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
+         "print('numpy' in sys.modules); sys.exit(code)",
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def test_console_script_entry_point():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackvol.quadrature import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     NonConvergenceError,
     integrate_1d,
     integrate_box,
@@ -60,6 +62,11 @@ class TestIntegrate1D:
         with pytest.raises(ValueError):
             integrate_1d(lambda x: x, 0.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_tol_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_1d(lambda x: x, 0.0, 1.0, tol=tol)
+
     def test_rejects_non_finite_integrand(self):
         with pytest.raises(ValueError):
             integrate_1d(lambda x: float("nan"), 0.0, 1.0)
@@ -110,6 +117,24 @@ class TestIntegrateBox:
         res = integrate_box(lambda x, y: math.sin(x) * math.sin(y),
                             [(0.0, math.pi), (0.0, math.pi)])
         assert abs(res.value - 4.0) <= 1e-7
+
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_refuses_tol_not_positive_and_finite(self, tol, dims):
+        calls = []
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_box(lambda *p: calls.append(p) or 1.0, [(0.0, 1.0)] * dims, tol=tol)
+        assert calls == []
+
+    def test_gauss_rule_is_numpys_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        assert GAUSS_NODES == tuple(float(x) for x in nodes)
+        assert GAUSS_WEIGHTS == tuple(float(w) for w in weights)
+
+    def test_value_is_a_plain_float(self):
+        res = integrate_box(lambda x, y: x * y, [(0.0, 1.0), (0.0, 1.0)])
+        assert type(res.value) is float and type(res.error_estimate) is float
 
 
 class TestIntegrateDisk:

@@ -77,6 +77,13 @@ class TestGroupModels:
     def test_scale_multiplies(self):
         assert GroupModel("circle", haar_scale=0.5).volume == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_integrate_refuses_tol_not_positive_and_finite(self, tol):
+        calls = []
+        with pytest.raises(ValueError, match="positive and finite"):
+            GroupModel("circle").integrate(lambda h: calls.append(h) or 1.0, tol=tol)
+        assert calls == []
+
     def test_bad_parameters(self):
         for kind in ("quaternionic", "su2"):
             with pytest.raises(ValueError):
@@ -228,6 +235,11 @@ class TestStackVolume:
         res = stack_volume(plane_so2(R=2.0))
         assert abs(res.value - 2.0) <= res.error_estimate + 1e-9
         assert res.evaluations > 0
+
+    @pytest.mark.parametrize("model", [plane_so2, plane_o2, torus_free])
+    def test_result_holds_plain_floats(self, model):
+        res = stack_volume(model())
+        assert type(res.value) is float and type(res.error_estimate) is float
 
     def test_disk_full_orthogonal_group(self):
         res = stack_volume(plane_o2(R=2.0))
@@ -472,6 +484,33 @@ class TestInvariance:
         assert not report.passed
         h, p = report.witness
         assert invariance_defect(am, h, p) == pytest.approx(report.max_defect)
+
+    def test_rotation_of_cartesian_chart_preserves_lebesgue(self):
+        # the Jacobian is a rotation matrix, so its off-diagonal entries count
+        def act(phi, p):
+            x, y = p
+            return (x * math.cos(phi) - y * math.sin(phi), x * math.sin(phi) + y * math.cos(phi))
+
+        am = ActionModel(name="cartesian-so2", group=GroupModel("circle"),
+                         chart=BoxChart(bounds=((-1.0, 1.0), (-1.0, 1.0)), periods=(None, None)),
+                         act=act, a_density=lambda p: 1.0, b_density=lambda p: 1.0,
+                         a_constant=True)
+        assert check_invariance(am, samples=50, seed=2).passed
+        # det [[1, s], [s, 2]] = 2 - s^2 = 1.75 at s = 0.5, so the defect is 0.75
+        linear = dataclasses.replace(am, act=lambda s, p: (p[0] + s * p[1], s * p[0] + 2 * p[1]))
+        assert invariance_defect(linear, 0.5, (0.3, 0.2)) == pytest.approx(0.75, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_b_fails_with_its_witness(self, bad):
+        # b is finite on r < 1 only; a sample past it must fail and be the witness
+        am = dataclasses.replace(plane_so2(), b_density=lambda p: p[0] if p[0] < 1.0 else bad)
+        report = check_invariance(am, samples=20, seed=3)
+        assert not report.passed
+        assert report.max_defect == math.inf
+        h, p = report.witness
+        assert p[0] >= 1.0
+        assert not check_invariance(dataclasses.replace(plane_so2(), b_density=lambda p: bad),
+                                    samples=20).passed
 
     def test_finite_orbit_constant_section(self):
         s3 = FiniteGroup.symmetric(3)
