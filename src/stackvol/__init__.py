@@ -33,7 +33,7 @@ _EXPORTS = {
                "morita_volume_check", "random_morita_triple", "random_morita_weights",
                "restrict_full", "transfer_section", "validate_bibundle"),
     "quadrature": ("NonConvergenceError", "QuadratureResult", "integrate_1d",
-                   "integrate_box", "integrate_disk", "integrate_mc"),
+                   "integrate_box", "integrate_mc"),
     "smooth": ("ActionModel", "BoxChart", "GroupModel", "OrbitChart", "PointChart",
                "check_invariance", "fiber_integral", "finite_action_model",
                "homogeneous_volume", "pushforward_density", "stack_volume",

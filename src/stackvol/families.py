@@ -7,7 +7,7 @@ leaves whose area function has no critical points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -49,7 +49,9 @@ class PoissonFamilyModel:
     ``area`` is the symplectic area V(t) of the leaf at t and ``coeff``
     the coefficient f(t) of the square measure on the total space.  The
     family is admissible only when V has no critical points on the
-    domain; this is probed on an interior grid at construction.
+    domain; this is probed on an interior grid at construction.  |V'|
+    counts as critical at or below 1e-8 times the largest |V| on that
+    grid over the domain width, so rescaling V never changes the verdict.
     """
 
     area: Callable[[float], float]
@@ -57,6 +59,7 @@ class PoissonFamilyModel:
     t_domain: tuple
     d_area: Optional[Callable[[float], float]] = None
     name: str = "poisson-family"
+    critical_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = float(self.t_domain[0]), float(self.t_domain[1])
@@ -64,9 +67,11 @@ class PoissonFamilyModel:
             raise ValueError("t_domain must be a nonempty open interval")
         object.__setattr__(self, "t_domain", (lo, hi))
         span = hi - lo
-        for k in range(1, 65):
-            t = lo + span * k / 65.0
-            if abs(self._derivative(t)) < 1e-8:
+        grid = [lo + span * k / 65.0 for k in range(1, 65)]
+        size = max(abs(float(self.area(t))) for t in grid)
+        object.__setattr__(self, "critical_slope", 1e-8 * size / span)
+        for t in grid:
+            if abs(self._derivative(t)) <= self.critical_slope:
                 raise CriticalPointError(
                     f"leaf area of {self.name} is critical near t={t:.6g}"
                 )
@@ -86,7 +91,7 @@ def _checked_derivative(pm: PoissonFamilyModel, t: float) -> float:
     if not lo < t < hi:
         raise ValueError(f"parameter {t} outside the open domain ({lo}, {hi})")
     d = pm._derivative(t)
-    if abs(d) < 1e-8:
+    if abs(d) <= pm.critical_slope:
         raise CriticalPointError(f"leaf area of {pm.name} is critical at t={t:.6g}")
     return d
 

@@ -34,7 +34,8 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, and numbers past the integer-digit limit
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply to read") from None

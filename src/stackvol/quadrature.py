@@ -1,14 +1,15 @@
-"""Deterministic numerical integration for the smooth models.
+"""Numerical integration for the smooth models.
 
-Three integrators cover what the smooth side needs: adaptive Simpson in
-one dimension, adaptive tensor Gauss panels over boxes in up to two
-dimensions, and a seeded Monte Carlo estimator for the high-dimensional
-comparison check.  All of them report an error estimate and the number
-of integrand evaluations.
+One adaptive rule covers every chart integral: tensor order-5 Gauss
+panels over a box of dimension 1 or 2, with a tolerance relative to the
+integral of |f| and fixed bounds on depth and evaluations.  A seeded
+Monte Carlo estimator covers the high-dimensional comparison check.
+Both report an error estimate and the number of integrand evaluations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,65 +55,6 @@ class _EvalCounter:
         return v
 
 
-def integrate_1d(f, a: float, b: float, tol: float = 1e-6,
-                 max_depth: int = 15) -> QuadratureResult:
-    """Adaptive Simpson rule on [a, b] with absolute tolerance ``tol``.
-
-    Interval halving continues until the Richardson defect of a panel is
-    within its share of the tolerance.  Panels still failing at
-    ``max_depth`` make the whole call raise :class:`NonConvergenceError`
-    with the assembled partial result attached.
-    """
-    require_positive_finite("tol", tol)
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    g = _EvalCounter(f)
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    total = 0.0
-    err_total = 0.0
-    failed = False
-
-    # stack entries: (x0, x2, f0, f1, f2, whole, tol_local, depth)
-    mid = 0.5 * (a + b)
-    f0, f1, f2 = g(a), g(mid), g(b)
-    stack = [(a, b, f0, f1, f2, simpson(a, b, f0, f1, f2), tol, 0)]
-    while stack:
-        x0, x2, f0, f1, f2, whole, tol_local, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        fl, fr = g(lm), g(rm)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        # force a couple of splits so a coarse grid cannot fool Simpson
-        if depth >= 2 and abs(delta) <= 15.0 * tol_local:
-            total += left + right + delta / 15.0
-            err_total += abs(delta) / 15.0
-        elif depth >= max_depth:
-            total += left + right + delta / 15.0
-            err_total += abs(delta) / 15.0
-            failed = True
-        else:
-            stack.append((x0, xm, f0, fl, f1, left, 0.5 * tol_local, depth + 1))
-            stack.append((xm, x2, f1, fr, f2, right, 0.5 * tol_local, depth + 1))
-
-    result = QuadratureResult(sign * total, err_total, g.count)
-    if failed:
-        raise NonConvergenceError(
-            f"adaptive Simpson hit depth {max_depth} before reaching tol={tol}",
-            result,
-        )
-    return result
-
-
 # order-5 Gauss-Legendre rule on [-1, 1], the float values numpy's leggauss(5)
 # returns; the closed-form square roots differ from them by an ulp or two
 GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0,
@@ -120,102 +62,116 @@ GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0,
 GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
                  0.4786286704993663, 0.23692688505618928)
 
+# tensor weights on [-1, 1]^d in itertools.product order, first axis outermost
+_TENSOR_WEIGHTS = {d: [math.prod(w) for w in itertools.product(GAUSS_WEIGHTS, repeat=d)]
+                   for d in (1, 2)}
 
-def _panel_2d(fn, cell):
-    (x0, x1), (y0, y1) = cell
-    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    acc = 0.0
-    for xn, xw in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-        xi = cx + hx * xn
-        for yn, yw in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-            acc += xw * yw * fn(xi, cy + hy * yn)
-    return acc * hx * hy
+# bounds on the adaptive panel rule: halvings of one cell, integrand calls
+MAX_DEPTH = 30
+MAX_EVALUATIONS = 2 ** 18
 
 
-def _quadrants(cell):
-    (x0, x1), (y0, y1) = cell
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return (
-        ((x0, xm), (y0, ym)),
-        ((xm, x1), (y0, ym)),
-        ((x0, xm), (ym, y1)),
-        ((xm, x1), (ym, y1)),
-    )
+def _panel(fn, weights, cell):
+    """Tensor Gauss panel over ``cell``: estimates of the integrals of fn and |fn|."""
+    half = [0.5 * (hi - lo) for lo, hi in cell]
+    axes = [[0.5 * (lo + hi) + h * n for n in GAUSS_NODES] for (lo, hi), h in zip(cell, half)]
+    acc = size = 0.0
+    for w, point in zip(weights, itertools.product(*axes)):
+        v = fn(*point)
+        acc += w * v
+        size += w * abs(v)
+    for h in half:
+        acc *= h
+        size *= h
+    return acc, size
 
 
-def integrate_box(f, bounds, tol: float = 1e-6, max_depth: int = 12) -> QuadratureResult:
-    """Adaptive integration over an axis-aligned box.
+def _children(cell):
+    """The 2^d halves of a cell, first axis varying fastest."""
+    halves = [((lo, mid), (mid, hi)) for lo, hi in cell for mid in [0.5 * (lo + hi)]]
+    return [c[::-1] for c in itertools.product(*halves[::-1])]
 
-    One-dimensional boxes delegate to :func:`integrate_1d`.  In two
-    dimensions each cell gets a tensor order-5 Gauss panel; a cell is accepted
-    when its refinement by quadrants moves the value by at most its
-    tolerance share, otherwise the quadrants are pushed with a quarter
-    of the budget each.
+
+def _gauss_panels(f, bounds, tol):
+    """Adaptive tensor Gauss panels over a box of dimension 1 or 2.
+
+    Each cell gets an order-5 Gauss panel and is compared with the sum of
+    the panels on its 2^d halves.  A cell of share 2^-(d depth) passes when
+    that refinement moves its value by at most its share of ``tol`` times
+    the current estimate of the integral of |f|, so scaling f scales the
+    value and leaves every decision alone.  A pass adds the refined value
+    plus the Richardson correction delta/15.  Refining past MAX_DEPTH or
+    MAX_EVALUATIONS raises NonConvergenceError carrying the accepted cells
+    plus the pending panels as the partial result.
     """
     require_positive_finite("tol", tol)
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if any(hi < lo for lo, hi in bounds):
-        raise ValueError("box bounds must satisfy lo <= hi")
-    if len(bounds) == 1:
-        (lo, hi), = bounds
-        return integrate_1d(lambda x: f(x), lo, hi, tol=tol, max_depth=15)
-    if len(bounds) != 2:
-        raise ValueError("integrate_box supports dimensions 1 and 2")
-
+    cell = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if any(lo == hi for lo, hi in cell):
+        return QuadratureResult(0.0, 0.0, 0)
+    weights = _TENSOR_WEIGHTS[len(cell)]
+    fan_out = 2 ** len(cell)
     counter = _EvalCounter(f)
 
-    total = 0.0
-    err_total = 0.0
-    failed = False
-    root = (bounds[0], bounds[1])
-    coarse = _panel_2d(counter, root)
-    stack = [(root, coarse, tol, 0)]
+    total = err_total = 0.0
+    value, size = _panel(counter, weights, cell)
+    # stack entries: (cell, panel value, panel |f| value, depth, error bound);
+    # a pending half's bound is its share of the change its parent saw
+    stack = [(cell, value, size, 0, math.inf)]
     while stack:
-        cell, parent_value, tol_cell, depth = stack.pop()
-        quads = _quadrants(cell)
-        values = [_panel_2d(counter, q) for q in quads]
-        refined = sum(values)
+        cell, parent_value, parent_size, depth, _ = stack[-1]
+        if depth == MAX_DEPTH or counter.count + fan_out * len(weights) > MAX_EVALUATIONS:
+            bound = f"depth {MAX_DEPTH}" if depth == MAX_DEPTH else f"{MAX_EVALUATIONS} evaluations"
+            partial = QuadratureResult(total + sum(e[1] for e in stack),
+                                       err_total + sum(e[4] for e in stack), counter.count)
+            raise NonConvergenceError(
+                f"adaptive Gauss panels hit {bound} before reaching tol={tol}", partial)
+        stack.pop()
+        cells = _children(cell)
+        panels = [_panel(counter, weights, c) for c in cells]
+        refined = sum(v for v, _ in panels)
         delta = refined - parent_value
-        if abs(delta) <= 15.0 * tol_cell or depth >= max_depth:
+        size += sum(s for _, s in panels) - parent_size
+        if abs(delta) <= 15.0 * tol * size / fan_out ** depth:
             total += refined + delta / 15.0
             err_total += abs(delta) / 15.0
-            if abs(delta) > 15.0 * tol_cell:
-                failed = True
         else:
-            child_tol = 0.25 * tol_cell
-            for q, v in zip(quads, values):
-                stack.append((q, v, child_tol, depth + 1))
-
-    result = QuadratureResult(total, err_total, counter.count)
-    if failed:
-        raise NonConvergenceError(
-            f"adaptive panels hit depth {max_depth} before reaching tol={tol}",
-            result,
-        )
-    return result
+            for c, (v, s) in zip(cells, panels):
+                stack.append((c, v, s, depth + 1, abs(delta) / fan_out))
+    return QuadratureResult(total, err_total, counter.count)
 
 
-def integrate_disk(f_xy, radius: float, tol: float = 1e-6, inner: float = 0.0,
-                   center=(0.0, 0.0)) -> QuadratureResult:
-    """Integral of f(x, y) over an annulus, via the polar substitution."""
-    if radius <= inner or inner < 0:
-        raise ValueError("need 0 <= inner < radius")
-    cx, cy = center
+def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
+    """Integral of f from a to b by the adaptive Gauss panels of :func:`integrate_box`.
 
-    def polar(r, theta):
-        return f_xy(cx + r * math.cos(theta), cy + r * math.sin(theta)) * r
-
-    return integrate_box(polar, [(inner, radius), (0.0, 2.0 * math.pi)], tol=tol)
+    ``tol`` is relative to the integral of |f|.  Reversed bounds flip
+    the sign, and an empty interval costs no evaluations.
+    """
+    if b < a:
+        return _gauss_panels(lambda x: -f(x), [(b, a)], tol)
+    return _gauss_panels(f, [(a, b)], tol)
 
 
-def integrate_mc(f, bounds, samples: int, seed: int,
-                 vectorized: bool = False) -> QuadratureResult:
+def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
+    """Adaptive tensor Gauss panels over an axis-aligned box of dimension 1 or 2.
+
+    A cell is accepted when refining it into its 2^d halves moves the
+    value by at most its share of ``tol`` times the integral of |f|, so
+    the tolerance is relative and scaling f never changes the number of
+    evaluations.  Past MAX_DEPTH halvings or MAX_EVALUATIONS calls the
+    rule raises :class:`NonConvergenceError` with the partial result.
+    """
+    if len(bounds) not in (1, 2):
+        raise ValueError("integrate_box supports dimensions 1 and 2")
+    if any(hi < lo for lo, hi in bounds):
+        raise ValueError("box bounds must satisfy lo <= hi")
+    return _gauss_panels(f, bounds, tol)
+
+
+def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     """Plain Monte Carlo over a box with a seeded generator.
 
-    ``vectorized`` integrands receive an (n, d) array and return n
-    values; otherwise f is called pointwise on coordinate tuples.  The
-    error estimate is the standard error of the mean times the volume.
+    f receives the (n, d) array of sample points and returns n values.
+    The error estimate is the standard error of the mean times the volume.
     """
     import numpy as np
 
@@ -231,12 +187,9 @@ def integrate_mc(f, bounds, samples: int, seed: int,
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
     points = rng.uniform(lows, highs, size=(samples, len(bounds)))
-    if vectorized:
-        values = np.asarray(f(points), dtype=float)
-        if values.shape != (samples,):
-            raise ValueError("vectorized integrand must return one value per sample")
-    else:
-        values = np.array([float(f(*p)) for p in points])
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (samples,):
+        raise ValueError("integrand must return one value per sample")
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned non-finite values")
     mean = float(values.mean())

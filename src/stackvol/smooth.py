@@ -107,7 +107,9 @@ class GroupModel:
         to the angles, which converges exponentially for smooth periodic
         integrands.  The grid starts at HAAR_START_NODES per angle and
         doubles, reusing its nodes, until two estimates agree to ``tol``
-        relative to the integral of |fn|.  A kinked integrand may exhaust
+        relative to the integral of |fn|, the policy of the chart rule in
+        :mod:`quadrature`, so scaling fn never changes the number of
+        evaluations.  A kinked integrand may exhaust
         HAAR_MAX_NODES and raise NonConvergenceError with the last
         estimate; it never returns silently.  A frequency that aliases on
         two successive grids, such as 32 on the first two, goes unseen.
@@ -349,7 +351,7 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
         res = integrate_box(b_only, box, tol=tol)
         evals += res.evaluations
         if prev is not None:
-            if abs(res.value - prev) <= tol * max(1.0, abs(res.value)):
+            if abs(res.value - prev) <= tol * abs(res.value):
                 stable += 1
                 if stable >= 2:
                     return QuadratureResult(res.value / denom,
@@ -499,7 +501,8 @@ def stack_volume_vs_pushforward(am: ActionModel, region, tol: float = 1e-6) -> C
 
     ``region`` is an orbit-parameter interval, compact inside the orbit
     range; its endpoints may touch the declared singular set since that
-    set carries no volume.
+    set carries no volume.  The routes agree when they differ by at most
+    their error estimates plus ``tol`` times the larger value.
     """
     oc = am.orbit_chart
     if oc is None:
@@ -516,7 +519,8 @@ def stack_volume_vs_pushforward(am: ActionModel, region, tol: float = 1e-6) -> C
 
     via_orbit = integrate_1d(density, t0, t1, tol=tol)
     diff = abs(via_chart.value - via_orbit.value)
-    budget = via_chart.error_estimate + via_orbit.error_estimate + tol
+    scale = max(abs(via_chart.value), abs(via_orbit.value))
+    budget = via_chart.error_estimate + via_orbit.error_estimate + tol * scale
     return ComparisonReport(via_chart, via_orbit, diff, budget, diff <= budget)
 
 

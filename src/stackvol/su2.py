@@ -121,7 +121,7 @@ def su2_cartan() -> CartanData:
     def shell(rho):
         return 4.0 * math.pi * rho * rho * _exp_jacobian(rho, ad_h)
 
-    vol = integrate_1d(shell, 0.0, period / 2.0, tol=1e-10)
+    vol = integrate_1d(shell, 0.0, period / 2.0, tol=1e-12)
 
     return CartanData(period=period, sigma=(sigma1,), volume_norm=vol.value, basis=basis)
 
@@ -225,14 +225,14 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     def integrand(points):
         return phi(chamber_parameters(points, cartan))
 
-    mc = integrate_mc(integrand, bounds, mc_samples, seed, vectorized=True)
+    mc = integrate_mc(integrand, bounds, mc_samples, seed)
     lhs = mc.value / cartan.volume_norm
     lhs_se = mc.error_estimate / cartan.volume_norm
 
     def rhs_integrand(s):
         return adjoint_orbit_density(s, cartan).value * float(phi(s))
 
-    rhs = integrate_1d(rhs_integrand, 0.0, s_max, tol=1e-10)
+    rhs = integrate_1d(rhs_integrand, 0.0, s_max, tol=1e-12)
 
     scale = max(abs(lhs), abs(rhs.value), 1e-300)
     rel_se = lhs_se / scale

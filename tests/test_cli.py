@@ -402,6 +402,15 @@ class TestErrorPaths:
         assert err.startswith("error: ") and "nested too deeply" in err
         assert len(err.splitlines()) == 1
 
+    def test_integer_past_the_digit_limit_exits_three(self, capsys, tmp_path, half_point):
+        weights = tmp_path / "w.json"
+        weights.write_text('{"a": {"pt": ' + "9" * 5000 + '}, "b": {"pt": "1"}}')
+        code, _, err = run(capsys, ["finite", "volume", "--groupoid", half_point,
+                                    "--weights", str(weights)])
+        assert code == 3
+        assert err.startswith("error: ") and "digits" in err
+        assert len(err.splitlines()) == 1
+
     def test_undecodable_file_exits_three(self, capsys, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe")

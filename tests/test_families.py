@@ -192,6 +192,22 @@ class TestCatalogFamilies:
         pm = poisson_sphere_bundle(c1=2.0, c2=0.5, mode="dv")
         assert poisson_stack_density(pm, 1.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_tiny_sphere_bundle_accepted(self):
+        # V' = 1e-9 (1 + 2t) never vanishes; only its size is small
+        pm = poisson_sphere_bundle(c1=1e-9, c2=1e-9, mode="dv2")
+        assert poisson_stack_density(pm, 1.0) == pytest.approx(3e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_critical_points_refused_at_every_scale(self, scale):
+        with pytest.raises(CriticalPointError):
+            PoissonFamilyModel(area=lambda t: 2.0 * scale, coeff=lambda t: 1.0,
+                               t_domain=(0.0, 1.0))
+        with pytest.raises(CriticalPointError):
+            poisson_stack_density(poisson_sphere_bundle(c1=-2.0 * scale, c2=scale), 1.0)
+        with pytest.raises(CriticalPointError):
+            PoissonFamilyModel(area=lambda t: scale * (t - 0.5) ** 2,
+                               coeff=lambda t: 1.0, t_domain=(0.0, 1.3))
+
     def test_sphere_bundle_critical_vertex_caught(self):
         # c1 < 0 puts the vertex of the area parabola inside the domain;
         # it sits between construction grid nodes, so evaluation catches it

@@ -212,7 +212,7 @@ class TestFiberIntegral:
             assert fiber_integral(am, (r, 1.0)) == pytest.approx(expect, rel=1e-9)
 
     def test_frequency_16_is_not_aliased(self):
-        # adaptive Simpson's equispaced first levels read 1.5 * 2pi here
+        # equispaced grids of 4 or 8 steps per period alias frequency 16 to 1.5 * 2pi
         am = dataclasses.replace(plane_so2(R=2.0),
                                  a_density=lambda p: 1.0 + 0.5 * math.cos(16 * p[1]),
                                  a_constant=False)
@@ -339,6 +339,22 @@ class TestStackVolume:
         with pytest.raises(DegenerateModelError):
             stack_volume(inner_zero)
 
+    def test_tiny_b_keeps_the_evaluations(self):
+        # a b peaked in theta: with a tolerance relative to the integral of
+        # |b|, shrinking b must not stop the refinement early
+        def model(scale):
+            def b(p):
+                r, theta = p
+                return (scale * r * math.exp(-8.0 * (r - 1.3) ** 2)
+                        * (1.0 + math.cos(3.0 * theta) ** 8))
+
+            return dataclasses.replace(plane_so2(R=2.0), b_density=b)
+
+        base = stack_volume(model(1.0))
+        tiny = stack_volume(model(1e-9))
+        assert tiny.evaluations == base.evaluations
+        assert tiny.value / 1e-9 == pytest.approx(1.03318, rel=1e-5)
+
     def test_unbounded_chart_rejected(self):
         am = _half_line_model(lambda x: math.exp(-x))
         with pytest.raises(NonCompactChartError):
@@ -426,6 +442,13 @@ class TestHomogeneousVolume:
         am = _half_line_model(lambda x: 1.0)
         with pytest.raises(DivergentIntegralError):
             homogeneous_volume(am)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_truncation_verdicts_ignore_the_scale_of_b(self, scale):
+        with pytest.raises(DivergentIntegralError):
+            homogeneous_volume(_half_line_model(lambda x: scale))
+        res = homogeneous_volume(_half_line_model(lambda x: scale * math.exp(-x)))
+        assert res.value == pytest.approx(scale, rel=1e-5)
 
     def test_requires_constant_a(self):
         am = dataclasses.replace(torus_free(), a_constant=False)
@@ -597,6 +620,17 @@ class TestTwoRouteComparison:
         report = stack_volume_vs_pushforward(torus_free(), (0.0, math.pi))
         assert report.passed
         assert report.pushforward_result.value == pytest.approx(math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_one_percent_mismatch_fails_at_every_scale(self, scale):
+        base = plane_so2(R=2.0)
+        am = dataclasses.replace(
+            base,
+            b_density=lambda p: scale * p[0],
+            orbit_chart=dataclasses.replace(base.orbit_chart,
+                                            orbit_density=lambda t: 1.01 * scale * t),
+        )
+        assert not stack_volume_vs_pushforward(am, (0.0, 2.0)).passed
 
     def test_region_outside_orbit_range(self):
         with pytest.raises(ValueError):
