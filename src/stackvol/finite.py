@@ -80,6 +80,7 @@ class FiniteGroupoid:
         self._by_r = None
         self._orbit_cache = None
         self._fiber_index = None
+        self._validation = None
         self._check_structure()
 
     def _check_structure(self):
@@ -140,9 +141,6 @@ class FiniteGroupoid:
     def compose(self, g, h):
         return self._compose_fn(g, h)
 
-    def is_composable(self, g, h) -> bool:
-        return self.r(g) == self.l(h)
-
     def _build_indexes(self):
         by_l = {x: [] for x in self._objects}
         by_r = {x: [] for x in self._objects}
@@ -177,9 +175,6 @@ class FiniteGroupoid:
                 for y in self._objects
             )
         return self._fiber_index
-
-    def isotropy(self, x):
-        return [g for g in self.arrows_from(x) if self.r(g) == x]
 
     def __repr__(self):
         return f"FiniteGroupoid({len(self._objects)} objects, {len(self._arrows)} arrows)"
@@ -336,7 +331,16 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     groupoid; for a closure-backed one it probes every non-composable
     pair and is skipped above a size cap, since closures cannot store
     stray entries anyway.
+
+    The report is memoized on the groupoid, whose tables never change
+    after construction; each call returns a fresh copy of it.
     """
+    if g._validation is None:
+        g._validation = _check_axioms(g)
+    return ValidationReport(list(g._validation.violations))
+
+
+def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
     report = ValidationReport()
 
     for x in g.objects:
@@ -399,15 +403,17 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                 report.add("spurious composition", (a, b))
 
     for s in _generators(g, composite):
+        # pairs missing from composite are already reported
+        right_of_s = [(c, composite[(s, c)]) for c in g.arrows_from(g.r(s))
+                      if (s, c) in composite]
         for a in g.arrows_into(g.l(s)):
             a_s = composite.get((a, s))
             if a_s is None:
-                continue  # already reported as missing
-            for c in g.arrows_from(g.r(s)):
-                sc = composite.get((s, c))
+                continue
+            for c, sc in right_of_s:
                 left = composite.get((a_s, c))
-                if sc is None or left is None:
-                    continue  # already reported as missing
+                if left is None:
+                    continue
                 right = composite.get((a, sc))
                 if right is None or left != right:
                     report.add("associativity", (a, s, c))

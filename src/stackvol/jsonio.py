@@ -4,8 +4,10 @@ Wire format keeps every id a string.  Loading is strict: missing or
 ill-typed fields raise SchemaError with the offending location, while
 axiom-level problems are left to the validators so that the command
 line can distinguish malformed files (exit 3) from invalid mathematics
-(exit 1).  Dumps are deterministic: ids are emitted in sorted order and
-non-string ids are renamed o0, o1, ... / a0, a1, ... by sorted repr.
+(exit 1).  Dumps are deterministic, one line of JSON with sorted keys:
+ids are emitted in sorted order, a groupoid with any non-string id has
+all its objects and arrows renamed o0, o1, ... / a0, a1, ... by sorted
+repr, and bibundle elements are renamed b0, b1, ... likewise.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ def _require(cond: bool, where: str, message: str):
 def _as_str_id(value, where: str) -> str:
     _require(isinstance(value, str), where, f"expected a string id, got {value!r}")
     return value
+
+
+def _write_json(path, obj):
+    # compact and sorted, the form ``finite generate`` prints; json.dumps
+    # without indent runs in the C encoder
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _read_json(path):
@@ -110,10 +119,8 @@ def _renaming(g: FiniteGroupoid):
     return obj_map, arrow_map
 
 
-def groupoid_to_dict(g: FiniteGroupoid, rename=None) -> dict:
-    if rename is None:
-        rename = _renaming(g)
-    obj_map, arrow_map = rename
+def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    obj_map, arrow_map = _renaming(g)
 
     pair_count = sum(
         len(g.arrows_into(y)) * len(g.arrows_from(y)) for y in g.objects
@@ -149,9 +156,7 @@ def load_groupoid(path) -> FiniteGroupoid:
 
 
 def dump_groupoid(g: FiniteGroupoid, path):
-    with open(path, "w") as fh:
-        json.dump(groupoid_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, groupoid_to_dict(g))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +207,7 @@ def load_weights(path) -> WeightData:
 
 
 def dump_weights(w: WeightData, path, rename=None):
-    with open(path, "w") as fh:
-        json.dump(weights_to_dict(w, rename), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, weights_to_dict(w, rename))
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +252,19 @@ def bibundle_from_dict(data: dict) -> Bibundle:
         raise SchemaError(f"bibundle: inconsistent tables: {exc}") from None
 
 
-def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
-                     renames=None) -> dict:
-    """Serialize, materializing the action tables from the groupoids."""
-    if renames is None:
-        all_str = (
-            all(isinstance(e, str) for e in bib.elements)
-            and all(isinstance(a, str) for a in g1.arrow_ids)
-            and all(isinstance(a, str) for a in g2.arrow_ids)
-        )
-        if all_str:
-            elem_map = {e: e for e in bib.elements}
-            a1_map = {a: a for a in g1.arrow_ids}
-            a2_map = {a: a for a in g2.arrow_ids}
-        else:
-            elem_map = {e: f"b{i}" for i, e in enumerate(sorted(bib.elements, key=repr))}
-            a1_map = _renaming(g1)[1]
-            a2_map = _renaming(g2)[1]
+def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> dict:
+    """Serialize, materializing the action tables from the groupoids.
+
+    Objects and arrows get the names :func:`groupoid_to_dict` gives them,
+    so the dumped triple loads back consistently.  Elements keep their
+    ids when all are strings and are renamed b0, b1, ... otherwise.
+    """
+    obj1, a1_map = _renaming(g1)
+    obj2, a2_map = _renaming(g2)
+    if all(isinstance(e, str) for e in bib.elements):
+        elem_map = {e: e for e in bib.elements}
     else:
-        elem_map, a1_map, a2_map = renames
+        elem_map = {e: f"b{i}" for i, e in enumerate(sorted(bib.elements, key=repr))}
 
     left_action = []
     for b in bib.elements:
@@ -279,9 +276,6 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
             right_action.append([elem_map[b], a2_map[h], elem_map[bib.right_act(b, h)]])
     left_action.sort()
     right_action.sort()
-
-    obj1 = _renaming(g1)[0]
-    obj2 = _renaming(g2)[0]
     return {
         "elements": sorted(elem_map[e] for e in bib.elements),
         "leftAnchor": {elem_map[e]: obj1[bib.left_anchor[e]] for e in sorted(bib.elements, key=repr)},
@@ -296,6 +290,4 @@ def load_bibundle(path) -> Bibundle:
 
 
 def dump_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle, path):
-    with open(path, "w") as fh:
-        json.dump(bibundle_to_dict(g1, g2, bib), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, bibundle_to_dict(g1, g2, bib))

@@ -7,7 +7,25 @@ anchor of each element lands at its right anchor, and the volumes
 computed with corresponding weights then agree exactly.  The linking
 groupoid joins the disjoint object sets of both groupoids into one
 groupoid whose extra arrows are the bibundle elements and their formal
-inverses; both object sets are full in it.
+inverses.  A bibundle is an equivalence exactly when its linking
+groupoid is a groupoid in which both factors are full (Moerdijk and
+Mrčun, *Introduction to Foliations and Lie Groupoids*, 2003, §5.4), so
+:func:`validate_bibundle` checks the link with :func:`finite.validate`.
+Link violations keep the groupoid axiom names, and their witnesses are
+tagged arrows (L, R, B, Bi for LEFT, RIGHT, BRIDGE, BRIDGE_INV).  The
+bibundle law each pattern breaks:
+
+    missing composition (L g, B b)        left action refuses a defined pair
+    missing composition (B b, R h)        right action refuses a defined pair
+    missing composition (B b', Bi b)      left action not transitive
+    missing composition (Bi b, B b')      right action not transitive
+    missing composition (L a, L c)        left groupoid refuses a composite
+    composition closure (L g, B b, c)     an action leaves the elements
+    composition endpoints (L g, B b, c)   an action result has wrong anchors
+    identity unit (B b,)                  an identity arrow moves b
+    associativity (L, L, B)               left action law
+    associativity (B, R, R)               right action law
+    associativity (L, B, R)               the two actions do not commute
 """
 
 from __future__ import annotations
@@ -19,7 +37,6 @@ from fractions import Fraction
 from .errors import ValidationFailure, ValidationReport
 from .finite import (
     FiniteGroupoid,
-    UndefinedComposition,
     WeightData,
     block_groupoid,
     disjoint_union,
@@ -28,6 +45,7 @@ from .finite import (
     orbits,
     random_invariant_weights,
     restrict_to_objects,
+    validate,
 )
 from .groups import group_zoo
 
@@ -81,7 +99,7 @@ class Bibundle:
         self._right_table = dict(right_action) if isinstance(right_action, dict) else None
         self._left_fn = left_action if self._left_table is None else None
         self._right_fn = right_action if self._right_table is None else None
-        self._report_cache = None  # (g1, g2, report) of the last validation
+        self._link_cache = None  # (g1, g2, report, link) of the last validation
 
     def left_act(self, g, b):
         if self._left_table is not None:
@@ -104,174 +122,21 @@ class Bibundle:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation and the linking groupoid
 
 
 def validate_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> ValidationReport:
-    """Exhaustive bibundle check: actions, anchors, and biprincipality.
+    """Check the bibundle as its linking groupoid; every violation has a witness.
 
-    The report is memoized on the bibundle for the last pair of
-    groupoids it was checked against, compared by identity, so the
-    transfer and the linking groupoid built on the same objects scan
-    once.  Each call returns a fresh copy of the report.
+    Besides :func:`finite.validate` on the link (see the module
+    docstring), the anchors must land in the object sets and be
+    surjective, so that both factors are full; the action tables may
+    hold no entry outside the defined pairs; and no two arrows may carry
+    an element to the same one.  The report and the link are memoized on
+    the bibundle for the last pair of groupoids, compared by identity, so
+    the transfer and the link check once; each call copies the report.
     """
-    cached = bib._report_cache
-    if cached is None or cached[0] is not g1 or cached[1] is not g2:
-        cached = bib._report_cache = (g1, g2, _scan_bibundle(g1, g2, bib))
-    return ValidationReport(list(cached[2].violations))
-
-
-def _scan_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> ValidationReport:
-    report = ValidationReport()
-
-    for b in bib.elements:
-        if not g1.has_object(bib.left_anchor[b]):
-            report.add("anchor range", (b,), "left anchor leaves the left object set")
-        if not g2.has_object(bib.right_anchor[b]):
-            report.add("anchor range", (b,), "right anchor leaves the right object set")
-    if not report.ok:
-        return report
-
-    hit_left = set(bib.left_anchor.values())
-    for x in g1.objects:
-        if x not in hit_left:
-            report.add("anchor not surjective", (x,), "left anchor misses this object")
-    hit_right = set(bib.right_anchor.values())
-    for y in g2.objects:
-        if y not in hit_right:
-            report.add("anchor not surjective", (y,), "right anchor misses this object")
-
-    left_moves = {}
-    for b in bib.elements:
-        for g in g1.arrows_into(bib.left_anchor[b]):
-            try:
-                b2 = bib.left_act(g, b)
-            except UndefinedAction:
-                report.add("left action domain", (g, b), "defined pair rejected")
-                continue
-            if b2 not in bib.element_set:
-                report.add("left action range", (g, b))
-                continue
-            if bib.left_anchor[b2] != g1.l(g) or bib.right_anchor[b2] != bib.right_anchor[b]:
-                report.add("left action anchors", (g, b, b2))
-            left_moves[(g, b)] = b2
-
-    right_moves = {}
-    for b in bib.elements:
-        for h in g2.arrows_from(bib.right_anchor[b]):
-            try:
-                b2 = bib.right_act(b, h)
-            except UndefinedAction:
-                report.add("right action domain", (b, h), "defined pair rejected")
-                continue
-            if b2 not in bib.element_set:
-                report.add("right action range", (b, h))
-                continue
-            if bib.right_anchor[b2] != g2.r(h) or bib.left_anchor[b2] != bib.left_anchor[b]:
-                report.add("right action anchors", (b, h, b2))
-            right_moves[(b, h)] = b2
-
-    if bib._left_table is not None:
-        for (g, b) in bib._left_table:
-            defined = (
-                b in bib.element_set
-                and g in g1.arrow_ids
-                and g1.r(g) == bib.left_anchor[b]
-            )
-            if not defined:
-                report.add("left action domain", (g, b), "entry outside the defined domain")
-    if bib._right_table is not None:
-        for (b, h) in bib._right_table:
-            defined = (
-                b in bib.element_set
-                and h in g2.arrow_ids
-                and bib.right_anchor[b] == g2.l(h)
-            )
-            if not defined:
-                report.add("right action domain", (b, h), "entry outside the defined domain")
-
-    for b in bib.elements:
-        e1 = g1.identity(bib.left_anchor[b])
-        if left_moves.get((e1, b)) != b:
-            report.add("left action unit", (b,))
-        e2 = g2.identity(bib.right_anchor[b])
-        if right_moves.get((b, e2)) != b:
-            report.add("right action unit", (b,))
-
-    for (g, b), gb in left_moves.items():
-        for g0 in g1.arrows_into(g1.l(g)):
-            try:
-                g0g = g1.compose(g0, g)
-            except UndefinedComposition:
-                report.add("left action compatibility", (g0, g, b),
-                           "composite undefined in the left groupoid")
-                continue
-            lhs = left_moves.get((g0g, b))
-            rhs = left_moves.get((g0, gb))
-            if lhs != rhs or lhs is None:
-                report.add("left action compatibility", (g0, g, b))
-    for (b, h), bh in right_moves.items():
-        for h2 in g2.arrows_from(g2.r(h)):
-            try:
-                hh2 = g2.compose(h, h2)
-            except UndefinedComposition:
-                report.add("right action compatibility", (b, h, h2),
-                           "composite undefined in the right groupoid")
-                continue
-            lhs = right_moves.get((b, hh2))
-            rhs = right_moves.get((bh, h2))
-            if lhs != rhs or lhs is None:
-                report.add("right action compatibility", (b, h, h2))
-
-    for (g, b), gb in left_moves.items():
-        for h in g2.arrows_from(bib.right_anchor[b]):
-            one = right_moves.get((gb, h))
-            mid = right_moves.get((b, h))
-            other = left_moves.get((g, mid)) if mid is not None else None
-            if one != other or one is None:
-                report.add("actions do not commute", (g, b, h))
-
-    # biprincipality: for each element, acting by every arrow into its left
-    # anchor must enumerate its whole right-anchor fiber exactly once, and
-    # symmetrically for the right action on left-anchor fibers.
-    right_fibers = {}
-    for b in bib.elements:
-        right_fibers.setdefault(bib.right_anchor[b], set()).add(b)
-    left_fibers = {}
-    for b in bib.elements:
-        left_fibers.setdefault(bib.left_anchor[b], set()).add(b)
-
-    for b in bib.elements:
-        reached = []
-        for g in g1.arrows_into(bib.left_anchor[b]):
-            img = left_moves.get((g, b))
-            if img is not None:
-                reached.append(img)
-        fiber = right_fibers[bib.right_anchor[b]]
-        if len(set(reached)) != len(reached):
-            report.add("left action not free", (b,))
-        if set(reached) != fiber:
-            missing = sorted(map(repr, fiber - set(reached)))
-            report.add("left action not transitive", (b,), f"unreached: {missing}")
-
-    for b in bib.elements:
-        reached = []
-        for h in g2.arrows_from(bib.right_anchor[b]):
-            img = right_moves.get((b, h))
-            if img is not None:
-                reached.append(img)
-        fiber = left_fibers[bib.left_anchor[b]]
-        if len(set(reached)) != len(reached):
-            report.add("right action not free", (b,))
-        if set(reached) != fiber:
-            missing = sorted(map(repr, fiber - set(reached)))
-            report.add("right action not transitive", (b,), f"unreached: {missing}")
-
-    return report
-
-
-# ---------------------------------------------------------------------------
-# linking groupoid
+    return ValidationReport(list(_checked_link(g1, g2, bib)[0].violations))
 
 
 def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> FiniteGroupoid:
@@ -280,50 +145,93 @@ def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> F
     Objects are the two object sets tagged LEFT/RIGHT; arrows are both
     arrow sets, the bibundle elements (running left to right), and their
     formal inverses.  The arrow count is therefore
-    ``|g1| + |g2| + 2 * |bibundle|``.
+    ``|g1| + |g2| + 2 * |bibundle|``.  The link is built once per
+    bibundle and pair of groupoids; an invalid bibundle raises
+    :class:`InvalidBibundleError`.
+    """
+    validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
+    return _checked_link(g1, g2, bib)[1]
+
+
+def _checked_link(g1, g2, bib):
+    cached = bib._link_cache
+    if cached is None or cached[0] is not g1 or cached[1] is not g2:
+        cached = bib._link_cache = (g1, g2, *_build_link(g1, g2, bib))
+    return cached[2:]
+
+
+def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
+    """The bibundle's report and its link, or None when an anchor leaves its groupoid.
 
     The composition is table-backed: every composable pair is found
     through an index of the arrows by left object and composed once by
-    the case rules below.  A pair whose factor composite or action is
-    undefined is left out of the table, so :func:`validate` reports it
-    as a missing composition.
+    the case rules below.  A pair whose factor composite, action or
+    transport is undefined is left out of the table, so
+    :func:`finite.validate` reports it as a missing composition.
     """
-    validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
+    report = ValidationReport()
+    sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
+    for side, anchor, g in sides:
+        for b in bib.elements:
+            if not g.has_object(anchor[b]):
+                report.add("anchor range", (b,), f"{side} anchor leaves the {side} object set")
+    if not report.ok:
+        return report, None
+    for side, anchor, g in sides:
+        hit = set(anchor.values())
+        for x in g.objects:
+            if x not in hit:
+                report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
-    # unique transports are well defined because the actions are principal
-    left_transport = {}
+    if bib._left_table is not None:
+        for (g, b) in bib._left_table:
+            if not (b in bib.element_set and g in g1.arrow_ids
+                    and g1.r(g) == bib.left_anchor[b]):
+                report.add("left action domain", (g, b), "entry outside the defined domain")
+    if bib._right_table is not None:
+        for (b, h) in bib._right_table:
+            if not (b in bib.element_set and h in g2.arrow_ids
+                    and bib.right_anchor[b] == g2.l(h)):
+                report.add("right action domain", (b, h), "entry outside the defined domain")
+
+    # each action is evaluated once; the transports invert them and are
+    # well defined exactly when the actions are free
+    left_moves, left_transport = {}, {}
     for b in bib.elements:
         for g in g1.arrows_into(bib.left_anchor[b]):
-            left_transport[(b, bib.left_act(g, b))] = g
-    right_transport = {}
+            try:
+                b2 = left_moves[(g, b)] = bib.left_act(g, b)
+            except UndefinedAction:
+                continue
+            g0 = left_transport.setdefault((b, b2), g)
+            if g0 != g:
+                report.add("left action not free", (g0, g, b), f"both carry it to {b2!r}")
+    right_moves, right_transport = {}, {}
     for b in bib.elements:
         for h in g2.arrows_from(bib.right_anchor[b]):
-            right_transport[(b, bib.right_act(b, h))] = h
+            try:
+                b2 = right_moves[(b, h)] = bib.right_act(b, h)
+            except UndefinedAction:
+                continue
+            h0 = right_transport.setdefault((b, b2), h)
+            if h0 != h:
+                report.add("right action not free", (b, h0, h), f"both carry it to {b2!r}")
 
-    objects = [(LEFT, x) for x in g1.objects] + [(RIGHT, y) for y in g2.objects]
-    arrows = {}
-    for a in g1.arrow_ids:
-        arrows[(LEFT, a)] = ((LEFT, g1.l(a)), (LEFT, g1.r(a)))
-    for a in g2.arrow_ids:
-        arrows[(RIGHT, a)] = ((RIGHT, g2.l(a)), (RIGHT, g2.r(a)))
+    objects, identity, inverse, parts = [], {}, {}, {}
+    for tag, g in ((LEFT, g1), (RIGHT, g2)):
+        for x in g.objects:
+            objects.append((tag, x))
+            identity[(tag, x)] = (tag, g.identity(x))
+        parts[tag] = {(tag, a): ((tag, g.l(a)), (tag, g.r(a))) for a in g.arrow_ids}
+        inverse.update(((tag, a), (tag, g.inverse(a))) for a in g.arrow_ids)
+    bridges = {}
     for b in bib.elements:
-        arrows[(BRIDGE, b)] = ((LEFT, bib.left_anchor[b]), (RIGHT, bib.right_anchor[b]))
-        arrows[(BRIDGE_INV, b)] = ((RIGHT, bib.right_anchor[b]), (LEFT, bib.left_anchor[b]))
-
-    identity = {}
-    for x in g1.objects:
-        identity[(LEFT, x)] = (LEFT, g1.identity(x))
-    for y in g2.objects:
-        identity[(RIGHT, y)] = (RIGHT, g2.identity(y))
-
-    inverse = {}
-    for a in g1.arrow_ids:
-        inverse[(LEFT, a)] = (LEFT, g1.inverse(a))
-    for a in g2.arrow_ids:
-        inverse[(RIGHT, a)] = (RIGHT, g2.inverse(a))
-    for b in bib.elements:
-        inverse[(BRIDGE, b)] = (BRIDGE_INV, b)
-        inverse[(BRIDGE_INV, b)] = (BRIDGE, b)
+        ends = ((LEFT, bib.left_anchor[b]), (RIGHT, bib.right_anchor[b]))
+        bridges[(BRIDGE, b)], bridges[(BRIDGE_INV, b)] = ends, ends[::-1]
+        inverse[(BRIDGE, b)], inverse[(BRIDGE_INV, b)] = (BRIDGE_INV, b), (BRIDGE, b)
+    # with the bridges listed before the right factor, most right arrows
+    # are products of earlier generators, which shortens Light's test
+    arrows = {**parts[LEFT], **bridges, **parts[RIGHT]}
 
     def compose(p, q):
         tp, vp = p
@@ -333,21 +241,20 @@ def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> F
         if tp == RIGHT and tq == RIGHT:
             return (RIGHT, g2.compose(vp, vq))
         if tp == LEFT and tq == BRIDGE:
-            return (BRIDGE, bib.left_act(vp, vq))
+            return (BRIDGE, left_moves[(vp, vq)])
         if tp == BRIDGE and tq == RIGHT:
-            return (BRIDGE, bib.right_act(vp, vq))
+            return (BRIDGE, right_moves[(vp, vq)])
         if tp == BRIDGE_INV and tq == LEFT:
             # (inverse of b) then g equals the inverse of (g inverse acting on b)
-            return (BRIDGE_INV, bib.left_act(g1.inverse(vq), vp))
+            return (BRIDGE_INV, left_moves[(g1.inverse(vq), vp)])
         if tp == RIGHT and tq == BRIDGE_INV:
-            return (BRIDGE_INV, bib.right_act(vq, g2.inverse(vp)))
+            return (BRIDGE_INV, right_moves[(vq, g2.inverse(vp))])
         if tp == BRIDGE and tq == BRIDGE_INV:
             # unique left arrow carrying the second element to the first
             return (LEFT, left_transport[(vq, vp)])
-        if tp == BRIDGE_INV and tq == BRIDGE:
-            # unique right arrow carrying the first element to the second
-            return (RIGHT, right_transport[(vp, vq)])
-        raise UndefinedComposition((p, q))
+        # inverse bridge then bridge: the unique right arrow carrying the
+        # first element to the second
+        return (RIGHT, right_transport[(vp, vq)])
 
     by_l = {x: [] for x in objects}
     for p, (lo, _) in arrows.items():
@@ -359,7 +266,9 @@ def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> F
                 table[(p, q)] = compose(p, q)
             except KeyError:  # undefined composite, action or transport
                 continue
-    return FiniteGroupoid(objects, arrows, identity, inverse, table)
+    link = FiniteGroupoid(objects, arrows, identity, inverse, table)
+    report.violations.extend(validate(link).violations)
+    return report, link
 
 
 def left_object_ids(g1: FiniteGroupoid):

@@ -60,21 +60,19 @@ class GroupModel:
     """A compact group: a tuple of components times ``rank`` circle angles.
 
     "finite" is the table's elements with rank 0, "circle" one component
-    with rank 1, "torus" one component with rank 1 or 2, and "o2" the
-    components (0, 1), 1 for reflections, with rank 1.  ``element`` maps
-    (component, angles) to what ``act`` receives: a table element, an
-    angle, a tuple of angles or a pair (flag, angle).  The scale
-    multiplies the Haar measure of this parametrization.
+    with rank 1, and "o2" the components (0, 1), 1 for reflections, with
+    rank 1.  ``element`` maps (component, angles) to what ``act``
+    receives: a table element, an angle or a pair (flag, angle).  The
+    scale multiplies the Haar measure of this parametrization.
     """
 
     ELEMENT_MAPS = {
         "finite": lambda c, angles: c,
         "circle": lambda c, angles: angles[0],
-        "torus": lambda c, angles: angles,
         "o2": lambda c, angles: (c, angles[0]),
     }
 
-    def __init__(self, kind: str, haar_scale: float = 1.0, rank: int = 1, group=None):
+    def __init__(self, kind: str, haar_scale: float = 1.0, group=None):
         if kind not in self.ELEMENT_MAPS:
             raise ValueError(f"unknown group kind {kind!r}")
         if haar_scale <= 0:
@@ -87,10 +85,6 @@ class GroupModel:
             if group is None:
                 raise ValueError("finite kind needs a multiplication-table group")
             self.components, self.rank = tuple(group.elements), 0
-        elif kind == "torus":
-            self.rank = int(rank)
-            if not 1 <= self.rank <= 2:
-                raise ValueError("torus rank must be 1 or 2")
 
     @property
     def volume(self) -> float:
@@ -214,17 +208,6 @@ class ActionModel:
     b_density: Callable
     a_constant: bool = False
     orbit_chart: Optional[OrbitChart] = None
-    density_mode: str = "unsigned-density"
-
-    def __post_init__(self):
-        if self.density_mode not in ("unsigned-density", "signed-form"):
-            raise ValueError(f"unknown density mode {self.density_mode!r}")
-        if self.density_mode == "signed-form":
-            # orientable-chart input given as a form; volumes use densities
-            a, b = self.a_density, self.b_density
-            object.__setattr__(self, "a_density", lambda p: abs(a(p)))
-            object.__setattr__(self, "b_density", lambda p: abs(b(p)))
-            object.__setattr__(self, "density_mode", "unsigned-density")
 
 
 # ---------------------------------------------------------------------------

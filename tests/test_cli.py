@@ -10,6 +10,7 @@ import pytest
 
 from stackvol import cli, jsonio
 from stackvol.finite import (
+    FiniteGroupoid,
     WeightData,
     block_groupoid,
     pair_groupoid,
@@ -18,7 +19,12 @@ from stackvol.finite import (
     validate,
 )
 from stackvol.groups import FiniteGroup
-from stackvol.morita import block_bibundle
+from stackvol.morita import (
+    block_bibundle,
+    identity_bibundle,
+    random_morita_triple,
+    validate_bibundle,
+)
 
 ONE_OBJECT_ORDER_TWO = {
     "objects": ["pt"],
@@ -236,6 +242,36 @@ class TestMoritaCommands:
         assert "sections not corresponding" in err
 
 
+def _mixed_id_triple():
+    # string arrows and elements but an integer object: the groupoid dump
+    # renames every arrow, so the bibundle dump must rename them alike
+    g = FiniteGroupoid([1], {"e": (1, 1)}, {1: "e"}, {"e": "e"}, {("e", "e"): "e"})
+    return g, g, identity_bibundle(g)
+
+
+def _string_id_triple():
+    g = jsonio.groupoid_from_dict(ONE_OBJECT_ORDER_TWO)
+    return g, g, identity_bibundle(g)
+
+
+@pytest.mark.parametrize("make", [_mixed_id_triple, _string_id_triple,
+                                  lambda: random_morita_triple(5)],
+                         ids=["mixed-ids", "string-ids", "tuple-ids"])
+def test_dumped_triple_loads_back_valid(tmp_path, make):
+    g1, g2, bib = make()
+    paths = [tmp_path / name for name in ("left.json", "right.json", "bib.json")]
+    jsonio.dump_groupoid(g1, paths[0])
+    jsonio.dump_groupoid(g2, paths[1])
+    jsonio.dump_bibundle(g1, g2, bib, paths[2])
+    for path in paths:
+        assert path.read_text().count("\n") == 1
+    h1, h2 = jsonio.load_groupoid(paths[0]), jsonio.load_groupoid(paths[1])
+    hb = jsonio.load_bibundle(paths[2])
+    report = validate_bibundle(h1, h2, hb)
+    assert report.ok, report.summary()
+    assert len(hb.elements) == len(bib.elements)
+
+
 class TestSmoothCommands:
     def test_disk_volume(self, capsys):
         code, out, err = run(capsys, ["smooth", "example", "plane-so2", "R=2"])
@@ -388,6 +424,19 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["smooth", "example", "poisson-sphere-bundle", "c1=nan", "ts=1"],
+        ["smooth", "example", "adjoint-su2", "ts=nan"],
+        ["smooth", "example", "plane-so2", "R=inf"],
+        ["smooth", "example", "plane-so2", "ts=1,-inf"],
+    ], ids=["nan-parameter", "nan-t", "inf-parameter", "inf-t"])
+    def test_non_finite_model_input_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "finite" in err
 
     @pytest.mark.parametrize("deep", ["groupoid", "weights"])
     def test_deeply_nested_json_exits_three(self, capsys, tmp_path, half_point, deep):

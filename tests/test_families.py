@@ -208,6 +208,17 @@ class TestCatalogFamilies:
             PoissonFamilyModel(area=lambda t: scale * (t - 0.5) ** 2,
                                coeff=lambda t: 1.0, t_domain=(0.0, 1.3))
 
+    def test_nan_slope_refused(self):
+        # NaN compares false against the critical-slope threshold
+        with pytest.raises(CriticalPointError):
+            poisson_sphere_bundle(c1=math.nan)
+        pm = PoissonFamilyModel(area=lambda t: t, coeff=lambda t: 1.0, t_domain=(0.0, 2.0),
+                                d_area=lambda t: math.nan if t == 1.0 else 1.0)
+        with pytest.raises(CriticalPointError):
+            poisson_stack_density(pm, 1.0)
+        with pytest.raises(CriticalPointError):
+            natural_leaf_measure(pm, 1.0)
+
     def test_sphere_bundle_critical_vertex_caught(self):
         # c1 < 0 puts the vertex of the area parabola inside the domain;
         # it sits between construction grid nodes, so evaluation catches it

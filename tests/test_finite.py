@@ -193,7 +193,7 @@ class TestCompositionConvention:
                     for x2 in range(3):
                         p, q = (h1, x1), (h2, x2)
                         composable = x1 == (x2 + h2) % 3
-                        assert g.is_composable(p, q) == composable
+                        assert (g.r(p) == g.l(q)) == composable
                         if composable:
                             assert g.compose(p, q) == ((h1 + h2) % 3, x2)
                         else:
@@ -302,6 +302,26 @@ class TestValidate:
         report = validate(broken)
         assert not report.ok
         assert "identity endpoints" in report.axioms()
+
+    def test_memoized_report_is_copied_on_each_call(self, monkeypatch):
+        import stackvol.finite as finite_module
+
+        arrows, identity, inverse, table = self._z4_tables()
+        table[(1, 1)] = 3
+        g = FiniteGroupoid(["pt"], arrows, identity, inverse, table)
+        scans = []
+        check = finite_module._check_axioms
+        monkeypatch.setattr(finite_module, "_check_axioms",
+                            lambda h: scans.append(h) or check(h))
+        first = validate(g)
+        found = list(first.violations)
+        assert found
+        first.add("tampered", ())
+        second = validate(g)
+        assert second.violations == found and second is not first
+        second.violations.clear()
+        assert validate(g).violations == found
+        assert len(scans) == 1
 
     def test_violation_report_summary_mentions_witness(self):
         arrows, identity, inverse, table = self._z4_tables()
@@ -541,7 +561,6 @@ class TestFiberIndex:
         w = random_invariant_weights(g, 6)
         expected = orbit_volume(g, w)
         monkeypatch.setattr(finite_module, "orbits", forbidden)
-        monkeypatch.setattr(FiniteGroupoid, "isotropy", forbidden)
         assert fiber_volume(g, w) == expected
 
     def test_shared_object_ids_do_not_share_the_index(self):

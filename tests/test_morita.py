@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stackvol.finite import (
     FiniteGroupoid,
@@ -20,7 +20,7 @@ from stackvol.finite import (
     unit_weights,
     validate,
 )
-from stackvol.groups import FiniteGroup
+from stackvol.groups import FiniteGroup, group_zoo
 from stackvol.morita import (
     BRIDGE,
     BRIDGE_INV,
@@ -108,9 +108,12 @@ class TestValidateBibundle:
                        left, frozen_right)
         report = validate_bibundle(g1, g2, bib)
         assert not report.ok
-        axioms = report.axioms()
-        assert "right action not free" in axioms
-        assert "right action not transitive" in axioms
+        assert any(v.axiom == "right action not free" and v.witness == (b, _arrow(0), _arrow(1))
+                   for v in report.violations for b in (0, 1))
+        # no right arrow carries 0 to 1, so the right action is not transitive
+        assert any(v.axiom == "missing composition"
+                   and v.witness == ((BRIDGE_INV, 0), (BRIDGE, 1))
+                   for v in report.violations)
 
     def test_missed_object_flagged(self):
         g1, _, bib = z2_self_equivalence()
@@ -149,25 +152,29 @@ class TestValidateBibundle:
                                 {x: g.identity(x) for x in g.objects},
                                 {a: g.inverse(a) for a in g.arrow_ids}, compose)
         left = validate_bibundle(broken, g, bib)
-        assert any(v.axiom == "left action compatibility" and v.witness[:2] == refused
+        assert any(v.axiom == "missing composition"
+                   and v.witness == tuple((LEFT, a) for a in refused)
                    for v in left.violations)
         right = validate_bibundle(g, broken, bib)
-        assert any(v.axiom == "right action compatibility" and v.witness[1:] == refused
+        assert any(v.axiom == "missing composition"
+                   and v.witness == tuple((RIGHT, a) for a in refused)
                    for v in right.violations)
 
     def test_volume_check_then_link_scans_the_bibundle_once(self, monkeypatch):
         import stackvol.morita as morita_module
 
         g1, g2, bib = random_morita_triple(11)
-        # weights drawn on an equal copy, so no scan of bib happens here
+        # weights drawn on an equal copy, so bib's link is not built here
         w1, w2 = random_morita_weights(*random_morita_triple(11), 12)
         scans = []
-        scan = morita_module._scan_bibundle
-        monkeypatch.setattr(morita_module, "_scan_bibundle",
-                            lambda *args: scans.append(args) or scan(*args))
+        build = morita_module._build_link
+        monkeypatch.setattr(morita_module, "_build_link",
+                            lambda *args: scans.append(args) or build(*args))
         assert morita_volume_check(g1, g2, bib, w1, w2).equal
-        assert validate(linking_groupoid(g1, g2, bib)).ok
+        link = linking_groupoid(g1, g2, bib)
+        assert validate(link).ok
         assert len(scans) == 1
+        assert linking_groupoid(g1, g2, bib) is link
         # the memo is keyed on the groupoid objects, not on equal tables
         h1, h2, _ = random_morita_triple(11)
         assert validate_bibundle(h1, h2, bib).ok
@@ -407,3 +414,31 @@ def test_linking_table_covers_exactly_the_composable_pairs(seed):
                   if link.r(p) == link.l(q)}
     assert link.compose_table is not None
     assert set(link.compose_table) == composable
+
+
+def _action_tables(g1, g2, bib):
+    left = {(g, b): bib.left_act(g, b)
+            for b in bib.elements for g in g1.arrows_into(bib.left_anchor[b])}
+    right = {(b, h): bib.right_act(b, h)
+             for b in bib.elements for h in g2.arrows_from(bib.right_anchor[b])}
+    return left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(group_zoo(4)), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_retargeting_one_action_entry_is_refused(group, n, m, data):
+    g1, g2 = block_groupoid(range(n), group), block_groupoid(range(m), group)
+    bib = block_bibundle(range(n), range(m), group)
+    assume(len(bib.elements) >= 2)
+    left, right = _action_tables(g1, g2, bib)
+    tabled = Bibundle(bib.elements, bib.left_anchor, bib.right_anchor, left, right)
+    assert validate_bibundle(g1, g2, tabled).ok
+    table = data.draw(st.sampled_from([left, right]))
+    key = data.draw(st.sampled_from(sorted(table, key=repr)))
+    table[key] = data.draw(st.sampled_from([e for e in bib.elements if e != table[key]]))
+    mutated = Bibundle(bib.elements, bib.left_anchor, bib.right_anchor, left, right)
+    report = validate_bibundle(g1, g2, mutated)
+    assert not report.ok
+    assert all(v.witness for v in report.violations)
+    with pytest.raises(InvalidBibundleError):
+        linking_groupoid(g1, g2, mutated)

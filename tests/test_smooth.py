@@ -48,11 +48,6 @@ _coeff = st.floats(-1.0, 1.0)
 # a mean in [1, 2] plus cosine and sine terms of frequency 1..15
 _circle_poly = st.tuples(st.floats(1.0, 2.0),
                          st.lists(st.tuples(st.integers(1, 15), _coeff, _coeff), max_size=6))
-_torus_poly = st.tuples(
-    st.floats(1.0, 2.0),
-    st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15), _coeff, _coeff)
-             .filter(lambda term: term[:2] != (0, 0)), max_size=6),
-)
 
 
 def _trig(poly):
@@ -60,17 +55,10 @@ def _trig(poly):
     return lambda t: mean + sum(c * math.cos(k * t) + s * math.sin(k * t) for k, c, s in terms)
 
 
-def _trig2(poly):
-    mean, terms = poly
-    return lambda u, v: mean + sum(c * math.cos(j * u + k * v) + s * math.sin(j * u + k * v)
-                                   for j, k, c, s in terms)
-
-
 class TestGroupModels:
     def test_volumes(self):
         assert GroupModel("circle").volume == pytest.approx(TWO_PI)
         assert GroupModel("o2").volume == pytest.approx(2 * TWO_PI)
-        assert GroupModel("torus", rank=2).volume == pytest.approx(TWO_PI ** 2)
         s3 = GroupModel("finite", group=FiniteGroup.symmetric(3))
         assert s3.volume == 6.0
 
@@ -85,13 +73,11 @@ class TestGroupModels:
         assert calls == []
 
     def test_bad_parameters(self):
-        for kind in ("quaternionic", "su2"):
+        for kind in ("quaternionic", "su2", "torus"):
             with pytest.raises(ValueError):
                 GroupModel(kind)
         with pytest.raises(ValueError):
             GroupModel("circle", haar_scale=0.0)
-        with pytest.raises(ValueError):
-            GroupModel("torus", rank=3)
         with pytest.raises(ValueError):
             GroupModel("finite")
 
@@ -107,16 +93,13 @@ class TestGroupModels:
         assert value == pytest.approx(TWO_PI)
 
     @settings(max_examples=40, deadline=None)
-    @given(_circle_poly, _circle_poly, _torus_poly)
-    def test_trig_polynomials_below_degree_16_are_exact(self, p, q, t):
+    @given(_circle_poly, _circle_poly)
+    def test_trig_polynomials_below_degree_16_are_exact(self, p, q):
         value, _ = GroupModel("circle").integrate(_trig(p))
         assert value == pytest.approx(TWO_PI * p[0], rel=1e-12)
         f, g = _trig(p), _trig(q)
         value, _ = GroupModel("o2").integrate(lambda h: g(h[1]) if h[0] else f(h[1]))
         assert value == pytest.approx(TWO_PI * (p[0] + q[0]), rel=1e-12)
-        h2 = _trig2(t)
-        value, _ = GroupModel("torus", rank=2).integrate(lambda h: h2(*h))
-        assert value == pytest.approx(TWO_PI ** 2 * t[0], rel=1e-12)
 
     def test_node_count_ignores_scales(self):
         def f(t):
@@ -136,8 +119,7 @@ class TestGroupModels:
         (GroupModel("finite", group=FiniteGroup.symmetric(3)), lambda h: 1.0 + h[0]),
         (GroupModel("circle"), lambda t: 1.0 / (POLE + math.cos(t))),
         (GroupModel("o2"), lambda h: 1.0 / (POLE + math.cos(h[1])) if h[0] else 1.0),
-        (GroupModel("torus", rank=2), lambda h: 1.0 / (POLE + math.cos(h[0] - h[1]))),
-    ], ids=["finite", "circle", "o2", "torus2"])
+    ], ids=["finite", "circle", "o2"])
     def test_reported_evaluations_equal_calls(self, gm, fn):
         calls = 0
 
@@ -166,8 +148,6 @@ class TestGroupModels:
             assert GroupModel("circle").random_element(new) == old.uniform(0.0, TWO_PI)
             assert (GroupModel("o2").random_element(new)
                     == (old.randint(0, 1), old.uniform(0.0, TWO_PI)))
-            assert (GroupModel("torus", rank=2).random_element(new)
-                    == (old.uniform(0.0, TWO_PI), old.uniform(0.0, TWO_PI)))
             assert (GroupModel("finite", group=s3).random_element(new)
                     == old.choice(s3.elements))
 
@@ -192,10 +172,6 @@ class TestCharts:
         assert tiny.orbit_chart.is_singular(0.0)
         assert not tiny.orbit_chart.is_singular(5e-13)
         assert pushforward_density(tiny, 5e-13) == pytest.approx(5e-13, rel=1e-12)
-
-    def test_density_mode_validation(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(plane_so2(), density_mode="mystery")
 
 
 class TestFiberIntegral:
@@ -359,14 +335,6 @@ class TestStackVolume:
         am = _half_line_model(lambda x: math.exp(-x))
         with pytest.raises(NonCompactChartError):
             stack_volume(am)
-
-    def test_signed_form_input(self):
-        am = dataclasses.replace(plane_so2(), b_density=lambda p: -p[0],
-                                 density_mode="signed-form")
-        assert am.density_mode == "unsigned-density"
-        assert am.b_density((1.5, 0.0)) == 1.5
-        res = stack_volume(am)
-        assert abs(res.value - 2.0) <= res.error_estimate + 1e-9
 
     def test_volume_unchanged_by_noninvariant_rescale(self):
         # multiplying a and b by the same positive chart function must not
