@@ -316,8 +316,12 @@ def _cmd_smooth_weyl(args) -> int:
 
 def _cmd_series_finite_sets(args) -> int:
     value = finite_sets_cardinality(args.cutoff)
-    return _emit(args, [str(value)],
-                 {"value": str(value), "approx": float(value)},
+    try:
+        text = str(value)
+    except ValueError:  # past the interpreter's integer-digit limit
+        raise ValueError(f"--cutoff {args.cutoff}: the value has too many digits to print") from None
+    return _emit(args, [text],
+                 {"value": text, "approx": float(value)},
                  {"cutoff": args.cutoff})
 
 

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import chain, product
+from math import lcm
+from types import MappingProxyType
 
 from .errors import ValidationFailure, ValidationReport
 from .groups import FiniteGroup, group_zoo
@@ -60,6 +63,8 @@ class FiniteGroupoid:
     raising :class:`UndefinedComposition` on non-composable input.  Large
     generated families use closures so that no quadratic table has to be
     materialized; JSON-loaded and linking groupoids keep an explicit table.
+    Inconsistent tables raise ValueError naming the first bad entry; the
+    tables never change, so :meth:`pair_counts` and its derivatives are memoized.
     """
 
     def __init__(self, objects, arrows, identity, inverse, compose):
@@ -78,12 +83,21 @@ class FiniteGroupoid:
             self._compose_fn = compose
         self._by_l = None
         self._by_r = None
+        self._pair_counts = None
         self._orbit_cache = None
         self._fiber_index = None
         self._validation = None
         self._check_structure()
 
     def _check_structure(self):
+        with suppress(TypeError):  # C-speed screen; a table failing it is walked below
+            if (set(map(len, self._arrows.values())) <= {2}
+                    and self._object_set.issuperset(chain.from_iterable(self._arrows.values()))
+                    and self._identity.keys() == self._object_set
+                    and self._inverse.keys() == self._arrows.keys()
+                    and all(map(self._arrows.__contains__,
+                                chain(self._identity.values(), self._inverse.values())))):
+                return
         for aid, (lo, ro) in self._arrows.items():
             if lo not in self._object_set or ro not in self._object_set:
                 raise ValueError(f"arrow {aid!r} references unknown objects {(lo, ro)!r}")
@@ -162,18 +176,24 @@ class FiniteGroupoid:
             self._build_indexes()
         return self._by_r[y]
 
+    def pair_counts(self):
+        """Memoized read-only |Hom(x, y)| by endpoint pair, in first-arrow order."""
+        if self._pair_counts is None:
+            self._pair_counts = MappingProxyType(Counter(self._arrows.values()))
+        return self._pair_counts
+
     def fiber_index(self) -> tuple:
         """Hom-set sizes over every r-fiber, built once and memoized.
 
         One entry ``(y, ((x, |Hom(x, y)|), ...))`` per object y, in
         ``objects`` order, listing each source object x of the r-fiber of
-        y once with its multiplicity.
+        y once with its multiplicity: :meth:`pair_counts` grouped by r.
         """
         if self._fiber_index is None:
-            self._fiber_index = tuple(
-                (y, tuple(Counter(self._arrows[aid][0] for aid in self.arrows_into(y)).items()))
-                for y in self._objects
-            )
+            sources = {y: [] for y in self._objects}
+            for (x, y), m in self.pair_counts().items():
+                sources[y].append((x, m))
+            self._fiber_index = tuple((y, tuple(xs)) for y, xs in sources.items())
         return self._fiber_index
 
     def __repr__(self):
@@ -201,9 +221,15 @@ def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    arrows = {(x, y, gam): (x, y) for x in pts for y in pts for gam in group.elements}
-    identity = {x: (x, x, group.identity) for x in pts}
-    inverse = {(x, y, gam): (y, x, group.inv(gam)) for (x, y, gam) in arrows}
+    els = group.elements
+    n, k = len(pts), len(els)
+    # keys[(i*n + j)*k + e] is (pts[i], pts[j], els[e]); the k arrows over (x, y) share one pair
+    keys = [(x, y, gam) for x in pts for y in pts for gam in els]
+    arrows = dict(zip(keys, [xy for xy in product(pts, pts) for _ in els]))
+    inv_at = [els.index(group.inv(gam)) for gam in els]
+    identity = {x: keys[(i * n + i) * k + els.index(group.identity)] for i, x in enumerate(pts)}
+    inverse = dict(zip(keys, [keys[(j * n + i) * k + f]
+                              for i in range(n) for j in range(n) for f in inv_at]))
 
     def compose(g, h):
         x, y, gam = g
@@ -265,17 +291,16 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
 
 def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
     """Disjoint union; objects and arrows get tagged with the part index."""
-    objects = []
     arrows = {}
-    identity = {}
+    identity = {}  # its keys are the objects, in order
     inverse = {}
     for i, g in enumerate(parts):
-        for x in g.objects:
-            objects.append((i, x))
-            identity[(i, x)] = (i, g.identity(x))
-        for aid in g.arrow_ids:
-            arrows[(i, aid)] = ((i, g.l(aid)), (i, g.r(aid)))
-            inverse[(i, aid)] = (i, g.inverse(aid))
+        tag = {x: (i, x) for x in g._objects}
+        pair = {p: (tag[p[0]], tag[p[1]]) for p in dict.fromkeys(g._arrows.values())}
+        key = {aid: (i, aid) for aid in g._arrows}
+        identity.update(zip(tag.values(), map(key.__getitem__, map(g._identity.__getitem__, tag))))
+        arrows.update(zip(key.values(), map(pair.__getitem__, g._arrows.values())))
+        inverse.update(zip(key.values(), map(key.__getitem__, map(g._inverse.__getitem__, key))))
 
     def compose(a, b):
         if a not in arrows or b not in arrows or a[0] != b[0]:
@@ -283,7 +308,7 @@ def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
         i = a[0]
         return (i, parts[i].compose(a[1], b[1]))
 
-    return FiniteGroupoid(objects, arrows, identity, inverse, compose)
+    return FiniteGroupoid(identity, arrows, identity, inverse, compose)
 
 
 def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
@@ -292,17 +317,12 @@ def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
     unknown = keep_set - set(g.objects)
     if unknown:
         raise ValueError(f"unknown objects {sorted(map(repr, unknown))}")
-    arrows = {
-        aid: (g.l(aid), g.r(aid))
-        for aid in g.arrow_ids
-        if g.l(aid) in keep_set and g.r(aid) in keep_set
-    }
+    arrows = {aid: ends for aid, ends in g._arrows.items() if keep_set.issuperset(ends)}
     identity = {x: g.identity(x) for x in keep_set}
     inverse = {aid: g.inverse(aid) for aid in arrows}
-    arrow_set = set(arrows)
 
     def compose(a, b):
-        if a not in arrow_set or b not in arrow_set:
+        if a not in arrows or b not in arrows:
             raise UndefinedComposition((a, b))
         return g.compose(a, b)
 
@@ -493,11 +513,13 @@ class OrbitDecomposition:
 def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
     """Connected components of the object set under arrows.
 
-    The decomposition is memoized on the groupoid, whose tables never
-    change after construction.
+    Union-find runs over the distinct pairs of :meth:`FiniteGroupoid.pair_counts`,
+    and an orbit's isotropy order is |Hom(x, x)| at its representative x.
+    The decomposition is memoized on the groupoid, whose tables never change.
     """
     if g._orbit_cache is not None:
         return g._orbit_cache
+    counts = g.pair_counts()
     parent = {x: x for x in g.objects}
 
     def find(x):
@@ -506,8 +528,8 @@ def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
             x = parent[x]
         return x
 
-    for aid in g.arrow_ids:
-        a, b = find(g.l(aid)), find(g.r(aid))
+    for lo, ro in counts:
+        a, b = find(lo), find(ro)
         if a != b:
             parent[a] = b
 
@@ -515,16 +537,10 @@ def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
     for x in g.objects:
         groups.setdefault(find(x), []).append(x)
 
-    iso_count = {x: 0 for x in g.objects}
-    for aid in g.arrow_ids:
-        lo, ro = g.l(aid), g.r(aid)
-        if lo == ro:
-            iso_count[lo] += 1
-
     orbit_list = []
     for members in groups.values():
         rep = min(members, key=repr)
-        orbit_list.append(Orbit(rep, frozenset(members), iso_count[rep]))
+        orbit_list.append(Orbit(rep, frozenset(members), counts[(rep, rep)]))
     orbit_list.sort(key=lambda o: repr(o.representative))
     g._orbit_cache = OrbitDecomposition(orbit_list)
     return g._orbit_cache
@@ -699,7 +715,7 @@ def random_positive_rescaling(g: FiniteGroupoid, seed) -> dict:
 
 
 def finite_sets_cardinality(cutoff: int) -> Fraction:
-    """Partial sum of 1/n! for n = 0..cutoff.
+    """Partial sum of 1/n! for n = 0..cutoff, over one denominator cutoff!.
 
     The groupoid of finite sets and bijections has one orbit per size n
     with isotropy the n! permutations, so its cardinality is the
@@ -707,7 +723,11 @@ def finite_sets_cardinality(cutoff: int) -> Fraction:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    return sum((Fraction(1, factorial(n)) for n in range(cutoff + 1)), Fraction(0))
+    total = tail = 1  # tail = N!/n! and total = sum of N!/m! over m >= n, N = cutoff
+    for n in range(cutoff, 0, -1):
+        tail *= n
+        total += tail
+    return Fraction(total, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ tables are stored as plain dicts.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from functools import cache
+from itertools import permutations
 
 
 class FiniteGroup:
@@ -115,7 +116,12 @@ def group_zoo(max_order: int) -> list[FiniteGroup]:
     """A spread of isomorphism types with order bounded by ``max_order``."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    zoo = [FiniteGroup.cyclic(n) for n in range(1, min(max_order, 8) + 1)]
+    return list(_zoo(min(max_order, 8)))
+
+
+@cache  # a group never changes after construction, so every caller shares one
+def _zoo(max_order: int) -> tuple[FiniteGroup, ...]:
+    zoo = [FiniteGroup.cyclic(n) for n in range(1, max_order + 1)]
     c2 = FiniteGroup.cyclic(2)
     if max_order >= 4:
         zoo.append(FiniteGroup.direct_product(c2, c2))
@@ -124,4 +130,4 @@ def group_zoo(max_order: int) -> list[FiniteGroup]:
     if max_order >= 8:
         zoo.append(FiniteGroup.dihedral(4))
         zoo.append(FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)))
-    return zoo
+    return tuple(zoo)

@@ -394,6 +394,15 @@ class TestSeriesCommand:
         assert obj["approx"] == pytest.approx(math.e, abs=1e-9)
 
 
+    def test_unprintable_value_exits_one_naming_the_cutoff(self, capsys):
+        # the exact value at 8,000 has about 27,000 digits, past str(int)'s limit
+        code, out, err = run(capsys, ["series", "finite-sets", "--cutoff", "8000"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --cutoff 8000")
+
+
 class TestErrorPaths:
     def test_malformed_json_exits_three(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -480,6 +489,24 @@ class TestErrorPaths:
                                     "--groupoid", str(path)])
         assert code == 3
         assert "missing field" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objects", ["pt", "pt"], "duplicate object ids"),
+        ("arrows", [{"id": "e", "l": "pt", "r": "pt"}, {"id": "s", "l": "pt", "r": "qq"}],
+         "arrow 's' references unknown objects ('pt', 'qq')"),
+        ("identity", {"pt": "e", "qq": "e"}, "identity table must cover exactly the objects"),
+        ("identity", {"pt": "x"}, "identity of 'pt' is not an arrow"),
+        ("inverse", {"e": "e"}, "inverse table must cover exactly the arrows"),
+        ("inverse", {"e": "x", "s": "s"}, "inverse of 'e' is not an arrow"),
+    ], ids=["duplicate-object", "unknown-endpoint", "identity-coverage", "identity-not-arrow",
+            "inverse-coverage", "inverse-not-arrow"])
+    def test_inconsistent_tables_exit_three(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(dict(ONE_OBJECT_ORDER_TWO, **{field: value})))
+        code, out, err = run(capsys, ["finite", "cardinality", "--groupoid", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: groupoid: inconsistent tables: {message}\n"
 
     def test_axiom_violation_exits_one(self, capsys, tmp_path):
         broken = dict(ONE_OBJECT_ORDER_TWO)

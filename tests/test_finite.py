@@ -1,6 +1,7 @@
 """Exact finite-groupoid computations against hand-derived oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,8 @@ from stackvol.finite import (
     _generators,
 )
 from stackvol.groups import FiniteGroup, group_zoo
+from stackvol.jsonio import groupoid_from_dict, groupoid_to_dict
+from stackvol.morita import linking_groupoid, random_morita_triple
 
 # frozen oracles, each derived by hand before implementation:
 #   one object with symmetry group of order n      -> cardinality 1/n
@@ -471,6 +474,11 @@ class TestSeries:
         with pytest.raises(ValueError):
             finite_sets_cardinality(-1)
 
+    def test_matches_the_per_term_sum(self):
+        for cutoff in range(40):
+            terms = (Fraction(1, math.factorial(n)) for n in range(cutoff + 1))
+            assert finite_sets_cardinality(cutoff) == sum(terms, Fraction(0))
+
 
 class TestGenerators:
     def test_seed_determinism(self):
@@ -613,3 +621,213 @@ def test_zero_fiber_mass_names_the_same_object(seed, data):
     with pytest.raises(DegenerateWeightError) as got:
         fiber_volume(g, w)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the structure check of the constructor
+
+
+def _half_point_tables():
+    """One object with isotropy of order two, as constructor arguments."""
+    arrows = {"e": ("pt", "pt"), "s": ("pt", "pt")}
+    table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
+    return ["pt"], arrows, {"pt": "e"}, {"e": "e", "s": "s"}, table
+
+
+class TestStructureCheck:
+    def test_well_formed_tables_pass(self):
+        assert cardinality(FiniteGroupoid(*_half_point_tables())) == Fraction(1, 2)
+
+    def test_duplicate_object(self):
+        objects, arrows, identity, inverse, table = _half_point_tables()
+        with pytest.raises(ValueError, match="^duplicate object ids$"):
+            FiniteGroupoid(["pt", "pt"], arrows, identity, inverse, table)
+
+    def test_unknown_endpoint(self):
+        objects, arrows, identity, inverse, table = _half_point_tables()
+        arrows["s"] = ("pt", "qq")
+        with pytest.raises(ValueError) as exc:
+            FiniteGroupoid(objects, arrows, identity, inverse, table)
+        assert str(exc.value) == "arrow 's' references unknown objects ('pt', 'qq')"
+
+    @pytest.mark.parametrize("entry, error, message", [
+        (("pt", "pt", "pt"), ValueError, "too many values to unpack"),
+        (("pt",), ValueError, "not enough values to unpack"),
+        (7, TypeError, "cannot unpack non-iterable int object"),
+    ], ids=["triple", "single", "int"])
+    def test_arrow_entry_that_is_not_a_pair(self, entry, error, message):
+        objects, arrows, identity, inverse, table = _half_point_tables()
+        arrows["s"] = entry
+        with pytest.raises(error) as exc:
+            FiniteGroupoid(objects, arrows, identity, inverse, table)
+        assert str(exc.value).startswith(message)
+
+    def test_first_bad_arrow_is_named(self):
+        objects, arrows, identity, inverse, table = _half_point_tables()
+        arrows = {"e": ("pt", "pt"), "s": ("pt", "qq"), "t": ("pt", "pt", "pt")}
+        inverse = {"e": "e", "s": "s", "t": "t"}
+        with pytest.raises(ValueError) as exc:
+            FiniteGroupoid(objects, arrows, identity, inverse, table)
+        assert str(exc.value) == "arrow 's' references unknown objects ('pt', 'qq')"
+
+    @pytest.mark.parametrize("identity", [{}, {"pt": "e", "qq": "e"}], ids=["missing", "extra"])
+    def test_identity_coverage(self, identity):
+        objects, arrows, _, inverse, table = _half_point_tables()
+        with pytest.raises(ValueError, match="^identity table must cover exactly the objects$"):
+            FiniteGroupoid(objects, arrows, identity, inverse, table)
+
+    def test_identity_that_is_not_an_arrow(self):
+        objects, arrows, _, inverse, table = _half_point_tables()
+        with pytest.raises(ValueError) as exc:
+            FiniteGroupoid(objects, arrows, {"pt": "x"}, inverse, table)
+        assert str(exc.value) == "identity of 'pt' is not an arrow"
+
+    @pytest.mark.parametrize("inverse", [{"e": "e"}, {"e": "e", "s": "s", "x": "e"}],
+                             ids=["missing", "extra"])
+    def test_inverse_coverage(self, inverse):
+        objects, arrows, identity, _, table = _half_point_tables()
+        with pytest.raises(ValueError, match="^inverse table must cover exactly the arrows$"):
+            FiniteGroupoid(objects, arrows, identity, inverse, table)
+
+    def test_inverse_that_is_not_an_arrow(self):
+        objects, arrows, identity, _, table = _half_point_tables()
+        with pytest.raises(ValueError) as exc:
+            FiniteGroupoid(objects, arrows, identity, {"e": "x", "s": "s"}, table)
+        assert str(exc.value) == "inverse of 'e' is not an arrow"
+
+
+# ---------------------------------------------------------------------------
+# constructors and the endpoint-pair count against per-arrow references
+
+
+def _tables(g):
+    return (g.objects, [(a, (g.l(a), g.r(a))) for a in g.arrow_ids],
+            {x: g.identity(x) for x in g.objects}, {a: g.inverse(a) for a in g.arrow_ids})
+
+
+def _reference_block(points, group):
+    objects = tuple(points)
+    arrows = [((x, y, gam), (x, y)) for x in objects for y in objects for gam in group.elements]
+    identity = {x: (x, x, group.identity) for x in objects}
+    inverse = {(x, y, gam): (y, x, group.inv(gam)) for (x, y, gam), _ in arrows}
+    return objects, arrows, identity, inverse
+
+
+def _reference_union(parts):
+    objects, arrows, identity, inverse = [], [], {}, {}
+    for i, g in enumerate(parts):
+        for x in g.objects:
+            objects.append((i, x))
+            identity[(i, x)] = (i, g.identity(x))
+        for a in g.arrow_ids:
+            arrows.append(((i, a), ((i, g.l(a)), (i, g.r(a)))))
+            inverse[(i, a)] = (i, g.inverse(a))
+    return tuple(objects), arrows, identity, inverse
+
+
+def _action(group, kind):
+    """A valid left action of ``group``: trivial, regular or by conjugation."""
+    if kind == "trivial":
+        return action_groupoid(group, ["u", "v"], lambda h, x: x)
+    if kind == "regular":
+        return action_groupoid(group, group.elements, group.mult)
+    return action_groupoid(group, group.elements,
+                           lambda h, x: group.mult(group.mult(h, x), group.inv(h)))
+
+
+@st.composite
+def _any_groupoid(draw, kinds=("random", "action", "json", "link")):
+    """A random, action, JSON-loaded or linking groupoid."""
+    kind = draw(st.sampled_from(kinds))
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    if kind == "random":
+        return _small_groupoid(seed)
+    if kind == "action":
+        return _action(draw(st.sampled_from(group_zoo(6))),
+                       draw(st.sampled_from(["trivial", "regular", "conjugation"])))
+    if kind == "json":
+        return groupoid_from_dict(groupoid_to_dict(_small_groupoid(seed)))
+    return linking_groupoid(*random_morita_triple(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(group_zoo(8))),
+                min_size=1, max_size=3))
+def test_block_union_tables_match_reference(blocks):
+    parts = [block_groupoid([f"p{j}" for j in range(n)], grp) for n, grp in blocks]
+    for (n, grp), part in zip(blocks, parts):
+        assert _tables(part) == _reference_block([f"p{j}" for j in range(n)], grp)
+    assert _tables(disjoint_union(*parts)) == _reference_union(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_any_groupoid(("action", "json")) | st.builds(
+    block_groupoid, st.sampled_from([range(2), ["pt"]]), st.sampled_from(group_zoo(4))),
+    min_size=1, max_size=3))
+def test_union_of_any_parts_matches_reference(parts):
+    union = disjoint_union(*parts)
+    assert _tables(union) == _reference_union(parts)
+    assert validate(union).ok
+
+
+def _reference_orbits(g):
+    """Components by search over every arrow; isotropy by counting loops."""
+    neighbours = {x: set() for x in g.objects}
+    for a in g.arrow_ids:
+        neighbours[g.l(a)].add(g.r(a))
+        neighbours[g.r(a)].add(g.l(a))
+    seen, found = set(), []
+    for x in g.objects:
+        if x in seen:
+            continue
+        members, frontier = set(), [x]
+        while frontier:
+            y = frontier.pop()
+            if y not in members:
+                members.add(y)
+                frontier.extend(neighbours[y])
+        seen |= members
+        rep = min(members, key=repr)
+        loops = sum(1 for a in g.arrow_ids if g.l(a) == rep and g.r(a) == rep)
+        found.append((rep, frozenset(members), loops))
+    return sorted(found, key=lambda o: repr(o[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_groupoid())
+def test_orbits_and_fibers_match_per_arrow_references(g):
+    dec = orbits(g)
+    assert [(o.representative, o.objects, o.isotropy_order) for o in dec] == _reference_orbits(g)
+    assert all(dec.find(x) is o for o in dec for x in o.objects)
+    assert g.fiber_index() == tuple(
+        (y, tuple(Counter(g.l(a) for a in g.arrows_into(y)).items())) for y in g.objects)
+    assert dict(g.pair_counts()) == Counter((g.l(a), g.r(a)) for a in g.arrow_ids)
+
+
+class TestPairCounts:
+    def test_counts_are_memoized_and_read_only(self):
+        g = disjoint_union(block_groupoid([0, 1], FiniteGroup.cyclic(3)), z_n(2))
+        counts = g.pair_counts()
+        assert counts is g.pair_counts()
+        assert counts[((0, 0), (0, 1))] == 3 and counts[((1, "pt"), (1, "pt"))] == 2
+        assert counts[((0, 0), (1, "pt"))] == 0
+        with pytest.raises(TypeError):
+            counts[((0, 0), (0, 0))] = 1
+        assert orbits(g).find((0, 0)).isotropy_order == 3
+
+    def test_orbits_read_no_arrow_endpoints(self, monkeypatch):
+        g = random_groupoid(11)
+        g.pair_counts()
+        for name in ("l", "r", "arrows_from", "arrows_into"):
+            monkeypatch.setattr(g, name, None)
+        assert cardinality(g) == fiber_volume(g, unit_weights(g))
+
+
+@given(st.integers(min_value=1, max_value=12))
+def test_group_zoo_returns_a_fresh_list(max_order):
+    first = group_zoo(max_order)
+    second = group_zoo(max_order)
+    assert type(first) is list and first is not second
+    assert all(a is b for a, b in zip(first, second)) and len(first) == len(second)
+    first.clear()
+    assert group_zoo(max_order) == second
