@@ -216,18 +216,29 @@ def _parse_ts(raw):
         ts = tuple(float(part) for part in raw.split(",") if part)
     except ValueError as exc:
         raise ValidationFailure(f"bad ts list {raw!r}: {exc}") from None
+    if not ts:
+        raise ValidationFailure(f"bad ts list {raw!r}: no t given")
     if not all(map(math.isfinite, ts)):
         raise ValidationFailure(f"bad ts list {raw!r}: every t must be finite")
     return ts
 
 
 def _cmd_smooth_example(args) -> int:
+    # a parameter the model never reads is refused before the engines load
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ValidationFailure(f"tol must be positive and finite, got {args.tol!r}")
+    kv = _parse_kv(args.params)
+    if "measure" in kv and args.name not in ("poisson-sphere-bundle", "su2-dual"):
+        raise ValidationFailure("measure= applies only to the Poisson families "
+                                f"poisson-sphere-bundle and su2-dual, not to {args.name!r}")
+    if "ts" in kv and args.name == "symplectic-bk":
+        raise ValidationFailure("model 'symplectic-bk' has no density table, so it takes no ts=")
+    ts = _parse_ts(kv.pop("ts")) if "ts" in kv else None
+
     # the engines load here, so the finite, morita and series commands skip them
     from .catalog import build_model
     from .smooth import ActionModel, pushforward_density, stack_volume
 
-    kv = _parse_kv(args.params)
-    ts = _parse_ts(kv.pop("ts")) if "ts" in kv else None
     measure = kv.pop("measure", "stack")
     if measure not in ("stack", "natural"):
         raise ValidationFailure(f"measure must be stack or natural, got {measure!r}")

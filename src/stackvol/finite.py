@@ -29,7 +29,7 @@ from .groups import FiniteGroup, group_zoo
 
 
 class UndefinedComposition(KeyError):
-    """Raised by a groupoid's composition on a non-composable pair."""
+    """Raised by a groupoid's composition on a non-composable or refused pair."""
 
 
 class InvalidGroupoidError(ValidationFailure):
@@ -59,12 +59,17 @@ class UnknownOrbitError(ValidationFailure):
 class FiniteGroupoid:
     """Finite groupoid with table-backed or closure-backed composition.
 
-    ``compose`` may be a dict of exactly the composable pairs or a callable
-    raising :class:`UndefinedComposition` on non-composable input.  Large
-    generated families use closures so that no quadratic table has to be
-    materialized; JSON-loaded and linking groupoids keep an explicit table.
-    Inconsistent tables raise ValueError naming the first bad entry; the
-    tables never change, so :meth:`pair_counts` and its derivatives are memoized.
+    ``compose`` may be a dict of exactly the composable pairs or a product
+    rule ``(g, h) -> gh``.  :meth:`compose` alone decides composability: for
+    a product rule it raises :class:`UndefinedComposition` unless g and h
+    are arrows with r(g) == l(h), so the rule is only ever called on
+    composable pairs; it may still raise :class:`UndefinedComposition` to
+    refuse one, which :func:`validate` reports as a missing composition.
+    Large generated families use product rules so that no quadratic table
+    has to be materialized; JSON-loaded and linking groupoids keep an
+    explicit table.  Inconsistent tables raise ValueError naming the first
+    bad entry; the tables never change, so :meth:`pair_counts` and its
+    derivatives are memoized.
     """
 
     def __init__(self, objects, arrows, identity, inverse, compose):
@@ -77,10 +82,10 @@ class FiniteGroupoid:
         self._inverse = dict(inverse)
         if isinstance(compose, dict):
             self._compose_table = dict(compose)
-            self._compose_fn = self._compose_from_table
+            self._product = self._table_rule(self._compose_table)
         else:
             self._compose_table = None
-            self._compose_fn = compose
+            self._product = compose
         self._by_l = None
         self._by_r = None
         self._pair_counts = None
@@ -112,11 +117,16 @@ class FiniteGroupoid:
             if bid not in self._arrows:
                 raise ValueError(f"inverse of {aid!r} is not an arrow")
 
-    def _compose_from_table(self, g, h):
-        try:
-            return self._compose_table[(g, h)]
-        except KeyError:
-            raise UndefinedComposition((g, h)) from None
+    @staticmethod
+    def _table_rule(table):
+        """A product rule that holds only ``table``; a miss is an undefined pair."""
+        def product(g, h):
+            try:
+                return table[(g, h)]
+            except KeyError:
+                raise UndefinedComposition((g, h)) from None
+
+        return product
 
     # -- basic queries ------------------------------------------------
 
@@ -153,7 +163,12 @@ class FiniteGroupoid:
         return self._inverse[g]
 
     def compose(self, g, h):
-        return self._compose_fn(g, h)
+        """The composite gh; :class:`UndefinedComposition` unless r(g) == l(h) for arrows g, h."""
+        if self._compose_table is None:
+            ends = self._arrows
+            if g not in ends or h not in ends or ends[g][1] != ends[h][0]:
+                raise UndefinedComposition((g, h))
+        return self._product(g, h)
 
     def _build_indexes(self):
         by_l = {x: [] for x in self._objects}
@@ -205,10 +220,7 @@ class FiniteGroupoid:
 
 
 def empty_groupoid() -> FiniteGroupoid:
-    def no_compose(g, h):
-        raise UndefinedComposition((g, h))
-
-    return FiniteGroupoid((), {}, {}, {}, no_compose)
+    return FiniteGroupoid((), {}, {}, {}, {})
 
 
 def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
@@ -230,15 +242,9 @@ def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
     identity = {x: keys[(i * n + i) * k + els.index(group.identity)] for i, x in enumerate(pts)}
     inverse = dict(zip(keys, [keys[(j * n + i) * k + f]
                               for i in range(n) for j in range(n) for f in inv_at]))
-
-    def compose(g, h):
-        x, y, gam = g
-        y2, z, delta = h
-        if y != y2 or g not in arrows or h not in arrows:
-            raise UndefinedComposition((g, h))
-        return (x, z, group.mult(gam, delta))
-
-    return FiniteGroupoid(pts, arrows, identity, inverse, compose)
+    mult = group.mult
+    return FiniteGroupoid(pts, arrows, identity, inverse,
+                          lambda g, h: (g[0], h[1], mult(g[2], h[2])))
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
@@ -278,15 +284,9 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
     arrows = {(h, x): (act(h, x), x) for h in group.elements for x in pts}
     identity = {x: (group.identity, x) for x in pts}
     inverse = {(h, x): (group.inv(h), act(h, x)) for (h, x) in arrows}
-
-    def compose(g, hh):
-        h1, x1 = g
-        h2, x2 = hh
-        if g not in arrows or hh not in arrows or x1 != act(h2, x2):
-            raise UndefinedComposition((g, hh))
-        return (group.mult(h1, h2), x2)
-
-    return FiniteGroupoid(pts, arrows, identity, inverse, compose)
+    mult = group.mult
+    return FiniteGroupoid(pts, arrows, identity, inverse,
+                          lambda g, h: (mult(g[0], h[0]), h[1]))
 
 
 def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
@@ -301,14 +301,9 @@ def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
         identity.update(zip(tag.values(), map(key.__getitem__, map(g._identity.__getitem__, tag))))
         arrows.update(zip(key.values(), map(pair.__getitem__, g._arrows.values())))
         inverse.update(zip(key.values(), map(key.__getitem__, map(g._inverse.__getitem__, key))))
-
-    def compose(a, b):
-        if a not in arrows or b not in arrows or a[0] != b[0]:
-            raise UndefinedComposition((a, b))
-        i = a[0]
-        return (i, parts[i].compose(a[1], b[1]))
-
-    return FiniteGroupoid(identity, arrows, identity, inverse, compose)
+    rules = tuple(g._product for g in parts)  # the parts themselves are not kept
+    return FiniteGroupoid(identity, arrows, identity, inverse,
+                          lambda a, b: (a[0], rules[a[0]](a[1], b[1])))
 
 
 def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
@@ -320,20 +315,12 @@ def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
     arrows = {aid: ends for aid, ends in g._arrows.items() if keep_set.issuperset(ends)}
     identity = {x: g.identity(x) for x in keep_set}
     inverse = {aid: g.inverse(aid) for aid in arrows}
-
-    def compose(a, b):
-        if a not in arrows or b not in arrows:
-            raise UndefinedComposition((a, b))
-        return g.compose(a, b)
-
     ordered = tuple(x for x in g.objects if x in keep_set)
-    return FiniteGroupoid(ordered, arrows, identity, inverse, compose)
+    return FiniteGroupoid(ordered, arrows, identity, inverse, g._product)
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-_FULL_PAIR_SCAN_CAP = 400_000
 
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
@@ -346,11 +333,9 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     for every a and c are closed under composition, so the test is as
     strong as a scan of all composable triples.  It costs one lookup pair
     per generator s, arrow a into l(s) and arrow c out of r(s); at worst,
-    when every arrow is a generator, that is the full scan.  The scan for
-    spuriously composable pairs walks the table keys of a table-backed
-    groupoid; for a closure-backed one it probes every non-composable
-    pair and is skipped above a size cap, since closures cannot store
-    stray entries anyway.
+    when every arrow is a generator, that is the full scan.  The table
+    keys of a table-backed groupoid are scanned for spuriously composable
+    pairs.
 
     The report is memoized on the groupoid, whose tables never change
     after construction; each call returns a fresh copy of it.
@@ -391,13 +376,12 @@ def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
         except UndefinedComposition:
             report.add("identity unit", (a,), "unit composite undefined")
 
-    table = g.compose_table
     composite = {}
     for a in g.arrow_ids:
         for b in g.arrows_from(g.r(a)):
             try:
-                c = table[(a, b)] if table is not None else g.compose(a, b)
-            except KeyError:  # a table miss or UndefinedComposition
+                c = g._product(a, b)  # (a, b) is composable, so no endpoint check
+            except KeyError:  # a table miss or a refused pair
                 report.add("missing composition", (a, b))
                 continue
             if c not in g._arrows:
@@ -407,19 +391,9 @@ def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
                 report.add("composition endpoints", (a, b, c))
             composite[(a, b)] = c
 
-    if table is not None:
-        for (a, b) in table:
+    if g.compose_table is not None:
+        for (a, b) in g.compose_table:
             if a not in g._arrows or b not in g._arrows or g.r(a) != g.l(b):
-                report.add("spurious composition", (a, b))
-    elif g.arrow_count ** 2 <= _FULL_PAIR_SCAN_CAP:
-        for a in g.arrow_ids:
-            for b in g.arrow_ids:
-                if g.r(a) == g.l(b):
-                    continue
-                try:
-                    g.compose(a, b)
-                except UndefinedComposition:
-                    continue
                 report.add("spurious composition", (a, b))
 
     for s in _generators(g, composite):

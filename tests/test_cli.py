@@ -1,12 +1,17 @@
 """Command-line behavior: outputs, exit codes, parameter echoes."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stackvol import cli, jsonio
 from stackvol.finite import (
@@ -15,6 +20,7 @@ from stackvol.finite import (
     block_groupoid,
     pair_groupoid,
     random_groupoid,
+    random_invariant_weights,
     unit_weights,
     validate,
 )
@@ -426,6 +432,14 @@ class TestErrorPaths:
         ["smooth", "example", "plane-so2", "--tol", "nan"],
         ["smooth", "example", "plane-so2", "--tol", "inf"],
         ["smooth", "weyl-check", "--width", "nan", "--samples", "1000"],
+        ["smooth", "example", "plane-so2", "measure=natural"],
+        ["smooth", "example", "adjoint-su2", "measure=stack"],
+        ["smooth", "example", "symplectic-bk", "ts=1"],
+        ["smooth", "example", "plane-so2", "ts="],
+        ["smooth", "example", "su2-dual", "ts=,"],
+        ["smooth", "example", "symplectic-bk", "--tol", "-1"],
+        ["smooth", "example", "plane-so2", "ts=1", "--tol", "-1"],
+        ["smooth", "example", "poisson-sphere-bundle", "--tol", "inf"],
     ])
     def test_parameter_out_of_range_exits_one(self, capsys, argv):
         code, _, err = run(capsys, argv)
@@ -578,3 +592,90 @@ def test_reproducible_generate_matches_library(tmp_path, capsys):
     from_cli = json.loads(out)
     g = random_groupoid(21, max_objects=5, max_group_order=3)
     assert from_cli == jsonio.groupoid_to_dict(g)
+
+
+_WRONG_TYPES = (1, 2.5, None, True, [], {}, "x", ["o0"], {"o0": "1"})
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A generated groupoid and matching weights, with 1 to 3 mutations."""
+    g = random_groupoid(draw(st.integers(0, 10_000)), max_objects=3, max_group_order=3,
+                        max_blocks=2)
+    docs = {"groupoid": jsonio.groupoid_to_dict(g),
+            "weights": jsonio.weights_to_dict(random_invariant_weights(g, 1),
+                                              jsonio._renaming(g)[0])}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["retype", "delete", "unknown id", "duplicate", "weight"]))
+        name = draw(st.sampled_from(sorted(docs)))
+        nodes = list(_nodes(docs[name]))
+        if kind == "retype":
+            path = draw(st.sampled_from([p for p, _ in nodes]))
+            if path:
+                _at(docs[name], path[:-1])[path[-1]] = draw(st.sampled_from(_WRONG_TYPES))
+            else:
+                docs[name] = draw(st.sampled_from(_WRONG_TYPES))
+            continue
+        if kind == "delete":
+            paths = [p for p, _ in nodes if p]
+        elif kind == "unknown id":
+            paths = [p for p, _ in _nodes(docs["groupoid"])
+                     if p[:1] == ("compose",) and len(p) == 3]
+        elif kind == "duplicate":
+            paths = [p for p, v in nodes if isinstance(v, list) and v]
+        else:
+            paths = [p for p, _ in _nodes(docs["weights"])
+                     if p[:1] in (("a",), ("b",)) and len(p) == 2]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        if kind == "delete":
+            del _at(docs[name], path[:-1])[path[-1]]
+        elif kind == "unknown id":
+            _at(docs["groupoid"], path[:-1])[path[-1]] = "unknown"
+        elif kind == "duplicate":
+            entries = _at(docs[name], path)
+            entries.append(draw(st.sampled_from(entries)))
+        else:
+            _at(docs["weights"], path[:-1])[path[-1]] = draw(st.sampled_from(["1/0", "0"]))
+    return docs
+
+
+@settings(max_examples=40, deadline=5000)
+@given(_mutated_documents())
+def test_mutated_finite_inputs_exit_cleanly(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, doc in docs.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(doc))
+        for argv in (["finite", "cardinality", "--groupoid", files["groupoid"]],
+                     ["finite", "volume", "--groupoid", files["groupoid"],
+                      "--weights", files["weights"]],
+                     ["finite", "measure", "--groupoid", files["groupoid"],
+                      "--weights", files["weights"], "--orbits", "o0"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1

@@ -1,6 +1,8 @@
 """Exact finite-groupoid computations against hand-derived oracles."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -831,3 +833,80 @@ def test_group_zoo_returns_a_fresh_list(max_order):
     assert all(a is b for a, b in zip(first, second)) and len(first) == len(second)
     first.clear()
     assert group_zoo(max_order) == second
+
+
+# ids that name no arrow of any constructor below; a hit is decided by the reference anyway
+_NOT_ARROWS = ("nope", None, -1, ("p0",), ("p0", "p0"), (0, "pt", 0), (7, "nope"))
+
+
+@st.composite
+def _constructed_with_reference(draw, depth=0):
+    """A constructor's groupoid, with its arrows' endpoints and products written
+    out independently, and the ids that are not its arrows but are near misses:
+    the untagged arrows of a union's parts and the arrows a restriction removed."""
+    kinds = ["block", "action", "empty"] + (["union", "restrict"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return empty_groupoid(), {}, None, []
+    grp = draw(st.sampled_from(group_zoo(4)))
+    if kind == "block":
+        pts = [f"p{j}" for j in range(draw(st.integers(1, 3)))]
+        ends = {(x, y, gam): (x, y) for x in pts for y in pts for gam in grp.elements}
+        return (block_groupoid(pts, grp), ends,
+                lambda p, q: (p[0], q[1], grp.mult(p[2], q[2])), [])
+    if kind == "action":
+        pts, act = draw(st.sampled_from([
+            (["u", "v"], lambda h, x: x),
+            (grp.elements, grp.mult),
+            (grp.elements, lambda h, x: grp.mult(grp.mult(h, x), grp.inv(h))),
+        ]))
+        ends = {(h, x): (act(h, x), x) for h in grp.elements for x in pts}
+        return (action_groupoid(grp, pts, act), ends,
+                lambda p, q: (grp.mult(p[0], q[0]), q[1]), [])
+    if kind == "union":
+        parts = draw(st.lists(_constructed_with_reference(depth + 1), min_size=1, max_size=3))
+        ends = {(i, a): ((i, lo), (i, ro)) for i, (_, part_ends, _, _) in enumerate(parts)
+                for a, (lo, ro) in part_ends.items()}
+        products = [product for _, _, product, _ in parts]
+        near = [a for _, part_ends, _, part_near in parts for a in (*part_ends, *part_near)]
+        return (disjoint_union(*(g for g, _, _, _ in parts)), ends,
+                lambda p, q: (p[0], products[p[0]](p[1], q[1])), near)
+    g, g_ends, product, near = draw(_constructed_with_reference(depth + 1))
+    keep = set(draw(st.lists(st.sampled_from(g.objects), unique=True))) if g.objects else set()
+    ends = {a: lr for a, lr in g_ends.items() if keep.issuperset(lr)}
+    return (restrict_to_objects(g, keep), ends, product,
+            near + [a for a in g_ends if a not in ends])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constructed_with_reference(), st.data())
+def test_compose_raises_exactly_off_the_fibered_product(built, data):
+    g, ends, product, near = built
+    composable = {(p, q) for p in ends for q in ends if ends[p][1] == ends[q][0]}
+    arrows, _, _, table = TestValidate._materialize(g)
+    assert arrows == ends
+    assert table == {(p, q): product(p, q) for p, q in composable}
+    pool = sorted({*ends, *near, *_NOT_ARROWS}, key=repr)
+    for p, q in data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                                   max_size=40)):
+        if (p, q) in composable:
+            assert g.compose(p, q) == product(p, q)
+        else:
+            with pytest.raises(UndefinedComposition):
+                g.compose(p, q)
+
+
+def test_union_and_restriction_keep_no_part_alive():
+    parts = [block_groupoid([0, 1], FiniteGroup.cyclic(3)),
+             _action(FiniteGroup.symmetric(3), "conjugation"),
+             groupoid_from_dict(groupoid_to_dict(_small_groupoid(3))),
+             empty_groupoid()]
+    parts.append(restrict_to_objects(parts[0], [1]))
+    refs = [weakref.ref(g) for g in parts]
+    union = disjoint_union(*parts)
+    expected = _composites(union)
+    del parts
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert _composites(union) == expected
+    assert validate(union).ok
