@@ -21,12 +21,12 @@ _EXPORTS = {
     "families": ("CriticalPointError", "PoissonFamilyModel", "SymplecticModel",
                  "leaf_measure_product", "natural_leaf_measure", "poisson_stack_density",
                  "symplectic_bk_volume"),
-    "finite": ("FiniteGroupoid", "Orbit", "OrbitDecomposition", "WeightData",
-               "action_groupoid", "block_groupoid", "cardinality", "classifying_groupoid",
+    "finite": ("FiniteGroupoid", "Orbit", "OrbitDecomposition", "WeightData", "action_groupoid",
+               "block_groupoid", "block_union", "cardinality", "classifying_groupoid",
                "disjoint_union", "empty_groupoid", "fiber_volume", "finite_sets_cardinality",
-               "invariant_section", "orbit_set_measure", "orbit_volume", "orbits",
-               "pair_groupoid", "random_groupoid", "random_invariant_weights",
-               "random_positive_rescaling", "restrict_to_objects", "validate"),
+               "invariant_section", "orbit_set_measure", "orbit_volume", "orbits", "pair_groupoid",
+               "random_groupoid", "random_invariant_weights", "random_positive_rescaling",
+               "restrict_to_objects", "validate"),
     "groups": ("FiniteGroup", "group_zoo"),
     "morita": ("Bibundle", "MoritaVolumeReport", "block_bibundle", "compose_bibundles",
                "extend_invariant_section", "identity_bibundle", "linking_groupoid",

@@ -16,13 +16,6 @@ import math
 import sys
 
 from .errors import NumericalFailure, SchemaError, ValidationFailure
-from .families import (
-    PoissonFamilyModel,
-    SymplecticModel,
-    natural_leaf_measure,
-    poisson_stack_density,
-    symplectic_bk_volume,
-)
 from .finite import (
     InvalidGroupoidError,
     cardinality,
@@ -43,7 +36,6 @@ from .jsonio import (
     load_groupoid,
     load_weights,
 )
-from .morita import linking_groupoid, morita_volume_check
 
 DEFAULT_SEED = 94720
 DEFAULT_TOL = 1e-6
@@ -132,19 +124,17 @@ def _cmd_finite_generate(args) -> int:
                         max_group_order=args.max_group_order)
     params = {"seed": args.seed, "max-objects": args.max_objects,
               "max-group-order": args.max_group_order}
+    payload = {"objects": len(g.objects), "arrows": g.arrow_count}
     if args.output:
         dump_groupoid(g, args.output)
         lines = [f"wrote {args.output}"]
+        payload["output"] = args.output
     else:
         lines = [json.dumps(groupoid_to_dict(g), sort_keys=True)]
     if args.weights_out:
         w = random_invariant_weights(g, args.seed + 1)
         dump_weights(w, args.weights_out, rename=_renaming(g)[0])
         lines.append(f"wrote {args.weights_out}")
-    payload = {"objects": len(g.objects), "arrows": g.arrow_count}
-    if args.output:
-        payload["output"] = args.output
-    if args.weights_out:
         payload["weightsOutput"] = args.weights_out
     return _emit(args, lines, payload, params)
 
@@ -154,6 +144,8 @@ def _cmd_finite_generate(args) -> int:
 
 
 def _cmd_morita_link(args) -> int:
+    from .morita import linking_groupoid
+
     g1 = _load_valid_groupoid(args.left)
     g2 = _load_valid_groupoid(args.right)
     bib = load_bibundle(args.bibundle)
@@ -179,6 +171,8 @@ def _cmd_morita_link(args) -> int:
 
 
 def _cmd_morita_check(args) -> int:
+    from .morita import morita_volume_check
+
     g1 = _load_valid_groupoid(args.left)
     g2 = _load_valid_groupoid(args.right)
     bib = load_bibundle(args.bibundle)
@@ -237,6 +231,8 @@ def _cmd_smooth_example(args) -> int:
 
     # the engines load here, so the finite, morita and series commands skip them
     from .catalog import build_model
+    from .families import (PoissonFamilyModel, SymplecticModel, natural_leaf_measure,
+                           poisson_stack_density, symplectic_bk_volume)
     from .smooth import ActionModel, pushforward_density, stack_volume
 
     measure = kv.pop("measure", "stack")

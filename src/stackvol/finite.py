@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import lcm
 from types import MappingProxyType
 
@@ -223,28 +223,58 @@ def empty_groupoid() -> FiniteGroupoid:
     return FiniteGroupoid((), {}, {}, {}, {})
 
 
-def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
-    """Pair groupoid on ``points`` crossed with ``group``.
+def _block_tables(pts, objs, group: FiniteGroup):
+    """Keys, endpoints, identity and inverse positions of the block pts x pts x group.
 
-    Arrows are triples (x, y, gamma) with l = x and r = y.  Every finite
-    groupoid is a disjoint union of such blocks up to isomorphism, which
-    is what makes this the natural random generator building block.
+    ``keys[(i*n + j)*k + e]`` is ``(pts[i], pts[j], els[e])`` from ``objs[i]`` to
+    ``objs[j]``; its inverse is at ``(j*n + i)*k + inv_at[e]``.
     """
-    pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
     els = group.elements
     n, k = len(pts), len(els)
-    # keys[(i*n + j)*k + e] is (pts[i], pts[j], els[e]); the k arrows over (x, y) share one pair
-    keys = [(x, y, gam) for x in pts for y in pts for gam in els]
-    arrows = dict(zip(keys, [xy for xy in product(pts, pts) for _ in els]))
-    inv_at = [els.index(group.inv(gam)) for gam in els]
-    identity = {x: keys[(i * n + i) * k + els.index(group.identity)] for i, x in enumerate(pts)}
-    inverse = dict(zip(keys, [keys[(j * n + i) * k + f]
-                              for i in range(n) for j in range(n) for f in inv_at]))
+    e, inv_at = els.index(group.identity), [els.index(group.inv(gam)) for gam in els]
+    step = n * k  # from the pair (i, j) to (i, j + 1) is k keys, to (i + 1, j) is n*k
+    return ([(x, y, gam) for x in pts for y in pts for gam in els],
+            [xy for xy in product(objs, objs) for _ in els],  # one endpoint tuple per pair
+            [(i * n + i) * k + e for i in range(n)],
+            [b + f for ik in range(0, step, k) for b in range(ik, n * step, step) for f in inv_at])
+
+
+def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
+    """Pair groupoid on ``points`` crossed with ``group``.
+
+    Arrows are triples (x, y, gamma) with l = x and r = y, and
+    (x, y, g)(y, z, h) = (x, z, gh).  Every finite groupoid is a disjoint
+    union of such blocks up to isomorphism; :func:`block_union` builds one.
+    """
+    pts = tuple(points)
+    keys, ends, ident, inv = _block_tables(pts, pts, group)
     mult = group.mult
-    return FiniteGroupoid(pts, arrows, identity, inverse,
+    return FiniteGroupoid(pts, dict(zip(keys, ends)), dict(zip(pts, map(keys.__getitem__, ident))),
+                          dict(zip(keys, map(keys.__getitem__, inv))),
                           lambda g, h: (g[0], h[1], mult(g[2], h[2])))
+
+
+def block_union(specs) -> FiniteGroupoid:
+    """``disjoint_union(*(block_groupoid(p, g) for p, g in specs))``, built in one pass.
+
+    Objects (i, x) and arrows (i, (x, y, gamma)) of block i come in the same
+    order and tables, but no block groupoid is built or checked on its own.
+    """
+    objects, arrows, identity, inverse, mults = [], {}, {}, {}, []
+    for i, (points, group) in enumerate(specs):
+        pts = tuple(points)
+        objs = [(i, x) for x in pts]
+        keys, ends, ident, inv = _block_tables(pts, objs, group)
+        keys = list(zip(repeat(i), keys))
+        objects += objs
+        arrows.update(zip(keys, ends))
+        identity.update(zip(objs, map(keys.__getitem__, ident)))
+        inverse.update(zip(keys, map(keys.__getitem__, inv)))
+        mults.append(group.mult)
+    return FiniteGroupoid(objects, arrows, identity, inverse,
+                          lambda a, b: (a[0], (a[1][0], b[1][1], mults[a[0]](a[1][2], b[1][2]))))
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
@@ -645,7 +675,7 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
 
 def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6,
                     max_blocks: int = 4) -> FiniteGroupoid:
-    """Seed-deterministic disjoint union of pair-times-group blocks.
+    """Seed-deterministic :func:`block_union` of blocks ``(range(n), group)``.
 
     Every isomorphism class of finite groupoid arises this way, and the
     output always satisfies the axioms by construction.
@@ -656,11 +686,8 @@ def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6,
     zoo = group_zoo(max_group_order)
     n_blocks = rng.randint(1, max(1, min(max_blocks, max_objects)))
     per_block = max(1, max_objects // n_blocks)
-    blocks = []
-    for _ in range(n_blocks):
-        n = rng.randint(1, per_block)
-        blocks.append(block_groupoid(range(n), rng.choice(zoo)))
-    return disjoint_union(*blocks)
+    return block_union([(range(rng.randint(1, per_block)), rng.choice(zoo))
+                        for _ in range(n_blocks)])
 
 
 def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:

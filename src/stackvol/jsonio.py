@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .finite import FiniteGroupoid, WeightData
-from .morita import Bibundle
 
 _COMPOSE_DUMP_CAP = 2_000_000
 
@@ -30,6 +29,25 @@ def _require(cond: bool, where: str, message: str):
 def _as_str_id(value, where: str) -> str:
     _require(isinstance(value, str), where, f"expected a string id, got {value!r}")
     return value
+
+
+def _str_map(raw, where: str) -> dict:
+    _require(isinstance(raw, dict), where, "must be an object")
+    return {_as_str_id(k, where): _as_str_id(v, f"{where}[{k!r}]") for k, v in raw.items()}
+
+
+def _pair_table(raw, where: str, shape: str, pair: str) -> dict:
+    """A list of [u, v, result] triples as {(u, v): result}; a pair may occur once."""
+    _require(isinstance(raw, list), where, "must be a list")
+    table = {}
+    for i, triple in enumerate(raw):
+        at = f"{where}[{i}]"
+        _require(isinstance(triple, list) and len(triple) == 3, at, f"must be a {shape} triple")
+        u, v, res = (_as_str_id(t, at) for t in triple)
+        if (u, v) in table:  # not a _require: the message is built only on failure
+            raise SchemaError(f"{at}: duplicate {pair} ({u!r}, {v!r})")
+        table[(u, v)] = res
+    return table
 
 
 def _write_json(path, obj):
@@ -77,31 +95,9 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             _as_str_id(entry["r"], where + ".r"),
         )
 
-    identity = data["identity"]
-    _require(isinstance(identity, dict), "groupoid.identity", "must be an object")
-    identity = {
-        _as_str_id(k, "groupoid.identity"): _as_str_id(v, f"groupoid.identity[{k!r}]")
-        for k, v in identity.items()
-    }
-
-    inverse = data["inverse"]
-    _require(isinstance(inverse, dict), "groupoid.inverse", "must be an object")
-    inverse = {
-        _as_str_id(k, "groupoid.inverse"): _as_str_id(v, f"groupoid.inverse[{k!r}]")
-        for k, v in inverse.items()
-    }
-
-    compose = data["compose"]
-    _require(isinstance(compose, list), "groupoid.compose", "must be a list")
-    table = {}
-    for i, triple in enumerate(compose):
-        where = f"groupoid.compose[{i}]"
-        _require(isinstance(triple, list) and len(triple) == 3, where,
-                 "must be a [g, h, gh] triple")
-        g, h, gh = (_as_str_id(v, where) for v in triple)
-        _require((g, h) not in table, where, f"duplicate pair ({g!r}, {h!r})")
-        table[(g, h)] = gh
-
+    identity = _str_map(data["identity"], "groupoid.identity")
+    inverse = _str_map(data["inverse"], "groupoid.inverse")
+    table = _pair_table(data["compose"], "groupoid.compose", "[g, h, gh]", "pair")
     try:
         return FiniteGroupoid(objects, arrow_table, identity, inverse, table)
     except ValueError as exc:
@@ -215,6 +211,8 @@ def dump_weights(w: WeightData, path, rename=None):
 
 
 def bibundle_from_dict(data: dict) -> Bibundle:
+    from .morita import Bibundle  # only bibundle files need the Morita module
+
     _require(isinstance(data, dict), "bibundle", "top level must be an object")
     for key in ("elements", "leftAnchor", "rightAnchor", "leftAction", "rightAction"):
         _require(key in data, "bibundle", f"missing field {key!r}")
@@ -222,32 +220,13 @@ def bibundle_from_dict(data: dict) -> Bibundle:
     _require(isinstance(elements, list), "bibundle.elements", "must be a list")
     elements = [_as_str_id(e, "bibundle.elements") for e in elements]
 
-    anchors = []
-    for key in ("leftAnchor", "rightAnchor"):
-        raw = data[key]
-        _require(isinstance(raw, dict), f"bibundle.{key}", "must be an object")
-        anchors.append({
-            _as_str_id(k, f"bibundle.{key}"): _as_str_id(v, f"bibundle.{key}[{k!r}]")
-            for k, v in raw.items()
-        })
-    left_anchor, right_anchor = anchors
-
-    def parse_action(key):
-        raw = data[key]
-        _require(isinstance(raw, list), f"bibundle.{key}", "must be a list")
-        table = {}
-        for i, triple in enumerate(raw):
-            where = f"bibundle.{key}[{i}]"
-            _require(isinstance(triple, list) and len(triple) == 3, where,
-                     "must be a [first, second, result] triple")
-            u, v, res = (_as_str_id(t, where) for t in triple)
-            _require((u, v) not in table, where, "duplicate action pair")
-            table[(u, v)] = res
-        return table
-
+    left_anchor, right_anchor = (_str_map(data[key], f"bibundle.{key}")
+                                 for key in ("leftAnchor", "rightAnchor"))
+    left_action, right_action = (
+        _pair_table(data[key], f"bibundle.{key}", "[first, second, result]", "action pair")
+        for key in ("leftAction", "rightAction"))
     try:
-        return Bibundle(elements, left_anchor, right_anchor,
-                        parse_action("leftAction"), parse_action("rightAction"))
+        return Bibundle(elements, left_anchor, right_anchor, left_action, right_action)
     except ValueError as exc:
         raise SchemaError(f"bibundle: inconsistent tables: {exc}") from None
 

@@ -38,8 +38,7 @@ from .errors import ValidationFailure, ValidationReport
 from .finite import (
     FiniteGroupoid,
     WeightData,
-    block_groupoid,
-    disjoint_union,
+    block_union,
     fiber_volume,
     invariant_section,
     orbits,
@@ -359,9 +358,9 @@ def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
     correspond under the bibundle transfer; otherwise
     :class:`SectionMismatchError` is raised.
     """
-    section1 = {x: w1.ratio(x) for x in g1.objects}
-    invariant_section(g1, w1)
+    invariant_section(g1, w1)  # checks that both weights cover every object
     invariant_section(g2, w2)
+    section1 = {x: w1.ratio(x) for x in g1.objects}
     transferred = transfer_section(g1, g2, bib, section1)
     for y in g2.objects:
         if w2.ratio(y) != transferred[y]:
@@ -424,7 +423,7 @@ def block_bibundle(points1, points2, group) -> Bibundle:
 
 
 def _tagged_union_bibundle(parts):
-    """Disjoint union of bibundles, tags matching disjoint_union of groupoids."""
+    """Disjoint union of bibundles, tags matching :func:`finite.block_union`."""
     elements = []
     left_anchor = {}
     right_anchor = {}
@@ -453,22 +452,21 @@ def random_morita_triple(seed, max_blocks: int = 2, max_points: int = 3,
                          max_group_order: int = 4):
     """A seed-deterministic Morita-equivalent pair with its bibundle.
 
-    Both groupoids are unions of blocks over the same groups but with
-    independently chosen point counts, joined by the canonical block
-    bibundles.  Returns (g1, g2, bibundle).
+    Both groupoids are :func:`finite.block_union` of blocks over the same
+    groups but with independently chosen point counts, joined by the
+    canonical block bibundles.  Returns (g1, g2, bibundle).
     """
     rng = random.Random(seed)
     zoo = group_zoo(max_group_order)
-    n_blocks = rng.randint(1, max_blocks)
-    blocks1, blocks2, bibs = [], [], []
-    for _ in range(n_blocks):
+    specs1, specs2, bibs = [], [], []
+    for _ in range(rng.randint(1, max_blocks)):
         group = rng.choice(zoo)
         n = rng.randint(1, max_points)
         m = rng.randint(1, max_points)
-        blocks1.append(block_groupoid(range(n), group))
-        blocks2.append(block_groupoid(range(m), group))
+        specs1.append((range(n), group))
+        specs2.append((range(m), group))
         bibs.append(block_bibundle(range(n), range(m), group))
-    return disjoint_union(*blocks1), disjoint_union(*blocks2), _tagged_union_bibundle(bibs)
+    return block_union(specs1), block_union(specs2), _tagged_union_bibundle(bibs)
 
 
 def random_morita_weights(g1, g2, bib, seed):

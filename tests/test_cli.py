@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, parameter echoes."""
 
+import hashlib
 import io
 import json
 import math
@@ -572,6 +573,62 @@ def test_only_su2_commands_load_numpy(tmp_path, argv, loads_numpy):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite", "volume", "--groupoid", "{left}", "--weights", "{w1}"],
+    ["series", "finite-sets"],
+])
+def test_finite_commands_load_no_morita_or_families(tmp_path, argv):
+    paths = {key: str(path) for key, path in morita_fixture(tmp_path).items()}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
+         "print(sorted(m for m in ('stackvol.morita', 'stackvol.families') if m in sys.modules)); "
+         "sys.exit(code)",
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_morita_check_names_an_object_missing_from_the_left_weights(tmp_path):
+    paths = morita_fixture(tmp_path)
+    weights = json.loads(paths["w1"].read_text())
+    del weights["a"]["o1"]
+    paths["w1"].write_text(json.dumps(weights))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stackvol.cli", "morita", "check",
+         "--left", str(paths["left"]), "--right", str(paths["right"]),
+         "--bibundle", str(paths["bib"]),
+         "--left-weights", str(paths["w1"]), "--right-weights", str(paths["w2"])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "'o1'" in errors[0], proc.stderr
+
+
+# sha256 of the stdout of ``stackvol finite generate --seed s``, recorded when
+# random groupoids were still built as a disjoint_union of block groupoids
+GENERATE_DIGESTS = {
+    1: "285a1fe63b47b60f7e7b0dade3762a0097d2d5912f612dbbe25f0ae99a38dede",
+    2: "26e4eafa8db8e533dc15d430c267e082e0249d534236af180c79247561042039",
+    3: "57a5221298baebbc5a7fc52d8319c6f82b16b19192d12b7fe98f1bf0a7b5c298",
+    4: "abe7300274f532bdccdba8f62d47821d213f8691ba26e09bd7de8949a029021a",
+    5: "087ab16989fe46a902dec2755d1fd07ca87a78e6851e9cfd69f3438bf935a47c",
+    11: "245d6d11d45a7787edc3e8b1188862b51aacea5775291cde2f2477c9a4bce757",
+    42: "07d4bfa006987e7be383edd097d60430dfc28bea0da4d5d0452a1d66c539fb8b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATE_DIGESTS))
+def test_generate_output_is_pinned(capsys, seed):
+    code, out, _ = run(capsys, ["finite", "generate", "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_DIGESTS[seed]
 
 
 def test_console_script_entry_point():

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from stackvol.finite import (
     WeightData,
     action_groupoid,
     block_groupoid,
+    block_union,
     cardinality,
     check_strict_isomorphism,
     classifying_groupoid,
@@ -910,3 +912,67 @@ def test_union_and_restriction_keep_no_part_alive():
     assert [ref() for ref in refs] == [None] * len(refs)
     assert _composites(union) == expected
     assert validate(union).ok
+
+
+def _ordered_tables(g):
+    """Every table of g in iteration order, and every composite."""
+    return (g.objects, [(a, g.l(a), g.r(a)) for a in g.arrow_ids],
+            [(x, g.identity(x)) for x in g.objects], [(a, g.inverse(a)) for a in g.arrow_ids],
+            [(a, b, g.compose(a, b)) for a in g.arrow_ids for b in g.arrows_from(g.r(a))])
+
+
+def _block_specs():
+    return st.lists(st.tuples(st.sampled_from([range(1), range(3), ["p", "q"], ("pt",), ()]),
+                              st.sampled_from(group_zoo(8))), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_specs(), st.data())
+def test_block_union_matches_union_of_blocks(specs, data):
+    g = block_union(specs)
+    ref = disjoint_union(*(block_groupoid(pts, grp) for pts, grp in specs))
+    assert _ordered_tables(g) == _ordered_tables(ref)
+    assert list(g.pair_counts().items()) == list(ref.pair_counts().items())
+    assert g.fiber_index() == ref.fiber_index()
+    assert ([(o.representative, o.objects, o.isotropy_order) for o in orbits(g)]
+            == [(o.representative, o.objects, o.isotropy_order) for o in orbits(ref)])
+    assert validate(g).ok and validate(ref).ok
+    # near misses: untagged arrows, arrows of a block under another tag, and non-arrows
+    near = [a for _, a in g.arrow_ids] + [(i + 1, a) for i, a in g.arrow_ids] + list(_NOT_ARROWS)
+    pool = sorted({*g.arrow_ids, *near}, key=repr)
+    ends = {a: (ref.l(a), ref.r(a)) for a in ref.arrow_ids}
+    for p, q in data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                                   max_size=60)):
+        if p in ends and q in ends and ends[p][1] == ends[q][0]:
+            assert g.compose(p, q) == ref.compose(p, q)
+        else:
+            with pytest.raises(UndefinedComposition):
+                g.compose(p, q)
+
+
+def test_block_union_refuses_duplicate_points():
+    with pytest.raises(ValueError, match="duplicate points"):
+        block_union([(range(2), FiniteGroup.cyclic(2)), ([0, 0], FiniteGroup.cyclic(2))])
+
+
+def _union_of_blocks_groupoid(seed, max_objects, max_group_order, max_blocks):
+    """random_groupoid as a disjoint_union of separately built blocks, drawing
+    from the generator in the same order."""
+    rng = random.Random(seed)
+    zoo = group_zoo(max_group_order)
+    n_blocks = rng.randint(1, max(1, min(max_blocks, max_objects)))
+    per_block = max(1, max_objects // n_blocks)
+    blocks = []
+    for _ in range(n_blocks):
+        n = rng.randint(1, per_block)
+        blocks.append(block_groupoid(range(n), rng.choice(zoo)))
+    return disjoint_union(*blocks)
+
+
+@pytest.mark.parametrize("bounds", [(8, 6, 4), (12, 8, 5), (3, 3, 2)])
+def test_random_groupoid_is_the_union_of_its_blocks(bounds):
+    for seed in range(50):
+        g = random_groupoid(seed, *bounds)
+        ref = _union_of_blocks_groupoid(seed, *bounds)
+        assert _ordered_tables(g) == _ordered_tables(ref)
+        assert g.fiber_index() == ref.fiber_index()

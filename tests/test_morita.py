@@ -1,5 +1,6 @@
 """Equivalence bibundles, linking groupoids, and volume transfer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -442,3 +443,37 @@ def test_retargeting_one_action_entry_is_refused(group, n, m, data):
     assert all(v.witness for v in report.violations)
     with pytest.raises(InvalidBibundleError):
         linking_groupoid(g1, g2, mutated)
+
+
+def _union_of_blocks_triple(seed, max_blocks=2, max_points=3, max_group_order=4):
+    """random_morita_triple's groupoids as disjoint unions of separately built
+    blocks, drawing from the generator in the same order."""
+    rng = random.Random(seed)
+    zoo = group_zoo(max_group_order)
+    blocks1, blocks2 = [], []
+    for _ in range(rng.randint(1, max_blocks)):
+        group = rng.choice(zoo)
+        n = rng.randint(1, max_points)
+        m = rng.randint(1, max_points)
+        blocks1.append(block_groupoid(range(n), group))
+        blocks2.append(block_groupoid(range(m), group))
+    return disjoint_union(*blocks1), disjoint_union(*blocks2)
+
+
+def _ordered_tables(g):
+    return (g.objects, [(a, g.l(a), g.r(a)) for a in g.arrow_ids],
+            [(x, g.identity(x)) for x in g.objects], [(a, g.inverse(a)) for a in g.arrow_ids],
+            [(a, b, g.compose(a, b)) for a in g.arrow_ids for b in g.arrows_from(g.r(a))])
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, 4), (3, 2, 8)])
+def test_random_triple_sides_are_unions_of_blocks(bounds):
+    for seed in range(50):
+        g1, g2, bib = random_morita_triple(seed, *bounds)
+        ref1, ref2 = _union_of_blocks_triple(seed, *bounds)
+        assert _ordered_tables(g1) == _ordered_tables(ref1)
+        assert _ordered_tables(g2) == _ordered_tables(ref2)
+        # the bibundle's tags name objects of both sides
+        assert set(bib.left_anchor.values()) == set(g1.objects)
+        assert set(bib.right_anchor.values()) == set(g2.objects)
+        assert validate_bibundle(g1, g2, bib).ok
