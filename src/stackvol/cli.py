@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure (axiom violations,
-non-invariant sections, failed checks, parameters out of range),
+non-invariant sections, failed checks, parameters out of range, usage
+errors),
 2 numerical non-convergence, 3 I/O and schema problems.  Human output
 keeps results on stdout and a reproducibility echo of the effective
 parameters on stderr; --json emits a single JSON object including the
@@ -336,11 +337,18 @@ def _cmd_series_finite_sets(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1 with one ``error:`` line, like invalid input."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stackvol",
         description="Volumes of differentiable stacks: exact finite groupoid "
                     "computations and numerical catalog models.",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class StackVolError(Exception):
@@ -31,13 +31,10 @@ class SchemaError(StackVolError):
     """
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "axiom witness detail", defaults=("",))):
     """One broken axiom with a concrete witness."""
 
-    axiom: str
-    witness: tuple
-    detail: str = ""
+    __slots__ = ()
 
     def __str__(self) -> str:
         msg = f"{self.axiom}: witness {self.witness!r}"
@@ -46,7 +43,6 @@ class Violation:
         return msg
 
 
-@dataclass
 class ValidationReport:
     """Violations found by an exhaustive structural check.
 
@@ -54,7 +50,16 @@ class ValidationReport:
     not exceptions, so callers can inspect all of them at once.
     """
 
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.violations == other.violations
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

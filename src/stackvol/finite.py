@@ -16,9 +16,8 @@ b/a is constant on orbits; the test suite leans on that identity heavily.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import lcm
@@ -485,11 +484,7 @@ def _generators(g: FiniteGroupoid, composite: dict) -> list:
 # orbits and volumes
 
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: object
-    objects: frozenset
-    isotropy_order: int
+Orbit = namedtuple("Orbit", "representative objects isotropy_order")
 
 
 class OrbitDecomposition:

@@ -232,7 +232,7 @@ def bibundle_from_dict(data: dict) -> Bibundle:
 
 
 def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> dict:
-    """Serialize, materializing the action tables from the groupoids.
+    """Serialize the bibundle's anchors and action tables, renamed and sorted.
 
     Objects and arrows get the names :func:`groupoid_to_dict` gives them,
     so the dumped triple loads back consistently.  Elements keep their
@@ -244,23 +244,14 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> d
         elem_map = {e: e for e in bib.elements}
     else:
         elem_map = {e: f"b{i}" for i, e in enumerate(sorted(bib.elements, key=repr))}
-
-    left_action = []
-    for b in bib.elements:
-        for g in g1.arrows_into(bib.left_anchor[b]):
-            left_action.append([a1_map[g], elem_map[b], elem_map[bib.left_act(g, b)]])
-    right_action = []
-    for b in bib.elements:
-        for h in g2.arrows_from(bib.right_anchor[b]):
-            right_action.append([elem_map[b], a2_map[h], elem_map[bib.right_act(b, h)]])
-    left_action.sort()
-    right_action.sort()
     return {
         "elements": sorted(elem_map[e] for e in bib.elements),
         "leftAnchor": {elem_map[e]: obj1[bib.left_anchor[e]] for e in sorted(bib.elements, key=repr)},
         "rightAnchor": {elem_map[e]: obj2[bib.right_anchor[e]] for e in sorted(bib.elements, key=repr)},
-        "leftAction": left_action,
-        "rightAction": right_action,
+        "leftAction": sorted([a1_map[g], elem_map[b], elem_map[c]]
+                             for (g, b), c in bib.left_action.items()),
+        "rightAction": sorted([elem_map[b], a2_map[h], elem_map[c]]
+                              for (b, h), c in bib.right_action.items()),
     }
 
 

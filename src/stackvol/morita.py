@@ -1,7 +1,9 @@
 """Bibundles, linking groupoids, and exact volume transfer.
 
 Two finite groupoids are Morita equivalent when an invertible bibundle
-connects them.  A valid bibundle matches the orbits of both sides, so an
+connects them.  A bibundle is finite data: its elements, two anchors and
+two action tables, a pair missing from a table being an undefined
+action.  A valid bibundle matches the orbits of both sides, so an
 invariant section transfers along its anchors: the value at the left
 anchor of each element lands at its right anchor, and the volumes
 computed with corresponding weights then agree exactly.  The linking
@@ -31,7 +33,7 @@ bibundle law each pattern breaks:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ValidationFailure, ValidationReport
@@ -54,10 +56,6 @@ BRIDGE = "B"
 BRIDGE_INV = "Bi"
 
 
-class UndefinedAction(KeyError):
-    """Raised by a bibundle action on a non-composable pair."""
-
-
 class InvalidBibundleError(ValidationFailure):
     """The bibundle data fails an axiom or is not biprincipal."""
 
@@ -75,14 +73,14 @@ class SectionMismatchError(ValidationFailure):
 
 
 class Bibundle:
-    """A two-sided action space between two groupoids.
+    """A two-sided action space between two groupoids, given by two action tables.
 
     ``left_anchor`` lands in the objects of the left groupoid and
-    ``right_anchor`` in those of the right one.  The left action of an
-    arrow g is defined exactly when r(g) equals the left anchor, the
-    right action of an arrow h exactly when the right anchor equals l(h).
-    Actions may be dicts keyed by (arrow, element) resp. (element, arrow)
-    or callables raising :class:`UndefinedAction`.
+    ``right_anchor`` in those of the right one.  ``left_action`` maps
+    (g, b) to g·b and ``right_action`` maps (b, h) to b·h; a pair missing
+    from a table is undefined.  A valid bibundle defines the left action
+    of an arrow g exactly when r(g) equals the left anchor, the right
+    action of an arrow h exactly when the right anchor equals l(h).
     """
 
     def __init__(self, elements, left_anchor, right_anchor, left_action, right_action):
@@ -94,27 +92,9 @@ class Bibundle:
         self.right_anchor = dict(right_anchor)
         if set(self.left_anchor) != self.element_set or set(self.right_anchor) != self.element_set:
             raise ValueError("anchors must cover exactly the elements")
-        self._left_table = dict(left_action) if isinstance(left_action, dict) else None
-        self._right_table = dict(right_action) if isinstance(right_action, dict) else None
-        self._left_fn = left_action if self._left_table is None else None
-        self._right_fn = right_action if self._right_table is None else None
+        self.left_action = dict(left_action)
+        self.right_action = dict(right_action)
         self._link_cache = None  # (g1, g2, report, link) of the last validation
-
-    def left_act(self, g, b):
-        if self._left_table is not None:
-            try:
-                return self._left_table[(g, b)]
-            except KeyError:
-                raise UndefinedAction((g, b)) from None
-        return self._left_fn(g, b)
-
-    def right_act(self, b, h):
-        if self._right_table is not None:
-            try:
-                return self._right_table[(b, h)]
-            except KeyError:
-                raise UndefinedAction((b, h)) from None
-        return self._right_fn(b, h)
 
     def __repr__(self):
         return f"Bibundle({len(self.elements)} elements)"
@@ -182,39 +162,31 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
             if x not in hit:
                 report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
-    if bib._left_table is not None:
-        for (g, b) in bib._left_table:
-            if not (b in bib.element_set and g in g1.arrow_ids
-                    and g1.r(g) == bib.left_anchor[b]):
-                report.add("left action domain", (g, b), "entry outside the defined domain")
-    if bib._right_table is not None:
-        for (b, h) in bib._right_table:
-            if not (b in bib.element_set and h in g2.arrow_ids
-                    and bib.right_anchor[b] == g2.l(h)):
-                report.add("right action domain", (b, h), "entry outside the defined domain")
+    left, right = bib.left_action, bib.right_action
+    for (g, b) in left:
+        if not (b in bib.element_set and g in g1.arrow_ids and g1.r(g) == bib.left_anchor[b]):
+            report.add("left action domain", (g, b), "entry outside the defined domain")
+    for (b, h) in right:
+        if not (b in bib.element_set and h in g2.arrow_ids and bib.right_anchor[b] == g2.l(h)):
+            report.add("right action domain", (b, h), "entry outside the defined domain")
 
-    # each action is evaluated once; the transports invert them and are
-    # well defined exactly when the actions are free
-    left_moves, left_transport = {}, {}
+    # the transports invert the actions and are well defined exactly when
+    # the actions are free; a dict is never an element, so each table is
+    # its own marker for a missing pair
+    left_transport = {}
     for b in bib.elements:
         for g in g1.arrows_into(bib.left_anchor[b]):
-            try:
-                b2 = left_moves[(g, b)] = bib.left_act(g, b)
-            except UndefinedAction:
-                continue
-            g0 = left_transport.setdefault((b, b2), g)
-            if g0 != g:
-                report.add("left action not free", (g0, g, b), f"both carry it to {b2!r}")
-    right_moves, right_transport = {}, {}
+            if (b2 := left.get((g, b), left)) is not left:
+                g0 = left_transport.setdefault((b, b2), g)
+                if g0 != g:
+                    report.add("left action not free", (g0, g, b), f"both carry it to {b2!r}")
+    right_transport = {}
     for b in bib.elements:
         for h in g2.arrows_from(bib.right_anchor[b]):
-            try:
-                b2 = right_moves[(b, h)] = bib.right_act(b, h)
-            except UndefinedAction:
-                continue
-            h0 = right_transport.setdefault((b, b2), h)
-            if h0 != h:
-                report.add("right action not free", (b, h0, h), f"both carry it to {b2!r}")
+            if (b2 := right.get((b, h), right)) is not right:
+                h0 = right_transport.setdefault((b, b2), h)
+                if h0 != h:
+                    report.add("right action not free", (b, h0, h), f"both carry it to {b2!r}")
 
     objects, identity, inverse, parts = [], {}, {}, {}
     for tag, g in ((LEFT, g1), (RIGHT, g2)):
@@ -240,14 +212,14 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
         if tp == RIGHT and tq == RIGHT:
             return (RIGHT, g2.compose(vp, vq))
         if tp == LEFT and tq == BRIDGE:
-            return (BRIDGE, left_moves[(vp, vq)])
+            return (BRIDGE, left[(vp, vq)])
         if tp == BRIDGE and tq == RIGHT:
-            return (BRIDGE, right_moves[(vp, vq)])
+            return (BRIDGE, right[(vp, vq)])
         if tp == BRIDGE_INV and tq == LEFT:
             # (inverse of b) then g equals the inverse of (g inverse acting on b)
-            return (BRIDGE_INV, left_moves[(g1.inverse(vq), vp)])
+            return (BRIDGE_INV, left[(g1.inverse(vq), vp)])
         if tp == RIGHT and tq == BRIDGE_INV:
-            return (BRIDGE_INV, right_moves[(vq, g2.inverse(vp))])
+            return (BRIDGE_INV, right[(vq, g2.inverse(vp))])
         if tp == BRIDGE and tq == BRIDGE_INV:
             # unique left arrow carrying the second element to the first
             return (LEFT, left_transport[(vq, vp)])
@@ -339,11 +311,8 @@ def transfer_section(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
     return {y: out[y] for y in g2.objects}
 
 
-@dataclass(frozen=True)
-class MoritaVolumeReport:
-    equal: bool
-    volume_left: Fraction
-    volume_right: Fraction
+class MoritaVolumeReport(namedtuple("MoritaVolumeReport", "equal volume_left volume_right")):
+    __slots__ = ()
 
     def __str__(self):
         rel = "==" if self.equal else "!="
@@ -380,72 +349,47 @@ def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
 def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
     """The groupoid acting on its own arrows by composition on both sides."""
     elements = list(g.arrow_ids)
-    left_anchor = {a: g.l(a) for a in elements}
-    right_anchor = {a: g.r(a) for a in elements}
+    composites = {(p, q): g.compose(p, q)
+                  for y in g.objects for p in g.arrows_into(y) for q in g.arrows_from(y)}
+    return Bibundle(elements, {a: g.l(a) for a in elements}, {a: g.r(a) for a in elements},
+                    composites, composites)
 
-    def left_act(arrow, b):
-        return g.compose(arrow, b)
 
-    def right_act(b, arrow):
-        return g.compose(b, arrow)
+def _write_block_actions(tables, pts1, pts2, group, tag):
+    """Add the canonical block bibundle to ``tables``.
 
-    return Bibundle(elements, left_anchor, right_anchor, left_act, right_act)
+    ``tables`` holds the elements list, both anchor dicts and both action
+    dicts.  Every id z is written as ``tag(z)``, so that the blocks of a
+    union get the tags of :func:`finite.block_union` in the same pass.
+    """
+    elements, left_anchor, right_anchor, left, right = tables
+    els, mult = group.elements, group.mult
+    for x in pts1:
+        for y in pts2:
+            for gam in els:
+                b = tag((x, y, gam))
+                elements.append(b)
+                left_anchor[b], right_anchor[b] = tag(x), tag(y)
+                for x2 in pts1:
+                    for g in els:
+                        left[(tag((x2, x, g)), b)] = tag((x2, y, mult(g, gam)))
+                for y2 in pts2:
+                    for h in els:
+                        right[(b, tag((y, y2, h)))] = tag((x, y2, mult(gam, h)))
 
 
 def block_bibundle(points1, points2, group) -> Bibundle:
     """Canonical equivalence between two blocks sharing the same group.
 
     Elements are (x, y, gamma); the left block acts through its pair part
-    and group part on the left, the right block symmetrically.  Matches
-    the arrow layout of :func:`stackvol.finite.block_groupoid`.
+    and group part on the left, the right block symmetrically:
+    (x2, x, g)·(x, y, gamma) = (x2, y, g gamma) and
+    (x, y, gamma)·(y, y2, h) = (x, y2, gamma h).  Matches the arrow layout
+    of :func:`stackvol.finite.block_groupoid`.
     """
-    pts1, pts2 = tuple(points1), tuple(points2)
-    elements = [(x, y, gam) for x in pts1 for y in pts2 for gam in group.elements]
-    left_anchor = {e: e[0] for e in elements}
-    right_anchor = {e: e[1] for e in elements}
-    element_set = set(elements)
-
-    def left_act(g, b):
-        x2, x1, gam1 = g
-        x, y, gam = b
-        if b not in element_set or x1 != x:
-            raise UndefinedAction((g, b))
-        return (x2, y, group.mult(gam1, gam))
-
-    def right_act(b, h):
-        x, y, gam = b
-        y1, y2, gam2 = h
-        if b not in element_set or y1 != y:
-            raise UndefinedAction((b, h))
-        return (x, y2, group.mult(gam, gam2))
-
-    return Bibundle(elements, left_anchor, right_anchor, left_act, right_act)
-
-
-def _tagged_union_bibundle(parts):
-    """Disjoint union of bibundles, tags matching :func:`finite.block_union`."""
-    elements = []
-    left_anchor = {}
-    right_anchor = {}
-    for i, bib in enumerate(parts):
-        for e in bib.elements:
-            elements.append((i, e))
-            left_anchor[(i, e)] = (i, bib.left_anchor[e])
-            right_anchor[(i, e)] = (i, bib.right_anchor[e])
-
-    def left_act(g, b):
-        if g[0] != b[0]:
-            raise UndefinedAction((g, b))
-        i = b[0]
-        return (i, parts[i].left_act(g[1], b[1]))
-
-    def right_act(b, h):
-        if b[0] != h[0]:
-            raise UndefinedAction((b, h))
-        i = b[0]
-        return (i, parts[i].right_act(b[1], h[1]))
-
-    return Bibundle(elements, left_anchor, right_anchor, left_act, right_act)
+    tables = [], {}, {}, {}, {}
+    _write_block_actions(tables, tuple(points1), tuple(points2), group, lambda z: z)
+    return Bibundle(*tables)
 
 
 def random_morita_triple(seed, max_blocks: int = 2, max_points: int = 3,
@@ -453,20 +397,21 @@ def random_morita_triple(seed, max_blocks: int = 2, max_points: int = 3,
     """A seed-deterministic Morita-equivalent pair with its bibundle.
 
     Both groupoids are :func:`finite.block_union` of blocks over the same
-    groups but with independently chosen point counts, joined by the
-    canonical block bibundles.  Returns (g1, g2, bibundle).
+    groups but with independently chosen point counts.  The bibundle is the
+    union of the canonical block bibundles, its ids tagged (i, .) by block
+    like the groupoids'.  Returns (g1, g2, bibundle).
     """
     rng = random.Random(seed)
     zoo = group_zoo(max_group_order)
-    specs1, specs2, bibs = [], [], []
-    for _ in range(rng.randint(1, max_blocks)):
+    specs1, specs2, tables = [], [], ([], {}, {}, {}, {})
+    for i in range(rng.randint(1, max_blocks)):
         group = rng.choice(zoo)
         n = rng.randint(1, max_points)
         m = rng.randint(1, max_points)
         specs1.append((range(n), group))
         specs2.append((range(m), group))
-        bibs.append(block_bibundle(range(n), range(m), group))
-    return block_union(specs1), block_union(specs2), _tagged_union_bibundle(bibs)
+        _write_block_actions(tables, range(n), range(m), group, lambda z, i=i: (i, z))
+    return block_union(specs1), block_union(specs2), Bibundle(*tables)
 
 
 def random_morita_weights(g1, g2, bib, seed):
@@ -483,18 +428,11 @@ def relabel_bibundle(bib: Bibundle, rename: dict) -> Bibundle:
     """An isomorphic copy with renamed elements (rename must be a bijection)."""
     if set(rename) != set(bib.elements) or len(set(rename.values())) != len(bib.elements):
         raise ValueError("rename must be a bijection on the elements")
-    inverse_map = {v: k for k, v in rename.items()}
-    elements = [rename[e] for e in bib.elements]
-    left_anchor = {rename[e]: bib.left_anchor[e] for e in bib.elements}
-    right_anchor = {rename[e]: bib.right_anchor[e] for e in bib.elements}
-
-    def left_act(g, b):
-        return rename[bib.left_act(g, inverse_map[b])]
-
-    def right_act(b, h):
-        return rename[bib.right_act(inverse_map[b], h)]
-
-    return Bibundle(elements, left_anchor, right_anchor, left_act, right_act)
+    return Bibundle([rename[e] for e in bib.elements],
+                    {rename[e]: x for e, x in bib.left_anchor.items()},
+                    {rename[e]: y for e, y in bib.right_anchor.items()},
+                    {(g, rename[b]): rename[c] for (g, b), c in bib.left_action.items()},
+                    {(rename[b], h): rename[c] for (b, h), c in bib.right_action.items()})
 
 
 def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid,
@@ -504,7 +442,11 @@ def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid
     Pairs (p, q) with right anchor of p equal to the left anchor of q are
     identified along (p acted by h, q) ~ (p, h acting on q).  The class
     representatives are deterministic minima so the result is stable.
+    Both factors must be valid; otherwise :class:`InvalidBibundleError`
+    is raised.
     """
+    validate_bibundle(g1, g2, b12).require(InvalidBibundleError, "invalid left factor")
+    validate_bibundle(g2, g3, b23).require(InvalidBibundleError, "invalid right factor")
     pairs = [
         (p, q)
         for p in b12.elements
@@ -526,7 +468,7 @@ def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid
 
     for (p, q) in pairs:
         for h in g2.arrows_from(b12.right_anchor[p]):
-            moved = (b12.right_act(p, h), b23.left_act(g2.inverse(h), q))
+            moved = (b12.right_action[(p, h)], b23.left_action[(g2.inverse(h), q)])
             union((p, q), moved)
 
     classes = {}
@@ -542,13 +484,8 @@ def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid
 
     left_anchor = {rep: b12.left_anchor[rep[0]] for rep in reps}
     right_anchor = {rep: b23.right_anchor[rep[1]] for rep in reps}
-
-    def left_act(g, b):
-        p, q = b
-        return rep_of[(b12.left_act(g, p), q)]
-
-    def right_act(b, h):
-        p, q = b
-        return rep_of[(p, b23.right_act(q, h))]
-
-    return Bibundle(reps, left_anchor, right_anchor, left_act, right_act)
+    left = {(g, (p, q)): rep_of[(b12.left_action[(g, p)], q)]
+            for p, q in reps for g in g1.arrows_into(left_anchor[(p, q)])}
+    right = {((p, q), h): rep_of[(p, b23.right_action[(q, h)])]
+             for p, q in reps for h in g3.arrows_from(right_anchor[(p, q)])}
+    return Bibundle(reps, left_anchor, right_anchor, left, right)

@@ -261,6 +261,31 @@ def _string_id_triple():
     return g, g, identity_bibundle(g)
 
 
+# sha256 of ``jsonio.dump_bibundle`` output, recorded when bibundle actions
+# could still be callables and the dump evaluated every action
+BIBUNDLE_DIGESTS = {
+    "seed-1": "207a0c697f494091b414a36b916f3a3c88e88693c583f7d2548abbcad083354d",
+    "seed-2": "81de82ae68d40d16ca0bd899b757aa530467398cad84c550e30163717c0338f7",
+    "seed-3": "3f288718a3f7688ff26f59f2fce2e350be28ef6c8e664f1ffe684089cf454c49",
+    "seed-5": "ba1156d61819765b564ece67ae01209a632b29e4b1a8a6c598859cca480de457",
+    "seed-11": "56862a5663ea3f094e7cb82fd844b74c6229187629abdf772305bd8a6a4a7a02",
+    "seed-42": "e92c9db654da92c5d4ef4c7cff5ba069f3ad0f3e09922f5232789c31698324e1",
+    "mixed-ids": "b2bf51c5dea6d1047185dbb2f4291a96c7f1e38a226c127c78afa7aafc3dc9b4",
+    "string-ids": "db6eb6f1e45115d7c085709244589bb981c70a0b4dbc167d9dfa244a0c59e425",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIBUNDLE_DIGESTS))
+def test_bibundle_dump_is_pinned(tmp_path, name):
+    if name.startswith("seed-"):
+        g1, g2, bib = random_morita_triple(int(name[len("seed-"):]))
+    else:
+        g1, g2, bib = {"mixed-ids": _mixed_id_triple, "string-ids": _string_id_triple}[name]()
+    path = tmp_path / "bib.json"
+    jsonio.dump_bibundle(g1, g2, bib, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BIBUNDLE_DIGESTS[name]
+
+
 @pytest.mark.parametrize("make", [_mixed_id_triple, _string_id_triple,
                                   lambda: random_morita_triple(5)],
                          ids=["mixed-ids", "string-ids", "tuple-ids"])
@@ -640,6 +665,28 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8/3"
     assert proc.stderr.startswith("params: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "example", "plane-so2", "--tol", "x"],
+    ["smooth", "example", "plane-so2", "--tol", "-inf"],
+    ["no-such-command"],
+    ["finite", "volume"],
+])
+def test_usage_errors_exit_one_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1, err
+    assert "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["morita", "check", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_reproducible_generate_matches_library(tmp_path, capsys):

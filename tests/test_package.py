@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import stackvol
+from stackvol import jsonio
+from stackvol.morita import random_morita_triple, random_morita_weights
 
 
 def test_every_export_is_its_home_modules_object():
@@ -51,3 +53,37 @@ def test_only_su2_imports_numpy(module, loads_numpy):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(loads_numpy)
+
+
+def _morita_files(tmp_path):
+    """A triple and corresponding weights as the five ``morita check`` inputs."""
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("left", "right", "bib", "w1", "w2")}
+    g1, g2, bib = random_morita_triple(3)
+    jsonio.dump_groupoid(g1, paths["left"])
+    jsonio.dump_groupoid(g2, paths["right"])
+    jsonio.dump_bibundle(g1, g2, bib, paths["bib"])
+    w1, w2 = random_morita_weights(*(jsonio.load_groupoid(paths[k]) for k in ("left", "right")),
+                                   jsonio.load_bibundle(paths["bib"]), 0)
+    jsonio.dump_weights(w1, paths["w1"])
+    jsonio.dump_weights(w2, paths["w2"])
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite", "volume", "--groupoid", "{left}", "--weights", "{w1}"],
+    ["series", "finite-sets"],
+    ["morita", "check", "--left", "{left}", "--right", "{right}", "--bibundle", "{bib}",
+     "--left-weights", "{w1}", "--right-weights", "{w2}"],
+])
+def test_exact_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
+    paths = _morita_files(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
+         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+         "sys.exit(code)",
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
