@@ -360,11 +360,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     by :func:`_generators`, so an associativity witness always has that
     form.  Given the closure and endpoint checks, the arrows that pass
     for every a and c are closed under composition, so the test is as
-    strong as a scan of all composable triples.  It costs one lookup pair
-    per generator s, arrow a into l(s) and arrow c out of r(s); at worst,
-    when every arrow is a generator, that is the full scan.  The table
-    keys of a table-backed groupoid are scanned for spuriously composable
-    pairs.
+    strong as a scan of all composable triples.  Each composable pair is
+    composed once, into rows a -> {b: ab} that every check reads; Light's
+    test costs two row lookups per generator s, arrow a into l(s) and
+    arrow c out of r(s), at worst the full scan.  A table holding more
+    pairs than the rows is scanned for spuriously composable pairs.
 
     The report is memoized on the groupoid, whose tables never change
     after construction; each call returns a fresh copy of it.
@@ -376,95 +376,98 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
 def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
     report = ValidationReport()
+    ends, ident, inv, table = g._arrows, g._identity, g._inverse, g._compose_table
+    by_l, by_r = ({x: f(x) for x in g.objects} for f in (g.arrows_from, g.arrows_into))
+
+    # rows[a] = {b: ab} over the composable pairs; a refused pair is absent
+    if table is not None:  # the table is its own marker for a miss
+        rows = {a: {b: c for b in by_l[ra] if (c := table.get((a, b), table)) is not table}
+                for a, (_, ra) in ends.items()}
+        composable = sum(map(len, rows.values()))
+    else:
+        product, rows = g._product, {}
+        for a, (_, ra) in ends.items():
+            rows[a] = row = {}
+            for b in by_l[ra]:
+                try:
+                    row[b] = product(a, b)
+                except KeyError:  # a refused pair
+                    pass
 
     for x in g.objects:
-        e = g.identity(x)
-        if g.l(e) != x or g.r(e) != x:
-            report.add("identity endpoints", (x, e))
+        if ends[ident[x]][0] != x or ends[ident[x]][1] != x:
+            report.add("identity endpoints", (x, ident[x]))
 
-    for a in g.arrow_ids:
-        b = g.inverse(a)
-        if g.l(b) != g.r(a) or g.r(b) != g.l(a):
+    for a, (la, ra) in ends.items():
+        b = inv[a]
+        if ends[b][0] != ra or ends[b][1] != la:
             report.add("inverse axiom", (a, b), "inverse endpoints do not swap")
-            continue
-        try:
-            left = g.compose(a, b)
-            right = g.compose(b, a)
-        except UndefinedComposition:
+        elif b not in rows[a] or a not in rows[b]:
             report.add("inverse axiom", (a, b), "composite with inverse undefined")
-            continue
-        if left != g.identity(g.l(a)) or right != g.identity(g.r(a)):
+        elif rows[a][b] != ident[la] or rows[b][a] != ident[ra]:
             report.add("inverse axiom", (a, b), "composite with inverse is not the identity")
 
-    for a in g.arrow_ids:
-        ea = g.identity(g.l(a))
-        eb = g.identity(g.r(a))
-        try:
-            if g.compose(ea, a) != a or g.compose(a, eb) != a:
+    for a, (la, ra) in ends.items():
+        ea, eb = ident[la], ident[ra]
+        try:  # a pair made non-composable by a misplaced identity goes to compose
+            if ((rows[ea][a] if ends[ea][1] == la else g.compose(ea, a)) != a
+                    or (rows[a][eb] if ends[eb][0] == ra else g.compose(a, eb)) != a):
                 report.add("identity unit", (a,))
-        except UndefinedComposition:
+        except KeyError:  # a row miss or UndefinedComposition
             report.add("identity unit", (a,), "unit composite undefined")
 
-    composite = {}
-    for a in g.arrow_ids:
-        for b in g.arrows_from(g.r(a)):
-            try:
-                c = g._product(a, b)  # (a, b) is composable, so no endpoint check
-            except KeyError:  # a table miss or a refused pair
+    for a, row in rows.items():
+        la, ra = ends[a]
+        for b in by_l[ra]:
+            if (c := row.get(b, row)) is row:
                 report.add("missing composition", (a, b))
-                continue
-            if c not in g._arrows:
+            elif (ec := ends.get(c)) is None:
                 report.add("composition closure", (a, b, c), "composite is not an arrow")
-                continue
-            if g.l(c) != g.l(a) or g.r(c) != g.r(b):
+                del row[b]
+            elif ec[0] != la or ec[1] != ends[b][1]:
                 report.add("composition endpoints", (a, b, c))
-            composite[(a, b)] = c
 
-    if g.compose_table is not None:
-        for (a, b) in g.compose_table:
-            if a not in g._arrows or b not in g._arrows or g.r(a) != g.l(b):
+    if table is not None and len(table) != composable:
+        for (a, b) in table:
+            if a not in ends or b not in ends or ends[a][1] != ends[b][0]:
                 report.add("spurious composition", (a, b))
 
-    for s in _generators(g, composite):
-        # pairs missing from composite are already reported
-        right_of_s = [(c, composite[(s, c)]) for c in g.arrows_from(g.r(s))
-                      if (s, c) in composite]
-        for a in g.arrows_into(g.l(s)):
-            a_s = composite.get((a, s))
-            if a_s is None:
-                continue
-            for c, sc in right_of_s:
-                left = composite.get((a_s, c))
-                if left is None:
-                    continue
-                right = composite.get((a, sc))
-                if right is None or left != right:
-                    report.add("associativity", (a, s, c))
+    for s in _generators(g, rows):
+        s_row = rows[s]  # pairs missing from the rows are already reported
+        for a in by_r[ends[s][0]]:
+            a_row = rows[a]
+            if (a_s := a_row.get(s)) is not None:
+                as_row = rows[a_s]
+                for c, sc in s_row.items():
+                    if (left := as_row.get(c)) is not None and left != a_row.get(sc):
+                        report.add("associativity", (a, s, c))
 
     return report
 
 
-def _generators(g: FiniteGroupoid, composite: dict) -> list:
+def _generators(g: FiniteGroupoid, rows: dict) -> list:
     """A generating set for Light's associativity test, in arrow order.
 
     One greedy pass: an arrow that is not yet a left-bracketed product
     ``(..((s1 s2) s3)..) sk`` of earlier generators becomes a generator,
     and the set of reached products is extended by right multiplication
-    with every generator.  ``composite`` maps composable pairs to their
-    composite; a pair missing from it extends nothing.
+    with every generator.  ``rows`` maps each arrow a to ``{b: ab}`` over
+    its composable pairs, every composite an arrow; a pair missing from
+    its row extends nothing.
     """
+    ends = g._arrows
     gens = []
     gens_from = {}  # object x -> generators s with l(s) == x
     reached = set()
     reached_into = {}  # object y -> reached products p with r(p) == y
-    for a in g.arrow_ids:
+    for a, (la, _) in ends.items():
         if a in reached:
             continue
         gens.append(a)
-        gens_from.setdefault(g.l(a), []).append(a)
+        gens_from.setdefault(la, []).append(a)
         frontier = [a]
-        for p in reached_into.get(g.l(a), ()):
-            pa = composite.get((p, a))
+        for p in reached_into.get(la, ()):
+            pa = rows[p].get(a)
             if pa is not None:
                 frontier.append(pa)
         while frontier:
@@ -472,9 +475,9 @@ def _generators(g: FiniteGroupoid, composite: dict) -> list:
             if p in reached:
                 continue
             reached.add(p)
-            reached_into.setdefault(g.r(p), []).append(p)
-            for s in gens_from.get(g.r(p), ()):
-                ps = composite.get((p, s))
+            reached_into.setdefault(ends[p][1], []).append(p)
+            for s in gens_from.get(ends[p][1], ()):
+                ps = rows[p].get(s)
                 if ps is not None and ps not in reached:
                     frontier.append(ps)
     return gens

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .errors import SchemaError
 from .finite import FiniteGroupoid, WeightData
@@ -39,13 +40,17 @@ def _str_map(raw, where: str) -> dict:
 def _pair_table(raw, where: str, shape: str, pair: str) -> dict:
     """A list of [u, v, result] triples as {(u, v): result}; a pair may occur once."""
     _require(isinstance(raw, list), where, "must be a list")
+    # C-speed screen; a list failing it is walked below for the first bad entry
+    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
+            and set(map(type, chain.from_iterable(raw))) <= {str}
+            and len(table := {(u, v): res for u, v, res in raw}) == len(raw)):
+        return table
     table = {}
     for i, triple in enumerate(raw):
         at = f"{where}[{i}]"
         _require(isinstance(triple, list) and len(triple) == 3, at, f"must be a {shape} triple")
         u, v, res = (_as_str_id(t, at) for t in triple)
-        if (u, v) in table:  # not a _require: the message is built only on failure
-            raise SchemaError(f"{at}: duplicate {pair} ({u!r}, {v!r})")
+        _require((u, v) not in table, at, f"duplicate {pair} ({u!r}, {v!r})")
         table[(u, v)] = res
     return table
 
@@ -238,6 +243,8 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> d
     so the dumped triple loads back consistently.  Elements keep their
     ids when all are strings and are renamed b0, b1, ... otherwise.
     """
+    if (bad := bib.foreign_entry()) is not None:
+        raise SchemaError(f"bibundle: action entry {bad[0]!r} -> {bad[1]!r} names a non-element")
     obj1, a1_map = _renaming(g1)
     obj2, a2_map = _renaming(g2)
     if all(isinstance(e, str) for e in bib.elements):

@@ -99,6 +99,12 @@ class Bibundle:
     def __repr__(self):
         return f"Bibundle({len(self.elements)} elements)"
 
+    def foreign_entry(self):
+        """The first action entry ((u, v), w) naming a non-element, else None."""
+        els = self.element_set  # an element is second in a left key, first in a right key
+        return next((e for table, i in ((self.left_action, 1), (self.right_action, 0))
+                     for e in table.items() if e[0][i] not in els or e[1] not in els), None)
+
 
 # ---------------------------------------------------------------------------
 # validation and the linking groupoid
@@ -428,6 +434,8 @@ def relabel_bibundle(bib: Bibundle, rename: dict) -> Bibundle:
     """An isomorphic copy with renamed elements (rename must be a bijection)."""
     if set(rename) != set(bib.elements) or len(set(rename.values())) != len(bib.elements):
         raise ValueError("rename must be a bijection on the elements")
+    if (bad := bib.foreign_entry()) is not None:
+        raise ValueError(f"action entry {bad[0]!r} -> {bad[1]!r} names a non-element")
     return Bibundle([rename[e] for e in bib.elements],
                     {rename[e]: x for e, x in bib.left_anchor.items()},
                     {rename[e]: y for e, y in bib.right_anchor.items()},

@@ -304,6 +304,50 @@ def test_dumped_triple_loads_back_valid(tmp_path, make):
     assert len(hb.elements) == len(bib.elements)
 
 
+_PAIR_TABLE_EDITS = {
+    "not-a-list": lambda t: {"e": "e"},
+    "entry-not-a-list": lambda t: t[:1] + ["e"] + t[2:],
+    "two-fields": lambda t: t[:1] + [t[1][:2]] + t[2:],
+    "int-id": lambda t: t[:1] + [[t[1][0], 5, t[1][2]]] + t[2:],
+    "duplicate-pair": lambda t: t + [t[1]],
+}
+
+# the messages as the entry-by-entry walk wrote them before any screen
+_PAIR_TABLE_ERRORS = {
+    ("compose", "not-a-list"): "groupoid.compose: must be a list",
+    ("compose", "entry-not-a-list"): "groupoid.compose[1]: must be a [g, h, gh] triple",
+    ("compose", "two-fields"): "groupoid.compose[1]: must be a [g, h, gh] triple",
+    ("compose", "int-id"): "groupoid.compose[1]: expected a string id, got 5",
+    ("compose", "duplicate-pair"): "groupoid.compose[4]: duplicate pair ('e', 's')",
+    ("leftAction", "not-a-list"): "bibundle.leftAction: must be a list",
+    ("leftAction", "entry-not-a-list"):
+        "bibundle.leftAction[1]: must be a [first, second, result] triple",
+    ("leftAction", "two-fields"):
+        "bibundle.leftAction[1]: must be a [first, second, result] triple",
+    ("leftAction", "int-id"): "bibundle.leftAction[1]: expected a string id, got 5",
+    ("leftAction", "duplicate-pair"): "bibundle.leftAction[4]: duplicate action pair ('e', 's')",
+    ("rightAction", "not-a-list"): "bibundle.rightAction: must be a list",
+    ("rightAction", "entry-not-a-list"):
+        "bibundle.rightAction[1]: must be a [first, second, result] triple",
+    ("rightAction", "two-fields"):
+        "bibundle.rightAction[1]: must be a [first, second, result] triple",
+    ("rightAction", "int-id"): "bibundle.rightAction[1]: expected a string id, got 5",
+    ("rightAction", "duplicate-pair"): "bibundle.rightAction[4]: duplicate action pair ('e', 's')",
+}
+
+
+@pytest.mark.parametrize("field, edit", sorted(_PAIR_TABLE_ERRORS))
+def test_pair_table_errors_name_the_entry(field, edit):
+    if field == "compose":
+        doc, load = json.loads(json.dumps(ONE_OBJECT_ORDER_TWO)), jsonio.groupoid_from_dict
+    else:
+        doc, load = jsonio.bibundle_to_dict(*_string_id_triple()), jsonio.bibundle_from_dict
+    doc[field] = _PAIR_TABLE_EDITS[edit](doc[field])
+    with pytest.raises(jsonio.SchemaError) as exc:
+        load(doc)
+    assert str(exc.value) == _PAIR_TABLE_ERRORS[(field, edit)]
+
+
 class TestSmoothCommands:
     def test_disk_volume(self, capsys):
         code, out, err = run(capsys, ["smooth", "example", "plane-so2", "R=2"])

@@ -1,6 +1,7 @@
 """Exact finite-groupoid computations against hand-derived oracles."""
 
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackvol.errors import ValidationFailure
+from stackvol.errors import ValidationFailure, Violation
 from stackvol.finite import (
     DegenerateWeightError,
     FiniteGroupoid,
@@ -310,6 +311,33 @@ class TestValidate:
         assert not report.ok
         assert "identity endpoints" in report.axioms()
 
+    def test_rule_raising_key_error_is_a_missing_composition(self):
+        g = pair_groupoid([1, 2])
+        refused = ((1, 2, 0), (2, 1, 0))
+
+        def rule(p, q):
+            if (p, q) == refused:
+                raise KeyError("refused")
+            return g.compose(p, q)
+
+        arrows, identity, inverse, _ = self._materialize(g)
+        report = validate(FiniteGroupoid(g.objects, arrows, identity, inverse, rule))
+        assert report.violations == [
+            Violation("inverse axiom", refused, "composite with inverse undefined"),
+            Violation("inverse axiom", refused[::-1], "composite with inverse undefined"),
+            Violation("missing composition", refused),
+        ]
+
+    def test_table_backed_link_calls_no_rule(self):
+        link = linking_groupoid(*random_morita_triple(4))
+        g = FiniteGroupoid(link.objects, *self._materialize(link))
+
+        def forbidden(p, q):
+            pytest.fail(f"product rule called on {(p, q)!r}")
+
+        g._product = forbidden
+        assert validate(g).ok
+
     def test_memoized_report_is_copied_on_each_call(self, monkeypatch):
         import stackvol.finite as finite_module
 
@@ -339,6 +367,16 @@ class TestValidate:
         assert report.summary()
 
 
+def _rule_of(table):
+    def compose(p, q):
+        try:
+            return table[(p, q)]
+        except KeyError:
+            raise UndefinedComposition((p, q)) from None
+
+    return compose
+
+
 def _corrupted_block_union(data, closure):
     """A union of blocks whose table has 1-3 composites swapped.
 
@@ -357,16 +395,8 @@ def _corrupted_block_union(data, closure):
         ends = (arrows[p][0], arrows[q][1])
         others = sorted((c for c in arrows if arrows[c] == ends and c != table[(p, q)]), key=repr)
         table[(p, q)] = data.draw(st.sampled_from(others))
-    if not closure:
-        return FiniteGroupoid(union.objects, arrows, identity, inverse, table)
-
-    def compose(p, q):
-        try:
-            return table[(p, q)]
-        except KeyError:
-            raise UndefinedComposition((p, q)) from None
-
-    return FiniteGroupoid(union.objects, arrows, identity, inverse, compose)
+    return FiniteGroupoid(union.objects, arrows, identity, inverse,
+                          _rule_of(table) if closure else table)
 
 
 def _is_associative(g, a, b, c):
@@ -381,7 +411,7 @@ def _composable_triples(g):
 
 
 def _composites(g):
-    return {(a, b): g.compose(a, b) for a in g.arrow_ids for b in g.arrows_from(g.r(a))}
+    return {a: {b: g.compose(a, b) for b in g.arrows_from(g.r(a))} for a in g.arrow_ids}
 
 
 @pytest.mark.parametrize("closure", [False, True], ids=["table", "closure"])
@@ -405,16 +435,74 @@ def test_light_test_agrees_with_all_triples_scan(closure, data):
 @given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.data())
 def test_generators_reach_every_arrow_by_right_products(seed, corrupt, data):
     g = _corrupted_block_union(data, False) if corrupt else _small_groupoid(seed)
-    composite = _composites(g)
-    gens = _generators(g, composite)
+    rows = _composites(g)
+    gens = _generators(g, rows)
     assert gens == [a for a in g.arrow_ids if a in set(gens)]
     reached, frontier = set(), list(gens)
     while frontier:
         p = frontier.pop()
         if p not in reached:
             reached.add(p)
-            frontier.extend(composite[(p, s)] for s in gens if g.r(p) == g.l(s))
+            frontier.extend(rows[p][s] for s in gens if g.r(p) == g.l(s))
     assert reached == set(g.arrow_ids)
+
+
+def _mutants(g, rng):
+    """The tables of ``g`` as they are and after six seeded mutations.
+
+    A mutation edits the table t, identity map i or inverse map v in
+    place.  Each version is built once table-backed and once closure-backed.
+    """
+    arrows, identity, inverse, table = TestValidate._materialize(g)
+    ids, pairs = list(arrows), list(table)
+
+    def deleted(t, i, v):
+        del t[rng.choice(pairs)]
+
+    def retargeted(t, i, v):
+        t[rng.choice(pairs)] = rng.choice(ids)
+
+    def left_the_arrows(t, i, v):
+        t[rng.choice(pairs)] = ("ghost", rng.randrange(3))
+
+    def spurious(t, i, v):
+        p, q = rng.choice(ids), rng.choice(ids)
+        t[(p, q) if arrows[p][1] != arrows[q][0] else (p, "ghost")] = rng.choice(ids)
+
+    def broken_inverse(t, i, v):
+        v[rng.choice(ids)] = rng.choice(ids)
+
+    def broken_identity(t, i, v):
+        i[rng.choice(g.objects)] = rng.choice(ids)
+
+    out = []
+    for mutate in (None, deleted, retargeted, left_the_arrows, spurious,
+                   broken_inverse, broken_identity):
+        t, i, v = dict(table), dict(identity), dict(inverse)
+        if mutate:
+            mutate(t, i, v)
+        out.append(FiniteGroupoid(g.objects, arrows, i, v, t))
+        out.append(FiniteGroupoid(g.objects, arrows, i, v, _rule_of(t)))
+    return out
+
+
+# sha256 over the reports of the corpus below, recorded before validate
+# read its composites by row; no verdict or witness may change
+_WITNESS_DIGEST = "7fca95ea2092e1e071e0d053e4176641c669b5e5e5f338d1e3ecc938c5483f0f"
+
+
+def test_violation_witnesses_are_pinned():
+    rng = random.Random(13)
+    bases = [random_groupoid(seed, max_objects=5, max_group_order=4, max_blocks=3)
+             for seed in range(40)]
+    bases += [linking_groupoid(*random_morita_triple(seed, max_points=2, max_group_order=3))
+              for seed in range(50)]
+    reports = [validate(m) for g in bases for m in _mutants(g, rng)]
+    assert set().union(*(r.axioms() for r in reports)) == {
+        "identity endpoints", "inverse axiom", "identity unit", "missing composition",
+        "composition closure", "composition endpoints", "spurious composition", "associativity"}
+    text = "\n".join(repr(r.violations) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == _WITNESS_DIGEST
 
 
 class TestConstructors:

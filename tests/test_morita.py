@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stackvol import jsonio
+from stackvol.errors import SchemaError
 from stackvol.finite import (
     FiniteGroupoid,
     UndefinedComposition,
@@ -340,6 +342,20 @@ class TestBibundleAlgebra:
         _, _, bib = z2_self_equivalence()
         with pytest.raises(ValueError):
             relabel_bibundle(bib, {0: "u", 1: "u"})
+
+    @pytest.mark.parametrize("side, entry, message", [
+        ("left", (_arrow(0), 7), "(('pt', 'pt', 0), 7) -> 0"),
+        ("right", ("nope", 0), "('nope', 0) -> 0"),
+    ])
+    def test_entry_naming_a_non_element_is_refused(self, side, entry, message):
+        g1, g2, bib = z2_self_equivalence()
+        (bib.left_action if side == "left" else bib.right_action)[entry] = 0
+        with pytest.raises(ValueError) as exc:
+            relabel_bibundle(bib, {0: "u", 1: "v"})
+        assert str(exc.value) == f"action entry {message} names a non-element"
+        with pytest.raises(SchemaError) as exc:
+            jsonio.bibundle_to_dict(g1, g2, bib)
+        assert str(exc.value) == f"bibundle: action entry {message} names a non-element"
 
     def test_composition_of_block_equivalences(self):
         group = FiniteGroup.cyclic(2)
