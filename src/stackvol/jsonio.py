@@ -247,6 +247,13 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> d
         raise SchemaError(f"bibundle: action entry {bad[0]!r} -> {bad[1]!r} names a non-element")
     obj1, a1_map = _renaming(g1)
     obj2, a2_map = _renaming(g2)
+    for side, objs, arrows, anchor, table, i in (
+            ("left", obj1, a1_map, bib.left_anchor, bib.left_action, 0),
+            ("right", obj2, a2_map, bib.right_anchor, bib.right_action, 1)):
+        if bad := next(((e, x) for e, x in anchor.items() if x not in objs), None):
+            raise SchemaError(f"bibundle: {side} anchor {bad[0]!r} -> {bad[1]!r} names a non-object")
+        if bad := next((e for e in table.items() if e[0][i] not in arrows), None):
+            raise SchemaError(f"bibundle: {side} action entry {bad[0]!r} -> {bad[1]!r} names a non-arrow")
     if all(isinstance(e, str) for e in bib.elements):
         elem_map = {e: e for e in bib.elements}
     else:

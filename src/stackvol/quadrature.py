@@ -69,6 +69,7 @@ _TENSOR_WEIGHTS = {d: [math.prod(w) for w in itertools.product(GAUSS_WEIGHTS, re
 # bounds on the adaptive panel rule: halvings of one cell, integrand calls
 MAX_DEPTH = 30
 MAX_EVALUATIONS = 2 ** 18
+MC_CHUNK = 65536  # rows per Monte Carlo chunk: 1.5 MB of points in dimension 3
 
 
 def _panel(fn, weights, cell):
@@ -168,10 +169,12 @@ def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
 
 
 def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
-    """Plain Monte Carlo over a box with a seeded generator.
+    """Plain Monte Carlo over a box with a seeded generator, in bounded memory.
 
-    f receives the (n, d) array of sample points and returns n values.
-    The error estimate is the standard error of the mean times the volume.
+    f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lows,
+    highs, (samples, d))``, and returns a finite value per row.  Chunk
+    statistics about the first chunk's mean merge as in Chan, Golub & LeVeque
+    (1983); the error estimate is the standard error times the volume.
     """
     import numpy as np
 
@@ -180,18 +183,27 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if any(hi <= lo for lo, hi in bounds):
         raise ValueError("box bounds must satisfy lo < hi")
-    volume = 1.0
-    for lo, hi in bounds:
-        volume *= hi - lo
+    volume = math.prod(hi - lo for lo, hi in bounds)
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in bounds])
-    highs = np.array([hi for _, hi in bounds])
-    points = rng.uniform(lows, highs, size=(samples, len(bounds)))
-    values = np.asarray(f(points), dtype=float)
-    if values.shape != (samples,):
-        raise ValueError("integrand must return one value per sample")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand returned non-finite values")
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
-    return QuadratureResult(mean * volume, stderr * volume, samples)
+    lows, widths = np.array([(lo, hi - lo) for lo, hi in bounds]).T
+    mean = m2 = 0.0
+    for count in range(0, samples, MC_CHUNK):
+        k = min(MC_CHUNK, samples - count)
+        points = rng.random((k, len(bounds)))
+        points *= widths
+        points += lows
+        values = np.asarray(f(points), dtype=float)
+        if values.shape != (k,):
+            raise ValueError("integrand must return one value per sample")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("integrand returned non-finite values")
+        if count == 0:
+            shift = float(values.mean())  # keeps the digits of a large common offset
+        dev = values - shift
+        chunk_mean = float(dev.mean())
+        dev -= chunk_mean
+        delta = chunk_mean - mean
+        m2 += float(dev @ dev) + delta * delta * (count * k / (count + k))
+        mean += delta * (k / (count + k))
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    return QuadratureResult((shift + mean) * volume, stderr * volume, samples)

@@ -357,6 +357,19 @@ class TestBibundleAlgebra:
             jsonio.bibundle_to_dict(g1, g2, bib)
         assert str(exc.value) == f"bibundle: action entry {message} names a non-element"
 
+    @pytest.mark.parametrize("table, key, value, message", [
+        ("left_action", ("nope", 0), 1, "left action entry ('nope', 0) -> 1 names a non-arrow"),
+        ("right_action", (0, "nope"), 1, "right action entry (0, 'nope') -> 1 names a non-arrow"),
+        ("left_anchor", 0, "elsewhere", "left anchor 0 -> 'elsewhere' names a non-object"),
+        ("right_anchor", 1, "elsewhere", "right anchor 1 -> 'elsewhere' names a non-object"),
+    ])
+    def test_dump_refuses_names_outside_the_groupoids(self, table, key, value, message):
+        g1, g2, bib = z2_self_equivalence()
+        getattr(bib, table)[key] = value
+        with pytest.raises(SchemaError) as exc:
+            jsonio.bibundle_to_dict(g1, g2, bib)
+        assert str(exc.value) == f"bibundle: {message}"
+
     def test_composition_of_block_equivalences(self):
         group = FiniteGroup.cyclic(2)
         g1 = block_groupoid(range(2), group)

@@ -1,15 +1,18 @@
 """Integration primitives against closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stackvol.quadrature as quadrature
 from stackvol.quadrature import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     MAX_EVALUATIONS,
+    MC_CHUNK,
     NonConvergenceError,
     integrate_1d,
     integrate_box,
@@ -204,6 +207,95 @@ class TestIntegrateMC:
     def test_vectorized_shape_check(self):
         with pytest.raises(ValueError):
             integrate_mc(lambda pts: np.zeros((3, 2)), [(0, 1)] * 2, 3, seed=0)
+
+
+MIXED_BOUNDS = [(0, 1), (-1, 3), (2, 2.5)]
+MIXED_VOLUME = 2.0
+
+
+def _one_shot_uniform(bounds, n, seed):
+    lows, highs = np.array(bounds, dtype=float).T
+    return np.random.default_rng(seed).uniform(lows, highs, size=(n, len(bounds)))
+
+
+class TestStreamedMC:
+    @pytest.mark.parametrize("n", [2, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
+    def test_points_are_one_uniform_draw(self, n):
+        seen = []
+
+        def f(points):
+            seen.append(points.copy())
+            return points[:, 0]
+
+        integrate_mc(f, MIXED_BOUNDS, n, seed=2024)
+        assert np.array_equal(np.concatenate(seen), _one_shot_uniform(MIXED_BOUNDS, n, 2024))
+
+    def test_f_never_sees_more_than_a_chunk(self):
+        sizes = []
+
+        def f(points):
+            sizes.append(len(points))
+            return points[:, 0]
+
+        integrate_mc(f, MIXED_BOUNDS, 3 * MC_CHUNK + 7, seed=1)
+        assert sizes == [MC_CHUNK] * 3 + [7]
+
+    def test_statistics_over_real_chunks_match_one_shot(self):
+        n = 2 * MC_CHUNK + 5
+        res = integrate_mc(lambda p: 1e6 + p[:, 0], MIXED_BOUNDS, n, seed=8)
+        values = 1e6 + _one_shot_uniform(MIXED_BOUNDS, n, 8)[:, 0]
+        assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
+        assert res.error_estimate == pytest.approx(
+            values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME, rel=1e-12)
+
+    @pytest.mark.parametrize("bad_call", [0, 1])
+    @pytest.mark.parametrize("bad, message", [
+        (lambda p: np.zeros(len(p) + 1), "one value per sample"),
+        (lambda p: np.where(np.arange(len(p)) == len(p) - 1, np.nan, p[:, 0]), "non-finite"),
+    ])
+    def test_contract_holds_in_every_chunk(self, bad_call, bad, message):
+        calls = []
+
+        def f(points):
+            calls.append(len(points))
+            return bad(points) if len(calls) - 1 == bad_call else points[:, 0]
+
+        with pytest.raises(ValueError, match=message):
+            integrate_mc(f, MIXED_BOUNDS, MC_CHUNK + 10, seed=4)
+        assert len(calls) == bad_call + 1
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        def f(points):
+            return points[:, 0] * points[:, 1] + points[:, 2]
+
+        peaks = []
+        for n in (10 ** 5, 10 ** 6):
+            tracemalloc.start()
+            try:
+                integrate_mc(f, MIXED_BOUNDS, n, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
+@settings(max_examples=60, deadline=2000)
+@given(chunk=st.integers(1, 9), n=st.integers(2, 120), seed=st.integers(0, 2 ** 32),
+       ratio=st.sampled_from([0.0, 1e6, -1e6]), scale=st.sampled_from([1e-3, 1.0, 5e4]))
+def test_streamed_statistics_match_one_shot(chunk, n, seed, ratio, scale):
+    # a small chunk puts many chunk boundaries inside a small sample count;
+    # the mean sits up to 10^6 spreads from zero, where the one-shot
+    # reference itself still holds its 12 digits
+    def f(points):
+        return scale * (ratio + points[:, 0] * points[:, 1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MC_CHUNK", chunk)
+        res = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
+    values = f(_one_shot_uniform(MIXED_BOUNDS, n, seed))
+    expected_err = values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME
+    assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
+    assert res.error_estimate == pytest.approx(expected_err, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
