@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,19 +284,24 @@ class TestStreamedMC:
 @given(chunk=st.integers(1, 9), n=st.integers(2, 120), seed=st.integers(0, 2 ** 32),
        ratio=st.sampled_from([0.0, 1e6, -1e6]), scale=st.sampled_from([1e-3, 1.0, 5e4]))
 def test_streamed_statistics_match_one_shot(chunk, n, seed, ratio, scale):
-    # a small chunk puts many chunk boundaries inside a small sample count;
-    # the mean sits up to 10^6 spreads from zero, where the one-shot
-    # reference itself still holds its 12 digits
+    # a small chunk puts many chunk boundaries inside a small sample count,
+    # and the mean sits up to 10^6 spreads from zero; the one-shot statistics
+    # of the same values are exact, because numpy's two-pass std is itself
+    # off by 1.7e-12 on two nearly equal values 10^6 from zero
     def f(points):
         return scale * (ratio + points[:, 0] * points[:, 1])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MC_CHUNK", chunk)
         res = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
-    values = f(_one_shot_uniform(MIXED_BOUNDS, n, seed))
-    expected_err = values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME
-    assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
-    assert res.error_estimate == pytest.approx(expected_err, rel=1e-12)
+    values = [Fraction(v) for v in f(_one_shot_uniform(MIXED_BOUNDS, n, seed)).tolist()]
+    mean = sum(values) / n
+    stderr = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1) / n)
+    # a mean that nearly cancels is held to the size of the values
+    size = float(max(map(abs, values)))
+    assert res.value == pytest.approx(float(mean) * MIXED_VOLUME, rel=1e-12,
+                                      abs=1e-12 * size * MIXED_VOLUME)
+    assert res.error_estimate == pytest.approx(stderr * MIXED_VOLUME, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
