@@ -208,9 +208,7 @@ def build_model(name: str, **params):
             raise UnknownModelError(f"model {name!r} takes no parameter {key!r}")
         default = sig.parameters[key].default
         try:
-            if isinstance(default, bool):
-                kwargs[key] = raw in ("1", "true", "True") if isinstance(raw, str) else bool(raw)
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 kwargs[key] = int(raw)
             elif isinstance(default, float):
                 kwargs[key] = float(raw)

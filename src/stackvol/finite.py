@@ -64,11 +64,11 @@ class FiniteGroupoid:
     are arrows with r(g) == l(h), so the rule is only ever called on
     composable pairs; it may still raise :class:`UndefinedComposition` to
     refuse one, which :func:`validate` reports as a missing composition.
-    Large generated families use product rules so that no quadratic table
-    has to be materialized; JSON-loaded and linking groupoids keep an
-    explicit table.  Inconsistent tables raise ValueError naming the first
-    bad entry; the tables never change, so :meth:`pair_counts` and its
-    derivatives are memoized.
+    Groupoids built in code, linking groupoids among them, use product
+    rules so that no quadratic table has to be materialized; JSON-loaded
+    groupoids keep an explicit table.  Inconsistent tables raise
+    ValueError naming the first bad entry; the tables never change, so
+    :meth:`pair_counts` and its derivatives are memoized.
     """
 
     def __init__(self, objects, arrows, identity, inverse, compose):
@@ -140,11 +140,6 @@ class FiniteGroupoid:
     @property
     def arrow_count(self) -> int:
         return len(self._arrows)
-
-    @property
-    def compose_table(self):
-        """The explicit table when one was supplied, else None."""
-        return self._compose_table
 
     def has_object(self, x) -> bool:
         return x in self._object_set

@@ -148,11 +148,11 @@ def _checked_link(g1, g2, bib):
 def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     """The bibundle's report and its link, or None when an anchor leaves its groupoid.
 
-    The composition is table-backed: every composable pair is found
-    through an index of the arrows by left object and composed once by
-    the case rules below.  A pair whose factor composite, action or
-    transport is undefined is left out of the table, so
-    :func:`finite.validate` reports it as a missing composition.
+    The link composes by the case rules below, a product rule that reads
+    the factors, the action tables and the transports.  A pair whose
+    factor composite, action or transport is undefined raises
+    ``KeyError``, so :func:`finite.validate`, which composes each pair
+    once, reports it as a missing composition.
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
@@ -233,17 +233,7 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
         # first element to the second
         return (RIGHT, right_transport[(vp, vq)])
 
-    by_l = {x: [] for x in objects}
-    for p, (lo, _) in arrows.items():
-        by_l[lo].append(p)
-    table = {}
-    for p, (_, ro) in arrows.items():
-        for q in by_l[ro]:
-            try:
-                table[(p, q)] = compose(p, q)
-            except KeyError:  # undefined composite, action or transport
-                continue
-    link = FiniteGroupoid(objects, arrows, identity, inverse, table)
+    link = FiniteGroupoid(objects, arrows, identity, inverse, compose)
     report.violations.extend(validate(link).violations)
     return report, link
 

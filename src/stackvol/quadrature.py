@@ -174,16 +174,20 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lows,
     highs, (samples, d))``, and returns a finite value per row.  Chunk
     statistics about the first chunk's mean merge as in Chan, Golub & LeVeque
-    (1983); the error estimate is the standard error times the volume.
+    (1983); the error estimate is the standard error times the volume.  The
+    statistics are kept in units of a power of two taken from the first
+    chunk's largest |value|, which changes no bit of them but keeps the
+    squares of values near 1e200 or 1e-300 from overflowing or vanishing.
     """
     import numpy as np
 
     if samples < 2:
         raise ValueError("need at least 2 samples")
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if any(hi <= lo for lo, hi in bounds):
+    if any(not lo < hi for lo, hi in bounds):
         raise ValueError("box bounds must satisfy lo < hi")
     volume = math.prod(hi - lo for lo, hi in bounds)
+    require_positive_finite("box volume", volume)  # refuses infinite bounds
     rng = np.random.default_rng(seed)
     lows, widths = np.array([(lo, hi - lo) for lo, hi in bounds]).T
     mean = m2 = 0.0
@@ -197,13 +201,16 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
             raise ValueError("integrand must return one value per sample")
         if not np.all(np.isfinite(values)):
             raise ValueError("integrand returned non-finite values")
+        if count == 0:  # 1/scale: the power of two just above the largest |value|
+            scale = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(values).max()))[1]))
+        dev = values * scale  # exact, as is every later rescaling by a power of two
         if count == 0:
-            shift = float(values.mean())  # keeps the digits of a large common offset
-        dev = values - shift
+            shift = float(dev.mean())  # keeps the digits of a large common offset
+        dev -= shift
         chunk_mean = float(dev.mean())
         dev -= chunk_mean
         delta = chunk_mean - mean
         m2 += float(dev @ dev) + delta * delta * (count * k / (count + k))
         mean += delta * (k / (count + k))
-    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-    return QuadratureResult((shift + mean) * volume, stderr * volume, samples)
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) / scale
+    return QuadratureResult((shift + mean) / scale * volume, stderr * volume, samples)

@@ -176,7 +176,10 @@ def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndar
 def gaussian_test_function(width: float = 0.25):
     """Centered Gaussian in the chamber parameter, vectorization-friendly."""
     require_positive_finite("width", width)
-    inv = 1.0 / (2.0 * width * width)
+    twice_square = 2.0 * width * width
+    inv = 1.0 / twice_square if twice_square else math.inf
+    if math.isinf(inv):
+        raise ValueError(f"width {width!r} is too small: 1/(2 width^2) is not finite")
 
     def phi(s):
         return np.exp(-inv * np.square(s))

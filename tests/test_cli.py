@@ -30,6 +30,7 @@ from stackvol.morita import (
     block_bibundle,
     identity_bibundle,
     random_morita_triple,
+    random_morita_weights,
     validate_bibundle,
 )
 
@@ -286,6 +287,32 @@ def test_bibundle_dump_is_pinned(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BIBUNDLE_DIGESTS[name]
 
 
+# sha256 of the ``morita link -o`` dump of ``random_morita_triple(seed)``,
+# recorded when the link still stored its composition as a pair table
+LINK_DIGESTS = {
+    1: "628b38dc011d6750eb2af8fe8837e488c2d4310b365616b8c258fa198c1a0b6f",
+    2: "5b5e9086968b769a202c7a3908380ada7e548ede8f83a949cd020509efa3b153",
+    3: "7e2a3225bd4f84f4b89684120807e73d1f6925b40f7568241d4b0d9db55ec0cd",
+    5: "53c74c7cea4450f4534123996244638a199ef781c0dc91fafce4e11bdebe112e",
+    11: "1f715c0c3d84482f68908200383d6c38ea3c85d827c5cf3017d6ef99c17e6a76",
+    42: "0ffddafa51483373e11c1c29d641a82b2e9e452928e2cee3b720a09e5eb16840",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LINK_DIGESTS))
+def test_link_dump_is_pinned(tmp_path, capsys, seed):
+    g1, g2, bib = random_morita_triple(seed)
+    paths = {name: tmp_path / f"{name}.json" for name in ("left", "right", "bib", "link")}
+    jsonio.dump_groupoid(g1, paths["left"])
+    jsonio.dump_groupoid(g2, paths["right"])
+    jsonio.dump_bibundle(g1, g2, bib, paths["bib"])
+    code, _, _ = run(capsys, ["morita", "link", "--left", str(paths["left"]),
+                              "--right", str(paths["right"]),
+                              "--bibundle", str(paths["bib"]), "-o", str(paths["link"])])
+    assert code == 0
+    assert hashlib.sha256(paths["link"].read_bytes()).hexdigest() == LINK_DIGESTS[seed]
+
+
 @pytest.mark.parametrize("make", [_mixed_id_triple, _string_id_triple,
                                   lambda: random_morita_triple(5)],
                          ids=["mixed-ids", "string-ids", "tuple-ids"])
@@ -510,7 +537,10 @@ class TestErrorPaths:
         ["smooth", "example", "symplectic-bk", "--tol", "-1"],
         ["smooth", "example", "plane-so2", "ts=1", "--tol", "-1"],
         ["smooth", "example", "poisson-sphere-bundle", "--tol", "inf"],
+        ["smooth", "weyl-check", "--width", "1e-200"],
+        ["smooth", "weyl-check", "--width", "1e308"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
     def test_parameter_out_of_range_exits_one(self, capsys, argv):
         code, _, err = run(capsys, argv)
         assert code == 1
@@ -764,16 +794,16 @@ def _at(doc, path):
     return doc
 
 
-@st.composite
-def _mutated_documents(draw):
-    """A generated groupoid and matching weights, with 1 to 3 mutations."""
-    g = random_groupoid(draw(st.integers(0, 10_000)), max_objects=3, max_group_order=3,
-                        max_blocks=2)
-    docs = {"groupoid": jsonio.groupoid_to_dict(g),
-            "weights": jsonio.weights_to_dict(random_invariant_weights(g, 1),
-                                              jsonio._renaming(g)[0])}
+_ACTIONS = (("leftAction",), ("rightAction",))
+
+
+def _mutate(draw, docs, kinds, targets=()):
+    """Apply 1 to 3 mutations of the given kinds to the JSON documents ``docs``.
+
+    ``targets`` are the element ids that a retargeted action result may take.
+    """
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["retype", "delete", "unknown id", "duplicate", "weight"]))
+        kind = draw(st.sampled_from(kinds))
         name = draw(st.sampled_from(sorted(docs)))
         nodes = list(_nodes(docs[name]))
         if kind == "retype":
@@ -786,44 +816,92 @@ def _mutated_documents(draw):
         if kind == "delete":
             paths = [p for p, _ in nodes if p]
         elif kind == "unknown id":
-            paths = [p for p, _ in _nodes(docs["groupoid"])
-                     if p[:1] == ("compose",) and len(p) == 3]
+            paths = [p for p, _ in nodes if p[:1] in (("compose",), *_ACTIONS) and len(p) == 3]
         elif kind == "duplicate":
             paths = [p for p, v in nodes if isinstance(v, list) and v]
+        elif kind == "retarget":
+            paths = [p for p, _ in nodes if p[:1] in _ACTIONS and len(p) == 3 and p[2] == 2]
         else:
-            paths = [p for p, _ in _nodes(docs["weights"])
-                     if p[:1] in (("a",), ("b",)) and len(p) == 2]
+            paths = [p for p, _ in nodes if p[:1] in (("a",), ("b",)) and len(p) == 2]
         if not paths:
             continue
         path = draw(st.sampled_from(paths))
         if kind == "delete":
             del _at(docs[name], path[:-1])[path[-1]]
-        elif kind == "unknown id":
-            _at(docs["groupoid"], path[:-1])[path[-1]] = "unknown"
         elif kind == "duplicate":
             entries = _at(docs[name], path)
             entries.append(draw(st.sampled_from(entries)))
         else:
-            _at(docs["weights"], path[:-1])[path[-1]] = draw(st.sampled_from(["1/0", "0"]))
+            _at(docs[name], path[:-1])[path[-1]] = draw(st.sampled_from(
+                {"unknown id": ["unknown"], "retarget": targets}.get(kind, ["1/0", "0"])))
     return docs
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A generated groupoid and matching weights, with 1 to 3 mutations."""
+    g = random_groupoid(draw(st.integers(0, 10_000)), max_objects=3, max_group_order=3,
+                        max_blocks=2)
+    docs = {"groupoid": jsonio.groupoid_to_dict(g),
+            "weights": jsonio.weights_to_dict(random_invariant_weights(g, 1),
+                                              jsonio._renaming(g)[0])}
+    return _mutate(draw, docs, ["retype", "delete", "unknown id", "duplicate", "weight"])
+
+
+@st.composite
+def _mutated_morita_documents(draw):
+    """A generated Morita triple and corresponding weights, with 1 to 3 mutations."""
+    g1, g2, bib = random_morita_triple(draw(st.integers(0, 10_000)), max_points=2,
+                                       max_group_order=3)
+    w1, w2 = random_morita_weights(g1, g2, bib, 1)
+    docs = {"left": jsonio.groupoid_to_dict(g1), "right": jsonio.groupoid_to_dict(g2),
+            "bibundle": jsonio.bibundle_to_dict(g1, g2, bib),
+            "left-weights": jsonio.weights_to_dict(w1, jsonio._renaming(g1)[0]),
+            "right-weights": jsonio.weights_to_dict(w2, jsonio._renaming(g2)[0])}
+    targets = tuple(docs["bibundle"]["elements"])
+    return _mutate(draw, docs, ["retype", "delete", "unknown id", "duplicate", "retarget",
+                                "weight"], targets)
+
+
+def _write_documents(tmp, docs):
+    files = {}
+    for name, doc in docs.items():
+        files[name] = str(Path(tmp) / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(doc))
+    return files
+
+
+def _assert_clean_exits(argvs):
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
 
 @settings(max_examples=40, deadline=5000)
 @given(_mutated_documents())
 def test_mutated_finite_inputs_exit_cleanly(docs):
     with tempfile.TemporaryDirectory() as tmp:
-        files = {}
-        for name, doc in docs.items():
-            files[name] = str(Path(tmp) / f"{name}.json")
-            Path(files[name]).write_text(json.dumps(doc))
-        for argv in (["finite", "cardinality", "--groupoid", files["groupoid"]],
-                     ["finite", "volume", "--groupoid", files["groupoid"],
-                      "--weights", files["weights"]],
-                     ["finite", "measure", "--groupoid", files["groupoid"],
-                      "--weights", files["weights"], "--orbits", "o0"]):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(argv)
-            assert code in (0, 1, 3), (argv, err.getvalue())
-            assert "Traceback" not in err.getvalue()
-            assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+        files = _write_documents(tmp, docs)
+        _assert_clean_exits((
+            ["finite", "cardinality", "--groupoid", files["groupoid"]],
+            ["finite", "volume", "--groupoid", files["groupoid"],
+             "--weights", files["weights"]],
+            ["finite", "measure", "--groupoid", files["groupoid"],
+             "--weights", files["weights"], "--orbits", "o0"]))
+
+
+@settings(max_examples=40, deadline=5000)
+@given(_mutated_morita_documents())
+def test_mutated_morita_inputs_exit_cleanly(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = _write_documents(tmp, docs)
+        triple = ["--left", files["left"], "--right", files["right"],
+                  "--bibundle", files["bibundle"]]
+        _assert_clean_exits((
+            ["morita", "check", *triple, "--left-weights", files["left-weights"],
+             "--right-weights", files["right-weights"]],
+            ["morita", "link", *triple, "-o", str(Path(tmp) / "link.json")]))

@@ -446,10 +446,14 @@ def test_linking_cardinality_counts_one_merged_orbit_per_block(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_linking_table_covers_exactly_the_composable_pairs(seed):
     link = linking_groupoid(*random_morita_triple(seed))
-    composable = {(p, q) for p in link.arrow_ids for q in link.arrow_ids
-                  if link.r(p) == link.l(q)}
-    assert link.compose_table is not None
-    assert set(link.compose_table) == composable
+    for p in link.arrow_ids:
+        for q in link.arrow_ids:
+            if link.r(p) == link.l(q):
+                pq = link.compose(p, q)
+                assert (link.l(pq), link.r(pq)) == (link.l(p), link.r(q))
+            else:
+                with pytest.raises(UndefinedComposition):
+                    link.compose(p, q)
 
 
 def _action_tables(g1, g2, bib):

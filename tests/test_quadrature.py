@@ -265,6 +265,25 @@ class TestStreamedMC:
             integrate_mc(f, MIXED_BOUNDS, MC_CHUNK + 10, seed=4)
         assert len(calls) == bad_call + 1
 
+    @pytest.mark.parametrize("size", [1e200, 1e-300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_error_estimate_survives_extreme_magnitudes(self, size):
+        # squared deviations of 1e200 overflow and those of 1e-300 vanish
+        base = integrate_mc(lambda p: 1 + p[:, 0], [(0, 1)], 200_000, seed=3)
+        res = integrate_mc(lambda p: size * (1 + p[:, 0]), [(0, 1)], 200_000, seed=3)
+        assert res.value == pytest.approx(size * base.value, rel=1e-12, abs=0)
+        assert res.error_estimate == pytest.approx(size * base.error_estimate, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bounds", [
+        [(0, math.inf)], [(-math.inf, 1)], [(0, 1), (math.nan, 1)], [(1, math.nan)],
+        [(-1e308, 1e308)], [(0, 1e200)] * 2])
+    def test_box_without_finite_volume_is_refused_before_sampling(self, bounds):
+        def f(points):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError, match="box"):
+            integrate_mc(f, bounds, 10, seed=0)
+
     def test_peak_memory_does_not_grow_with_samples(self):
         def f(points):
             return points[:, 0] * points[:, 1] + points[:, 2]
@@ -302,6 +321,53 @@ def test_streamed_statistics_match_one_shot(chunk, n, seed, ratio, scale):
     assert res.value == pytest.approx(float(mean) * MIXED_VOLUME, rel=1e-12,
                                       abs=1e-12 * size * MIXED_VOLUME)
     assert res.error_estimate == pytest.approx(stderr * MIXED_VOLUME, rel=1e-12)
+
+
+def _unscaled_statistics(values, chunk, volume):
+    """The streamed value and error of ``integrate_mc``, with no rescaling."""
+    n, mean, m2 = len(values), 0.0, 0.0
+    for count in range(0, n, chunk):
+        k = min(chunk, n - count)
+        if count == 0:
+            shift = float(values[:k].mean())
+        dev = values[count:count + k] - shift
+        chunk_mean = float(dev.mean())
+        dev -= chunk_mean
+        delta = chunk_mean - mean
+        m2 += float(dev @ dev) + delta * delta * (count * k / (count + k))
+        mean += delta * (k / (count + k))
+    return (shift + mean) * volume, math.sqrt(m2 / (n - 1)) / math.sqrt(n) * volume
+
+
+@settings(max_examples=60, deadline=2000)
+@given(chunk=st.integers(1, 9), n=st.integers(2, 120), seed=st.integers(0, 2 ** 32),
+       ratio=st.sampled_from([0.0, 1e6, -1e6]), scale=st.sampled_from([1e-3, 1.0, 5e4]))
+def test_rescaling_changes_no_output_bit(chunk, n, seed, ratio, scale):
+    def f(points):
+        return scale * (ratio + points[:, 0] * points[:, 1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MC_CHUNK", chunk)
+        res = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
+    values = f(_one_shot_uniform(MIXED_BOUNDS, n, seed))
+    assert (res.value, res.error_estimate) == _unscaled_statistics(values, chunk, MIXED_VOLUME)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(chunk=st.integers(1, 9), n=st.integers(2, 60), seed=st.integers(0, 2 ** 32),
+       exponent=st.integers(-1000, 1000))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_of_two_scales_every_output_bit(chunk, n, seed, exponent):
+    def f(points):
+        return 0.3 + points[:, 0] * points[:, 1]
+
+    factor = math.ldexp(1.0, exponent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "MC_CHUNK", chunk)
+        base = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
+        res = integrate_mc(lambda p: factor * f(p), MIXED_BOUNDS, n, seed=seed)
+    assert res.value == factor * base.value
+    assert res.error_estimate == factor * base.error_estimate
 
 
 @settings(max_examples=25, deadline=None)

@@ -151,6 +151,12 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             gaussian_test_function(0.0)
 
+    @pytest.mark.parametrize("width", [1e-200, 1e-160])
+    def test_width_whose_exponent_overflows_is_refused(self, width):
+        # 2 w^2 is 0.0 at 1e-200 and subnormal at 1e-160
+        with pytest.raises(ValueError, match="too small"):
+            gaussian_test_function(width)
+
 
 class TestWeylCheck:
     def test_moderate_sample_run(self):
