@@ -23,7 +23,7 @@ _EXPORTS = {
                  "symplectic_bk_volume"),
     "finite": ("FiniteGroupoid", "Orbit", "OrbitDecomposition", "WeightData", "action_groupoid",
                "block_groupoid", "block_union", "cardinality", "classifying_groupoid",
-               "disjoint_union", "empty_groupoid", "fiber_volume", "finite_sets_cardinality",
+               "empty_groupoid", "fiber_volume", "finite_sets_cardinality",
                "invariant_section", "orbit_set_measure", "orbit_volume", "orbits", "pair_groupoid",
                "random_groupoid", "random_invariant_weights", "random_positive_rescaling",
                "restrict_to_objects", "validate"),

@@ -18,6 +18,7 @@ import sys
 
 from .errors import NumericalFailure, SchemaError, ValidationFailure
 from .finite import (
+    MAX_RANDOM_ARROWS,
     InvalidGroupoidError,
     cardinality,
     fiber_volume,
@@ -153,17 +154,10 @@ def _cmd_morita_link(args) -> int:
     # the link is validated as part of the bibundle check
     link = linking_groupoid(g1, g2, bib)
     params = {"left": args.left, "right": args.right, "bibundle": args.bibundle}
-    lines = [
-        f"objects {len(link.objects)}",
-        f"arrows {link.arrow_count}",
-        f"bridge {len(bib.elements)}",
-    ]
-    payload = {
-        "objects": len(link.objects),
-        "arrows": link.arrow_count,
-        "bridge": len(bib.elements),
-        "valid": True,
-    }
+    payload = {"objects": len(link.objects), "arrows": link.arrow_count,
+               "bridge": len(bib.elements)}
+    lines = [f"{key} {count}" for key, count in payload.items()]
+    payload["valid"] = True
     if args.output:
         dump_groupoid(link, args.output)
         lines.append(f"wrote {args.output}")
@@ -278,15 +272,9 @@ def _cmd_smooth_example(args) -> int:
                 table.append({"t": t, "density": od.value, "onWall": od.on_wall})
             lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
             return _emit(args, lines, {"table": table}, params)
-        payload = {
-            "period": model.period,
-            "rootValue": model.sigma[0],
-            "volumeNorm": model.volume_norm,
-        }
-        lines = [f"period {_fmt_real(model.period)}",
-                 f"rootValue {_fmt_real(model.sigma[0])}",
-                 f"volumeNorm {_fmt_real(model.volume_norm)}"]
-        return _emit(args, lines, payload, params)
+        payload = {"period": model.period, "rootValue": model.sigma[0],
+                   "volumeNorm": model.volume_norm}
+        return _emit(args, [f"{key} {_fmt_real(v)}" for key, v in payload.items()], payload, params)
 
     raise ValidationFailure(f"model {args.name!r} produced an unsupported type")
 
@@ -323,14 +311,18 @@ def _cmd_smooth_weyl(args) -> int:
 
 
 def _cmd_series_finite_sets(args) -> int:
-    value = finite_sets_cardinality(args.cutoff)
+    n, limit = args.cutoff, getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = ValueError(f"--cutoff {n}: the value has too many digits to print")
+    # the value p/q is within 2/(n+1)! of e, whose continued-fraction terms grow only
+    # linearly, so q keeps over half the digits of n!: past twice the limit none can print
+    if limit and n > 0 and math.lgamma(min(n, 1e9) + 1) / math.log(10) > 2 * limit + 10:
+        raise too_long
+    value = finite_sets_cardinality(n)
     try:
         text = str(value)
     except ValueError:  # past the interpreter's integer-digit limit
-        raise ValueError(f"--cutoff {args.cutoff}: the value has too many digits to print") from None
-    return _emit(args, [text],
-                 {"value": text, "approx": float(value)},
-                 {"cutoff": args.cutoff})
+        raise too_long from None
+    return _emit(args, [text], {"value": text, "approx": float(value)}, {"cutoff": n})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("generate", parents=[common],
                         help="seed-deterministic random groupoid")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-objects", type=int, default=6)
+    p.add_argument("--max-objects", type=int, default=6,
+                   help=f"object bound; a draw of over {MAX_RANDOM_ARROWS:,} arrows is refused")
     p.add_argument("--max-group-order", type=int, default=4)
     p.add_argument("-o", "--output", help="write groupoid JSON here")
     p.add_argument("--weights-out", help="also write matching invariant weights")

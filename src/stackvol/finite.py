@@ -68,30 +68,38 @@ class FiniteGroupoid:
     rules so that no quadratic table has to be materialized; JSON-loaded
     groupoids keep an explicit table.  Inconsistent tables raise
     ValueError naming the first bad entry; the tables never change, so
-    :meth:`pair_counts` and its derivatives are memoized.
+    :meth:`pair_counts` and its derivatives are memoized.  ``deferred``, as
+    :func:`block_union` gives it, is ``(build, pair_counts, arrow_count)``: the
+    arrow, identity and inverse tables stay ``None`` until a reader calls
+    :meth:`_built`, which fills them from ``build()`` and checks them once.
     """
 
-    def __init__(self, objects, arrows, identity, inverse, compose):
+    def __init__(self, objects, arrows, identity, inverse, compose, *, deferred=None):
         self._objects = tuple(objects)
         self._object_set = frozenset(self._objects)
         if len(self._object_set) != len(self._objects):
             raise ValueError("duplicate object ids")
-        self._arrows = dict(arrows)  # arrow id -> (l, r)
-        self._identity = dict(identity)
-        self._inverse = dict(inverse)
+        self._arrows = self._identity = self._inverse = None
+        self._build, self._pair_counts, self._arrow_count = deferred or (None, None, None)
+        if deferred is None:  # arrows maps an arrow id to (l, r)
+            self._arrows, self._identity, self._inverse = dict(arrows), dict(identity), dict(inverse)
+            self._arrow_count = len(self._arrows)
+            self._check_structure()
         if isinstance(compose, dict):
             self._compose_table = dict(compose)
             self._product = self._table_rule(self._compose_table)
         else:
             self._compose_table = None
             self._product = compose
-        self._by_l = None
-        self._by_r = None
-        self._pair_counts = None
-        self._orbit_cache = None
-        self._fiber_index = None
-        self._validation = None
-        self._check_structure()
+        self._by_l = self._by_r = None
+        self._orbit_cache = self._fiber_index = self._validation = None
+
+    def _built(self):
+        """The arrow, identity and inverse tables, built and checked on first use."""
+        if self._arrows is None:
+            self._arrows, self._identity, self._inverse = self._build()
+            self._check_structure()
+        return self._arrows, self._identity, self._inverse
 
     def _check_structure(self):
         with suppress(TypeError):  # C-speed screen; a table failing it is walked below
@@ -135,31 +143,31 @@ class FiniteGroupoid:
 
     @property
     def arrow_ids(self):
-        return self._arrows.keys()
+        return (self._arrows or self._built()[0]).keys()
 
     @property
     def arrow_count(self) -> int:
-        return len(self._arrows)
+        return self._arrow_count
 
     def has_object(self, x) -> bool:
         return x in self._object_set
 
     def l(self, g):
-        return self._arrows[g][0]
+        return (self._arrows or self._built()[0])[g][0]
 
     def r(self, g):
-        return self._arrows[g][1]
+        return (self._arrows or self._built()[0])[g][1]
 
     def identity(self, x):
-        return self._identity[x]
+        return (self._identity or self._built()[1])[x]
 
     def inverse(self, g):
-        return self._inverse[g]
+        return (self._inverse or self._built()[2])[g]
 
     def compose(self, g, h):
         """The composite gh; :class:`UndefinedComposition` unless r(g) == l(h) for arrows g, h."""
         if self._compose_table is None:
-            ends = self._arrows
+            ends = self._arrows or self._built()[0]
             if g not in ends or h not in ends or ends[g][1] != ends[h][0]:
                 raise UndefinedComposition((g, h))
         return self._product(g, h)
@@ -167,7 +175,7 @@ class FiniteGroupoid:
     def _build_indexes(self):
         by_l = {x: [] for x in self._objects}
         by_r = {x: [] for x in self._objects}
-        for aid, (lo, ro) in self._arrows.items():
+        for aid, (lo, ro) in self._built()[0].items():
             by_l[lo].append(aid)
             by_r[ro].append(aid)
         self._by_l = by_l
@@ -206,7 +214,7 @@ class FiniteGroupoid:
         return self._fiber_index
 
     def __repr__(self):
-        return f"FiniteGroupoid({len(self._objects)} objects, {len(self._arrows)} arrows)"
+        return f"FiniteGroupoid({len(self._objects)} objects, {self._arrow_count} arrows)"
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +231,6 @@ def _block_tables(pts, objs, group: FiniteGroup):
     ``keys[(i*n + j)*k + e]`` is ``(pts[i], pts[j], els[e])`` from ``objs[i]`` to
     ``objs[j]``; its inverse is at ``(j*n + i)*k + inv_at[e]``.
     """
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
     els = group.elements
     n, k = len(pts), len(els)
     e, inv_at = els.index(group.identity), [els.index(group.inv(gam)) for gam in els]
@@ -251,24 +257,37 @@ def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
 
 
 def block_union(specs) -> FiniteGroupoid:
-    """``disjoint_union(*(block_groupoid(p, g) for p, g in specs))``, built in one pass.
+    """The union of blocks ``block_groupoid(p, g)``, objects (i, x), arrows (i, (x, y, gamma)).
 
-    Objects (i, x) and arrows (i, (x, y, gamma)) of block i come in the same
-    order and tables, but no block groupoid is built or checked on its own.
+    The objects, the duplicate-point check and the pair counts (n*n pairs of
+    count |G| per block) come from the specs at once.  The arrow, identity and
+    inverse tables, with the order and ids of a union of separately built
+    blocks, are built on first use; the fiber and orbit sums never need them.
     """
-    objects, arrows, identity, inverse, mults = [], {}, {}, {}, []
+    blocks, objects, pairs = [], [], {}
     for i, (points, group) in enumerate(specs):
         pts = tuple(points)
+        if len(set(pts)) != len(pts):
+            raise ValueError("duplicate points")
         objs = [(i, x) for x in pts]
-        keys, ends, ident, inv = _block_tables(pts, objs, group)
-        keys = list(zip(repeat(i), keys))
+        blocks.append((pts, objs, group))
         objects += objs
-        arrows.update(zip(keys, ends))
-        identity.update(zip(objs, map(keys.__getitem__, ident)))
-        inverse.update(zip(keys, map(keys.__getitem__, inv)))
-        mults.append(group.mult)
-    return FiniteGroupoid(objects, arrows, identity, inverse,
-                          lambda a, b: (a[0], (a[1][0], b[1][1], mults[a[0]](a[1][2], b[1][2]))))
+        pairs.update(zip(product(objs, objs), repeat(group.order)))
+
+    def tables():
+        arrows, identity, inverse = {}, {}, {}
+        for i, (pts, objs, group) in enumerate(blocks):
+            keys, ends, ident, inv = _block_tables(pts, objs, group)
+            keys = list(zip(repeat(i), keys))
+            arrows.update(zip(keys, ends))
+            identity.update(zip(objs, map(keys.__getitem__, ident)))
+            inverse.update(zip(keys, map(keys.__getitem__, inv)))
+        return arrows, identity, inverse
+
+    mults = [group.mult for _, _, group in blocks]
+    return FiniteGroupoid(objects, None, None, None,
+                          lambda a, b: (a[0], (a[1][0], b[1][1], mults[a[0]](a[1][2], b[1][2]))),
+                          deferred=(tables, MappingProxyType(Counter(pairs)), sum(pairs.values())))
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
@@ -313,30 +332,13 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
                           lambda g, h: (mult(g[0], h[0]), h[1]))
 
 
-def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
-    """Disjoint union; objects and arrows get tagged with the part index."""
-    arrows = {}
-    identity = {}  # its keys are the objects, in order
-    inverse = {}
-    for i, g in enumerate(parts):
-        tag = {x: (i, x) for x in g._objects}
-        pair = {p: (tag[p[0]], tag[p[1]]) for p in dict.fromkeys(g._arrows.values())}
-        key = {aid: (i, aid) for aid in g._arrows}
-        identity.update(zip(tag.values(), map(key.__getitem__, map(g._identity.__getitem__, tag))))
-        arrows.update(zip(key.values(), map(pair.__getitem__, g._arrows.values())))
-        inverse.update(zip(key.values(), map(key.__getitem__, map(g._inverse.__getitem__, key))))
-    rules = tuple(g._product for g in parts)  # the parts themselves are not kept
-    return FiniteGroupoid(identity, arrows, identity, inverse,
-                          lambda a, b: (a[0], rules[a[0]](a[1], b[1])))
-
-
 def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
     """Full subgroupoid on the given objects (no fullness requirement here)."""
     keep_set = set(keep)
     unknown = keep_set - set(g.objects)
     if unknown:
         raise ValueError(f"unknown objects {sorted(map(repr, unknown))}")
-    arrows = {aid: ends for aid, ends in g._arrows.items() if keep_set.issuperset(ends)}
+    arrows = {aid: ends for aid, ends in g._built()[0].items() if keep_set.issuperset(ends)}
     identity = {x: g.identity(x) for x in keep_set}
     inverse = {aid: g.inverse(aid) for aid in arrows}
     ordered = tuple(x for x in g.objects if x in keep_set)
@@ -371,7 +373,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
 def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
     report = ValidationReport()
-    ends, ident, inv, table = g._arrows, g._identity, g._inverse, g._compose_table
+    (ends, ident, inv), table = g._built(), g._compose_table
     by_l, by_r = ({x: f(x) for x in g.objects} for f in (g.arrows_from, g.arrows_into))
 
     # rows[a] = {b: ab} over the composable pairs; a refused pair is absent
@@ -643,10 +645,7 @@ def orbit_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
     """Exact volume by the orbit formula: sum of (b/a)(orbit)/isotropy order."""
     dec = orbits(g)
     section = invariant_section(g, w, dec)
-    total = Fraction(0)
-    for orb in dec:
-        total += section[orb.representative] / orb.isotropy_order
-    return total
+    return sum((section[orb.representative] / orb.isotropy_order for orb in dec), Fraction(0))
 
 
 def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
@@ -666,12 +665,16 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
 # generators and series
 
 
+MAX_RANDOM_ARROWS = 150_000  # over ten times the 12,800 arrows of 40 points x order 8
+
+
 def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6,
                     max_blocks: int = 4) -> FiniteGroupoid:
     """Seed-deterministic :func:`block_union` of blocks ``(range(n), group)``.
 
     Every isomorphism class of finite groupoid arises this way, and the
-    output always satisfies the axioms by construction.
+    output always satisfies the axioms by construction.  A draw of more
+    than :data:`MAX_RANDOM_ARROWS` arrows raises ValueError at once.
     """
     if max_objects < 1 or max_group_order < 1 or max_blocks < 1:
         raise ValueError("size bounds must be >= 1")
@@ -679,8 +682,11 @@ def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6,
     zoo = group_zoo(max_group_order)
     n_blocks = rng.randint(1, max(1, min(max_blocks, max_objects)))
     per_block = max(1, max_objects // n_blocks)
-    return block_union([(range(rng.randint(1, per_block)), rng.choice(zoo))
-                        for _ in range(n_blocks)])
+    sizes = [(rng.randint(1, per_block), rng.choice(zoo)) for _ in range(n_blocks)]
+    if (arrows := sum(n * n * group.order for n, group in sizes)) > MAX_RANDOM_ARROWS:
+        raise ValueError(f"the random groupoid drawn has {arrows} arrows, "
+                         f"over the cap of {MAX_RANDOM_ARROWS}")
+    return block_union([(range(n), group) for n, group in sizes])
 
 
 def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:
@@ -691,13 +697,8 @@ def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     dec = orbits(g)
-    a = {}
-    for x in g.objects:
-        a[x] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-    section = {}
-    for orb in dec:
-        num = rng.randint(-6, 6)
-        section[orb.representative] = Fraction(num, rng.randint(1, 4))
+    a = {x: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for x in g.objects}
+    section = {orb.representative: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for orb in dec}
     b = {x: a[x] * section[dec.find(x).representative] for x in g.objects}
     return WeightData(a, b)
 

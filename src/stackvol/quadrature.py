@@ -175,9 +175,9 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     highs, (samples, d))``, and returns a finite value per row.  Chunk
     statistics about the first chunk's mean merge as in Chan, Golub & LeVeque
     (1983); the error estimate is the standard error times the volume.  The
-    statistics are kept in units of a power of two taken from the first
-    chunk's largest |value|, which changes no bit of them but keeps the
-    squares of values near 1e200 or 1e-300 from overflowing or vanishing.
+    statistics are kept in units of a power of two above every |value| seen,
+    which changes no bit of them but keeps the squares of values near 1e200
+    or 1e-300 from overflowing or vanishing.
     """
     import numpy as np
 
@@ -201,9 +201,14 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
             raise ValueError("integrand must return one value per sample")
         if not np.all(np.isfinite(values)):
             raise ValueError("integrand returned non-finite values")
-        if count == 0:  # 1/scale: the power of two just above the largest |value|
-            scale = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(values).max()))[1]))
-        dev = values * scale  # exact, as is every later rescaling by a power of two
+        # 1/unit: the power of two just above the chunk's largest |value|
+        unit = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(values).max()))[1]))
+        if count == 0:
+            scale = unit
+        elif unit < scale and values.any():  # a larger value (frexp puts 0 at unit 1)
+            ratio = unit / scale
+            scale, shift, mean, m2 = unit, shift * ratio, mean * ratio, m2 * ratio * ratio
+        dev = values * scale  # exact, as is every rescaling by a power of two
         if count == 0:
             shift = float(dev.mean())  # keeps the digits of a large common offset
         dev -= shift

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -16,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from stackvol import cli, jsonio
 from stackvol.finite import (
+    MAX_RANDOM_ARROWS,
     FiniteGroupoid,
     WeightData,
     block_groupoid,
+    finite_sets_cardinality,
     pair_groupoid,
     random_groupoid,
     random_invariant_weights,
@@ -506,6 +509,20 @@ class TestSeriesCommand:
         assert err.startswith("error: --cutoff 8000")
 
 
+    @pytest.mark.parametrize("cutoff", [1559, 1560, 50_000, 10 ** 30])
+    def test_cutoffs_past_the_digit_limit_are_refused_at_once(self, capsys, cutoff):
+        # 1559 is the last printable cutoff; from 1560 on str() of the value fails
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["series", "finite-sets", "--cutoff", str(cutoff)])
+        elapsed = time.perf_counter() - start
+        if cutoff == 1559:
+            assert code == 0 and out == str(finite_sets_cardinality(cutoff)) + "\n"
+            return
+        assert code == 1 and out == ""
+        assert err == f"error: --cutoff {cutoff}: the value has too many digits to print\n"
+        assert elapsed < 0.5
+
+
 class TestErrorPaths:
     def test_malformed_json_exits_three(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -761,6 +778,20 @@ def test_help_exits_zero(capsys):
         cli.main(["morita", "check", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_generate_refuses_an_oversized_groupoid_before_building_it():
+    # one block of up to 100,000 points would hold up to 4e10 arrows
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stackvol.cli", "finite", "generate", "--max-objects", "100000"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"over the cap of {MAX_RANDOM_ARROWS}" in errors[0], proc.stderr
 
 
 def test_reproducible_generate_matches_library(tmp_path, capsys):

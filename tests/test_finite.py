@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from stackvol.errors import ValidationFailure, Violation
 from stackvol.finite import (
+    MAX_RANDOM_ARROWS,
     DegenerateWeightError,
     FiniteGroupoid,
     InvalidActionError,
@@ -26,7 +27,6 @@ from stackvol.finite import (
     cardinality,
     check_strict_isomorphism,
     classifying_groupoid,
-    disjoint_union,
     empty_groupoid,
     fiber_volume,
     finite_sets_cardinality,
@@ -62,6 +62,19 @@ from stackvol.morita import linking_groupoid, random_morita_triple
 
 def z_n(n):
     return classifying_groupoid(FiniteGroup.cyclic(n))
+
+
+def disjoint_union(*parts):
+    """Reference union: objects and arrows tagged with the part index, read
+    through the public accessors; it holds only the parts' product rules."""
+    arrows, identity, inverse = {}, {}, {}  # identity's keys are the objects, in order
+    for i, g in enumerate(parts):
+        identity.update(((i, x), (i, g.identity(x))) for x in g.objects)
+        arrows.update(((i, a), ((i, g.l(a)), (i, g.r(a)))) for a in g.arrow_ids)
+        inverse.update(((i, a), (i, g.inverse(a))) for a in g.arrow_ids)
+    rules = tuple(g._product for g in parts)  # the parts themselves are not kept
+    return FiniteGroupoid(identity, arrows, identity, inverse,
+                          lambda a, b: (a[0], rules[a[0]](a[1], b[1])))
 
 
 class TestCardinality:
@@ -1039,8 +1052,56 @@ def test_block_union_matches_union_of_blocks(specs, data):
 
 
 def test_block_union_refuses_duplicate_points():
+    # at construction: the tables that would show the clash are built only on first use
     with pytest.raises(ValueError, match="duplicate points"):
         block_union([(range(2), FiniteGroup.cyclic(2)), ([0, 0], FiniteGroup.cyclic(2))])
+
+
+def _unbuilt(g):
+    return g._arrows is None and g._identity is None and g._inverse is None
+
+
+def _exact_invariants(g, w):
+    """What the exact volumes read, in order: none of it needs an arrow table."""
+    return (g.objects, g.arrow_count, list(g.pair_counts().items()),
+            [(o.representative, o.objects, o.isotropy_order) for o in orbits(g)],
+            fiber_volume(g, w), orbit_volume(g, w))
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.sampled_from(group_zoo(8))),
+                max_size=4), st.integers(0, 2 ** 32))
+def test_lazy_block_union_matches_reference_before_and_after_building(blocks, seed):
+    specs = [(range(n) if as_range else [f"p{j}" for j in range(n)], grp)
+             for n, as_range, grp in blocks]
+    ref = disjoint_union(*(block_groupoid(pts, grp) for pts, grp in specs))
+    w = random_invariant_weights(ref, seed)
+    expected = _exact_invariants(ref, w)
+    lazy, built = block_union(specs), block_union(specs)
+    assert _unbuilt(lazy) and _unbuilt(built)
+    assert _exact_invariants(lazy, w) == expected and _unbuilt(lazy)
+    assert repr(lazy) == repr(ref) and _unbuilt(lazy)
+    assert list(built.arrow_ids) == list(ref.arrow_ids) and not _unbuilt(built)
+    assert _exact_invariants(built, w) == expected
+    # the tables, once built, give the pair counts that came from the specs
+    assert list(Counter((built.l(a), built.r(a)) for a in built.arrow_ids).items()) == expected[2]
+    assert validate(lazy).ok and not _unbuilt(lazy)
+    assert _exact_invariants(lazy, w) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 1000])
+def test_exact_volumes_leave_random_groupoid_tables_unbuilt(seed):
+    g = random_groupoid(seed, max_objects=40, max_group_order=8)
+    w = random_invariant_weights(g, seed)
+    assert fiber_volume(g, w) == orbit_volume(g, w)
+    assert cardinality(g) == fiber_volume(g, unit_weights(g))
+    assert _unbuilt(g)
+
+
+def test_random_groupoid_refuses_a_draw_over_the_arrow_cap():
+    assert MAX_RANDOM_ARROWS >= 10 * 40 ** 2 * 8  # the largest groupoid the benchmark draws
+    with pytest.raises(ValueError, match=f"over the cap of {MAX_RANDOM_ARROWS}$"):
+        random_groupoid(1, max_objects=10 ** 12)  # about 4.6e23 arrows: no object is made
 
 
 def _union_of_blocks_groupoid(seed, max_objects, max_group_order, max_blocks):

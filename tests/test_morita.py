@@ -16,7 +16,6 @@ from stackvol.finite import (
     cardinality,
     check_strict_isomorphism,
     classifying_groupoid,
-    disjoint_union,
     fiber_volume,
     pair_groupoid,
     random_invariant_weights,
@@ -49,6 +48,8 @@ from stackvol.morita import (
     transfer_section,
     validate_bibundle,
 )
+
+from test_finite import disjoint_union  # the reference union of separately built parts
 
 # frozen oracles:
 #   one-object groupoid with order-2 symmetry, equivalent to itself through

@@ -274,6 +274,42 @@ class TestStreamedMC:
         assert res.value == pytest.approx(size * base.value, rel=1e-12, abs=0)
         assert res.error_estimate == pytest.approx(size * base.error_estimate, rel=1e-12, abs=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_late_chunk_far_above_the_first_lowers_the_unit(self):
+        # the unit of the first chunk (values 1 + x) would square 1e200 into overflow
+        calls = []
+
+        def f(points):
+            calls.append(len(points))
+            return (1 + points[:, 0]) * (1.0 if len(calls) == 1 else 1e200)
+
+        n = 2 * MC_CHUNK
+        res = integrate_mc(f, [(0, 1)], n, seed=5)
+        assert calls == [MC_CHUNK, MC_CHUNK]
+        scaled = 1 + _one_shot_uniform([(0, 1)], n, 5)[:, 0]
+        scaled[:MC_CHUNK] *= 1e-200  # the values over 1e200, which square without overflow
+        assert math.isfinite(res.error_estimate) and res.error_estimate > 0
+        assert res.value == pytest.approx(1e200 * scaled.mean(), rel=1e-12, abs=0)
+        assert res.error_estimate == pytest.approx(
+            1e200 * scaled.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_zero_chunk_keeps_the_unit_of_tiny_values(self):
+        # the largest |value| of an all-zero chunk, 0, has no power of two above it
+        calls = []
+
+        def f(points):
+            calls.append(len(points))
+            return (1 + points[:, 0]) * (0.0 if len(calls) == 2 else 1e-300)
+
+        n = 3 * MC_CHUNK
+        res = integrate_mc(f, [(0, 1)], n, seed=6)
+        scaled = 1 + _one_shot_uniform([(0, 1)], n, 6)[:, 0]
+        scaled[MC_CHUNK:2 * MC_CHUNK] = 0.0
+        assert res.value == pytest.approx(1e-300 * scaled.mean(), rel=1e-12, abs=0)
+        assert res.error_estimate == pytest.approx(
+            1e-300 * scaled.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("bounds", [
         [(0, math.inf)], [(-math.inf, 1)], [(0, 1), (math.nan, 1)], [(1, math.nan)],
         [(-1e308, 1e308)], [(0, 1e200)] * 2])
