@@ -50,7 +50,6 @@ def plane_so2(R: float = 2.0) -> ActionModel:
             orbit_density=lambda t: t,
             isotropy_volume=lambda t: 1.0,
             singular_params=(0.0,),
-            description="orbit radius",
         ),
     )
 
@@ -81,7 +80,6 @@ def plane_o2(R: float = 2.0) -> ActionModel:
             # each regular point is fixed by exactly one reflection
             isotropy_volume=lambda t: 2.0,
             singular_params=(0.0,),
-            description="orbit radius",
         ),
     )
 
@@ -106,7 +104,6 @@ def torus_free() -> ActionModel:
             param_range=(0.0, TWO_PI),
             orbit_density=lambda t: 1.0,
             isotropy_volume=lambda t: 1.0,
-            description="transverse angle",
         ),
     )
 

@@ -2,11 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (axiom violations,
 non-invariant sections, failed checks, parameters out of range, usage
-errors),
-2 numerical non-convergence, 3 I/O and schema problems.  Human output
-keeps results on stdout and a reproducibility echo of the effective
-parameters on stderr; --json emits a single JSON object including the
-parameters.
+errors), 2 numerical non-convergence or a result that overflowed, 3 I/O
+and schema problems.  Human output keeps results on stdout and a
+reproducibility echo of the effective parameters on stderr; --json
+emits a single JSON object including the parameters.
 """
 
 from __future__ import annotations
@@ -17,27 +16,6 @@ import math
 import sys
 
 from .errors import NumericalFailure, SchemaError, ValidationFailure
-from .finite import (
-    MAX_RANDOM_ARROWS,
-    InvalidGroupoidError,
-    cardinality,
-    fiber_volume,
-    finite_sets_cardinality,
-    orbit_set_measure,
-    orbit_volume,
-    random_groupoid,
-    random_invariant_weights,
-    validate,
-)
-from .jsonio import (
-    dump_groupoid,
-    groupoid_to_dict,
-    _renaming,
-    dump_weights,
-    load_bibundle,
-    load_groupoid,
-    load_weights,
-)
 
 DEFAULT_SEED = 94720
 DEFAULT_TOL = 1e-6
@@ -61,6 +39,9 @@ def _emit(args, lines, payload, params) -> int:
 
 
 def _load_valid_groupoid(path):
+    from .finite import InvalidGroupoidError, validate
+    from .jsonio import load_groupoid
+
     g = load_groupoid(path)
     validate(g).require(InvalidGroupoidError, f"invalid groupoid {path}")
     return g
@@ -83,6 +64,8 @@ def _quadrature_line(res) -> str:
 
 
 def _cmd_finite_cardinality(args) -> int:
+    from .finite import cardinality
+
     g = _load_valid_groupoid(args.groupoid)
     value = cardinality(g)
     return _emit(args, [str(value)], {"value": str(value)},
@@ -90,6 +73,9 @@ def _cmd_finite_cardinality(args) -> int:
 
 
 def _cmd_finite_volume(args) -> int:
+    from .finite import fiber_volume, orbit_volume
+    from .jsonio import load_weights
+
     g = _load_valid_groupoid(args.groupoid)
     w = load_weights(args.weights)
     params = {"groupoid": args.groupoid, "weights": args.weights, "method": args.method}
@@ -110,6 +96,9 @@ def _cmd_finite_volume(args) -> int:
 
 
 def _cmd_finite_measure(args) -> int:
+    from .finite import orbit_set_measure
+    from .jsonio import load_weights
+
     g = _load_valid_groupoid(args.groupoid)
     w = load_weights(args.weights)
     reps = [r for r in args.orbits.split(",") if r]
@@ -122,6 +111,9 @@ def _cmd_finite_measure(args) -> int:
 
 
 def _cmd_finite_generate(args) -> int:
+    from .finite import random_groupoid, random_invariant_weights
+    from .jsonio import _renaming, dump_groupoid, dump_weights, groupoid_to_dict
+
     g = random_groupoid(args.seed, max_objects=args.max_objects,
                         max_group_order=args.max_group_order)
     params = {"seed": args.seed, "max-objects": args.max_objects,
@@ -146,6 +138,7 @@ def _cmd_finite_generate(args) -> int:
 
 
 def _cmd_morita_link(args) -> int:
+    from .jsonio import dump_groupoid, load_bibundle
     from .morita import linking_groupoid
 
     g1 = _load_valid_groupoid(args.left)
@@ -166,6 +159,7 @@ def _cmd_morita_link(args) -> int:
 
 
 def _cmd_morita_check(args) -> int:
+    from .jsonio import load_bibundle, load_weights
     from .morita import morita_volume_check
 
     g1 = _load_valid_groupoid(args.left)
@@ -212,6 +206,17 @@ def _parse_ts(raw):
     return ts
 
 
+def _emit_table(args, params, ts, row) -> int:
+    """Emit one ``row(t)`` per t, each holding a density that must be finite."""
+    table = [{"t": t, **row(t)} for t in ts]
+    for entry in table:
+        if not math.isfinite(entry["density"]):
+            raise NumericalFailure(f"density at t={_fmt_real(entry['t'])} "
+                                   f"is {entry['density']}, not a finite number")
+    lines = [f"{_fmt_real(entry['t'])} {_fmt_real(entry['density'])}" for entry in table]
+    return _emit(args, lines, {"table": table}, params)
+
+
 def _cmd_smooth_example(args) -> int:
     # a parameter the model never reads is refused before the engines load
     if not (args.tol > 0 and math.isfinite(args.tol)):
@@ -249,15 +254,12 @@ def _cmd_smooth_example(args) -> int:
             ts = (1.0,)
             params["ts"] = "1"
         density = natural_leaf_measure if measure == "natural" else poisson_stack_density
-        table = [{"t": t, "density": density(model, t)} for t in ts]
-        lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
-        return _emit(args, lines, {"table": table}, params)
+        return _emit_table(args, params, ts, lambda t: {"density": density(model, t)})
 
     if isinstance(model, ActionModel):
         if ts is not None:
-            table = [{"t": t, "density": pushforward_density(model, t)} for t in ts]
-            lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
-            return _emit(args, lines, {"table": table}, params)
+            return _emit_table(args, params, ts,
+                               lambda t: {"density": pushforward_density(model, t)})
         res = stack_volume(model, tol=args.tol)
         return _emit(args, [_quadrature_line(res)], _quadrature_payload(res), params)
 
@@ -266,12 +268,11 @@ def _cmd_smooth_example(args) -> int:
 
     if isinstance(model, CartanData):
         if ts is not None:
-            table = []
-            for t in ts:
+            def wall_row(t):
                 od = adjoint_orbit_density(t, model)
-                table.append({"t": t, "density": od.value, "onWall": od.on_wall})
-            lines = [f"{_fmt_real(row['t'])} {_fmt_real(row['density'])}" for row in table]
-            return _emit(args, lines, {"table": table}, params)
+                return {"density": od.value, "onWall": od.on_wall}
+
+            return _emit_table(args, params, ts, wall_row)
         payload = {"period": model.period, "rootValue": model.sigma[0],
                    "volumeNorm": model.volume_norm}
         return _emit(args, [f"{key} {_fmt_real(v)}" for key, v in payload.items()], payload, params)
@@ -311,6 +312,8 @@ def _cmd_smooth_weyl(args) -> int:
 
 
 def _cmd_series_finite_sets(args) -> int:
+    from .finite import finite_sets_cardinality
+
     n, limit = args.cutoff, getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_long = ValueError(f"--cutoff {n}: the value has too many digits to print")
     # the value p/q is within 2/(n+1)! of e, whose continued-fraction terms grow only
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed-deterministic random groupoid")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-objects", type=int, default=6,
-                   help=f"object bound; a draw of over {MAX_RANDOM_ARROWS:,} arrows is refused")
+                   help="object bound; a draw of too many arrows is refused")
     p.add_argument("--max-group-order", type=int, default=4)
     p.add_argument("-o", "--output", help="write groupoid JSON here")
     p.add_argument("--weights-out", help="also write matching invariant weights")
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

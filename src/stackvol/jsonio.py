@@ -13,6 +13,7 @@ repr, and bibundle elements are renamed b0, b1, ... likewise.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -121,15 +122,14 @@ def _renaming(g: FiniteGroupoid):
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    # the composable pairs through y number in(y) * out(y), known before any arrow table
+    into, out = Counter(), Counter()
+    for (x, y), m in g.pair_counts().items():
+        out[x] += m
+        into[y] += m
+    if (pair_count := sum(into[y] * out[y] for y in into)) > _COMPOSE_DUMP_CAP:
+        raise SchemaError(f"compose table with {pair_count} entries exceeds the dump cap")
     obj_map, arrow_map = _renaming(g)
-
-    pair_count = sum(
-        len(g.arrows_into(y)) * len(g.arrows_from(y)) for y in g.objects
-    )
-    if pair_count > _COMPOSE_DUMP_CAP:
-        raise SchemaError(
-            f"compose table with {pair_count} entries exceeds the dump cap"
-        )
     compose = []
     for y in g.objects:
         for p in g.arrows_into(y):

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NumericalFailure, ValidationFailure
+from .errors import ValidationFailure
 from .quadrature import (
     NonConvergenceError,
     QuadratureResult,
@@ -36,20 +36,12 @@ HAAR_START_NODES = 16
 HAAR_MAX_NODES = 2 ** 16
 
 
-class NonCompactChartError(ValidationFailure):
-    """The requested computation needs a bounded chart."""
-
-
 class DegenerateModelError(ValidationFailure):
     """A fiber integral vanished, so the volume integrand is undefined."""
 
 
 class SingularOrbitError(ValidationFailure):
     """The pushforward density is defined on the strongly regular part only."""
-
-
-class DivergentIntegralError(NumericalFailure):
-    """Truncated integrals kept growing instead of converging."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +136,10 @@ class GroupModel:
 
 @dataclass(frozen=True)
 class BoxChart:
-    """A coordinate box; ``periods[i]`` is the period of axis i or None."""
+    """A bounded box of dimension 1 or 2, the dimensions ``integrate_box`` covers.
+
+    ``periods[i]`` is the period of axis i or None.
+    """
 
     bounds: tuple
     periods: tuple
@@ -152,15 +147,16 @@ class BoxChart:
     def __post_init__(self):
         if len(self.bounds) != len(self.periods):
             raise ValueError("bounds and periods must have equal length")
-        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
+        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if len(bounds) not in (1, 2):
+            raise ValueError(f"a chart has dimension 1 or 2, not {len(bounds)}")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds):
+            raise ValueError(f"chart bounds {bounds} are not finite intervals lo < hi")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
-
-    @property
-    def compact(self) -> bool:
-        return all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in self.bounds)
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,6 @@ class OrbitChart:
     orbit_density: Callable[[float], float]
     isotropy_volume: Callable[[float], float]
     singular_params: tuple = ()
-    description: str = ""
 
     def is_singular(self, t: float) -> bool:
         lo, hi = self.param_range
@@ -275,24 +270,8 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
         total = sum((b_over_fiber(p) for p in am.chart.points), 0.0)
         return QuadratureResult(total, 0.0, len(am.chart.points) + fiber_evals)
 
-    if not am.chart.compact:
-        raise NonCompactChartError(f"model {am.name} has an unbounded chart")
-    bounds = _restrict_bounds(am, param_region)
-
-    res = integrate_box(lambda *p: b_over_fiber(p), bounds, tol=tol)
+    res = integrate_box(lambda *p: b_over_fiber(p), _restrict_bounds(am, param_region), tol=tol)
     return QuadratureResult(res.value, res.error_estimate, res.evaluations + fiber_evals)
-
-
-def _truncations(bounds):
-    """Nested finite boxes exhausting a chart with some infinite sides."""
-    for k in range(26):
-        cut = 2.0 ** k
-        box = []
-        for lo, hi in bounds:
-            lo_k = lo if math.isfinite(lo) else -cut
-            hi_k = hi if math.isfinite(hi) else cut
-            box.append((lo_k, hi_k))
-        yield box
 
 
 def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
@@ -300,16 +279,14 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
 
     Valid when the action is transitive with trivial isotropy up to a
     group of measure zero, where the stack volume collapses to the ratio
-    of total volumes.  Unbounded charts are probed through a doubling
-    sequence of truncations and reported divergent if the values keep
-    growing.
+    of total volumes.
     """
     if not am.a_constant:
         raise ValueError("homogeneous_volume requires a constant a_density")
     if isinstance(am.chart, PointChart):
         probe = am.chart.points[0]
     else:
-        probe = tuple(lo if math.isfinite(lo) else 0.0 for lo, _ in am.chart.bounds)
+        probe = tuple(lo for lo, _ in am.chart.bounds)
     a0 = float(am.a_density(probe))
     if a0 == 0.0:
         raise DegenerateModelError("group volume weighted by a vanishes")
@@ -318,34 +295,8 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     if isinstance(am.chart, PointChart):
         total = sum(float(am.b_density(p)) for p in am.chart.points)
         return QuadratureResult(total / denom, 0.0, len(am.chart.points))
-
-    def b_only(*p):
-        return float(am.b_density(p))
-
-    if am.chart.compact:
-        res = integrate_box(b_only, am.chart.bounds, tol=tol)
-        return QuadratureResult(res.value / denom, res.error_estimate / abs(denom),
-                                res.evaluations)
-
-    prev = None
-    evals = 0
-    stable = 0
-    for box in _truncations(am.chart.bounds):
-        res = integrate_box(b_only, box, tol=tol)
-        evals += res.evaluations
-        if prev is not None:
-            if abs(res.value - prev) <= tol * abs(res.value):
-                stable += 1
-                if stable >= 2:
-                    return QuadratureResult(res.value / denom,
-                                            (res.error_estimate + abs(res.value - prev)) / abs(denom),
-                                            evals)
-            else:
-                stable = 0
-        prev = res.value
-    raise DivergentIntegralError(
-        f"truncated b integrals of {am.name} keep growing (last {prev:.6g})"
-    )
+    res = integrate_box(lambda *p: float(am.b_density(p)), am.chart.bounds, tol=tol)
+    return QuadratureResult(res.value / denom, res.error_estimate / abs(denom), res.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +317,9 @@ class InvarianceReport:
 
 
 def _jacobian_det(am: ActionModel, h, p) -> float:
-    """|det| of the chart Jacobian of the action of h at p, by central differences.
-
-    Charts of dimension 1 and 2 only, the dimensions ``integrate_box`` covers.
-    """
+    """|det| of the chart Jacobian of the action of h at p, by central differences."""
     chart = am.chart
     d = chart.dim
-    if d not in (1, 2):
-        raise ValueError("invariance checks support charts of dimension 1 and 2")
     cols = []
     for j in range(d):
         lo, hi = chart.bounds[j]

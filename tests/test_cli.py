@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, parameter echoes."""
 
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -16,11 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackvol import cli, jsonio
+from stackvol.catalog import CATALOG
+from stackvol.errors import SchemaError
 from stackvol.finite import (
     MAX_RANDOM_ARROWS,
     FiniteGroupoid,
     WeightData,
     block_groupoid,
+    block_union,
     finite_sets_cardinality,
     pair_groupoid,
     random_groupoid,
@@ -578,6 +582,19 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["smooth", "example", "adjoint-su2", "ts=1e200", "--json"],
+        ["smooth", "example", "adjoint-su2", "ts=1,1e200"],
+        ["smooth", "example", "poisson-sphere-bundle", "c1=1e200", "ts=1"],
+        ["smooth", "example", "poisson-sphere-bundle", "c1=1e200", "ts=1", "--json"],
+    ], ids=["adjoint-json", "adjoint-second-row", "poisson", "poisson-json"])
+    def test_density_that_overflows_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("deep", ["groupoid", "weights"])
     def test_deeply_nested_json_exits_three(self, capsys, tmp_path, half_point, deep):
         path = tmp_path / "deep.json"
@@ -670,6 +687,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _loaded_by(tmp_path, argv, modules):
+    """Which of ``modules`` a ``stackvol`` process running ``argv`` has loaded at exit."""
+    paths = {key: str(path) for key, path in morita_fixture(tmp_path).items()}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[2:]); "
+         "print(sorted(m for m in sys.argv[1].split(',') if m in sys.modules)); sys.exit(code)",
+         ",".join(modules), *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["finite", "volume", "--groupoid", "{left}", "--weights", "{w1}"], False),
     (["morita", "check", "--left", "{left}", "--right", "{right}", "--bibundle", "{bib}",
@@ -679,16 +710,7 @@ def test_cli_import_loads_no_scipy():
     (["smooth", "example", "adjoint-su2"], True),
 ])
 def test_only_su2_commands_load_numpy(tmp_path, argv, loads_numpy):
-    paths = {key: str(path) for key, path in morita_fixture(tmp_path).items()}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
-         "print('numpy' in sys.modules); sys.exit(code)",
-         *(arg.format(**paths) for arg in argv)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+    assert _loaded_by(tmp_path, argv, ["numpy"]) == ("['numpy']" if loads_numpy else "[]")
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,17 +718,12 @@ def test_only_su2_commands_load_numpy(tmp_path, argv, loads_numpy):
     ["series", "finite-sets"],
 ])
 def test_finite_commands_load_no_morita_or_families(tmp_path, argv):
-    paths = {key: str(path) for key, path in morita_fixture(tmp_path).items()}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
-         "print(sorted(m for m in ('stackvol.morita', 'stackvol.families') if m in sys.modules)); "
-         "sys.exit(code)",
-         *(arg.format(**paths) for arg in argv)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _loaded_by(tmp_path, argv, ["stackvol.morita", "stackvol.families"]) == "[]"
+
+
+def test_smooth_commands_load_no_finite_or_jsonio(tmp_path):
+    argv = ["smooth", "example", "plane-so2"]
+    assert _loaded_by(tmp_path, argv, ["stackvol.finite", "stackvol.jsonio"]) == "[]"
 
 
 def test_morita_check_names_an_object_missing_from_the_left_weights(tmp_path):
@@ -792,6 +809,23 @@ def test_generate_refuses_an_oversized_groupoid_before_building_it():
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and f"over the cap of {MAX_RANDOM_ARROWS}" in errors[0], proc.stderr
+
+
+def test_dump_past_the_pair_cap_is_refused_before_any_arrow_table_is_built():
+    # one block under the arrow cap lists 193^3 * 4^2 composable pairs
+    g = block_union([(range(193), FiniteGroup.cyclic(4))])
+    assert g.arrow_count <= MAX_RANDOM_ARROWS
+    with pytest.raises(SchemaError, match="compose table with 115024912 entries"):
+        jsonio.groupoid_to_dict(g)
+    assert g._arrows is None
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+def test_dump_cap_counts_exactly_the_pairs_a_dump_lists(monkeypatch, seed):
+    pairs = len(jsonio.groupoid_to_dict(random_groupoid(seed))["compose"])
+    monkeypatch.setattr(jsonio, "_COMPOSE_DUMP_CAP", pairs - 1)
+    with pytest.raises(SchemaError, match=f"compose table with {pairs} entries"):
+        jsonio.groupoid_to_dict(random_groupoid(seed))
 
 
 def test_reproducible_generate_matches_library(tmp_path, capsys):
@@ -902,14 +936,23 @@ def _write_documents(tmp, docs):
     return files
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"--json printed {name}, which is not JSON")
+
+
 def _assert_clean_exits(argvs):
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in (0, 1, 3), (argv, err.getvalue())
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+        if "--json" in argv and out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 @settings(max_examples=40, deadline=5000)
@@ -936,3 +979,45 @@ def test_mutated_morita_inputs_exit_cleanly(docs):
             ["morita", "check", *triple, "--left-weights", files["left-weights"],
              "--right-weights", files["right-weights"]],
             ["morita", "link", *triple, "-o", str(Path(tmp) / "link.json")]))
+
+
+_NUMBERS = ("nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "0.5", "1", "3", "1e-200",
+            "1e200", "-1e200", "1e308", "-1e308")
+_number = st.sampled_from(_NUMBERS) | st.floats().map(repr)
+_MALFORMED = ("", "=", "=1", "R", "R==1", "R=1=2", "ts=", "ts=,", "ts=1,,x", "mode=",
+              "mode=bogus", "measure=", "measure=natural", "k=1.5", "c=1/0", "no-such-key=1")
+
+
+@st.composite
+def _smooth_and_series_argv(draw):
+    """argv of ``smooth example``, ``smooth weyl-check`` or ``series finite-sets``."""
+    command = draw(st.sampled_from(["example", "weyl-check", "finite-sets"]))
+    if command == "example":
+        name = draw(st.sampled_from(sorted(CATALOG) + ["no-such-model"]))
+        # mostly the model's own parameters, so that most draws reach the engines
+        keys = tuple(inspect.signature(CATALOG[name]).parameters) if name in CATALOG else ()
+        item = st.lists(_number, min_size=1, max_size=2).map(lambda t: "ts=" + ",".join(t))
+        if keys:
+            item |= st.builds("{}={}".format, st.sampled_from(keys), _number)
+        argv = ["smooth", "example", name, *draw(st.lists(item, max_size=3))]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(draw(st.sampled_from(_MALFORMED)))
+        flags = {"--tol": _number}
+    elif command == "weyl-check":
+        argv = ["smooth", "weyl-check", f"--samples={draw(st.integers(-2, 20_000))}"]
+        flags = {"--seed": st.integers(-2, 2 ** 70).map(str) | _number,
+                 "--tol": _number, "--width": _number}
+    else:
+        argv = ["series", "finite-sets"]
+        flags = {"--cutoff": st.integers(-3, 3_500).map(str) | st.sampled_from(
+            ("1000000", str(10 ** 30), "1e3", "x"))}
+    for flag, value in flags.items():
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"{flag}={draw(value)}")
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_smooth_and_series_argv())
+def test_smooth_and_series_commands_exit_cleanly(argv):
+    _assert_clean_exits([argv])
