@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
+import sys
 from fractions import Fraction
 
-from .errors import ValidationFailure
+from .errors import NumericalFailure, ValidationFailure
 from .families import PoissonFamilyModel, SymplecticModel
 from .smooth import ActionModel, BoxChart, GroupModel, OrbitChart
 
@@ -125,7 +127,15 @@ _POISSON_MODES = ("dv2", "dv", "one")
 
 def _poisson_coeff(mode: str, d_area):
     if mode == "dv2":
-        return lambda t: d_area(t) ** 2
+        def squared_slope(t):
+            slope = d_area(t)
+            square = slope ** 2  # a float that overflows raises OverflowError
+            if slope and abs(square) < sys.float_info.min:
+                raise NumericalFailure(f"coefficient V'(t)^2 underflows at t={t!r}, "
+                                       f"where V'(t) = {slope!r}")
+            return square
+
+        return squared_slope
     if mode == "dv":
         return lambda t: d_area(t)
     if mode == "one":
@@ -191,6 +201,24 @@ CATALOG = {
 }
 
 
+# the decimal exponent of a string Fraction() accepts
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _bounded_fraction(raw) -> Fraction:
+    """Fraction(raw), refusing a decimal exponent past the integer-digit limit.
+
+    Fraction expands the exponent of a string into a power of ten, so an
+    unbounded one buys unbounded work from a short string.
+    """
+    match = isinstance(raw, str) and _EXPONENT.search(raw)
+    if match:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if abs(int(match.group(1))) > limit:
+            raise ValueError(f"decimal exponent past the {limit}-digit integer limit")
+    return Fraction(raw)
+
+
 def build_model(name: str, **params):
     """Instantiate a catalog model, coercing parameters by declared type."""
     try:
@@ -212,7 +240,7 @@ def build_model(name: str, **params):
                 if not math.isfinite(kwargs[key]):
                     raise ValueError("not a finite number")
             elif isinstance(default, Fraction):
-                kwargs[key] = Fraction(raw)
+                kwargs[key] = _bounded_fraction(raw)
             else:
                 kwargs[key] = raw
         except (ValueError, ZeroDivisionError) as exc:

@@ -34,6 +34,9 @@ TWO_PI = 2.0 * math.pi
 # trapezoid Haar rule: first grid per angle, cap on one grid over all angles
 HAAR_START_NODES = 16
 HAAR_MAX_NODES = 2 ** 16
+# offset of the aliasing check's grid, in steps: the golden ratio's fraction,
+# far from every rational with a small denominator
+HAAR_SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateModelError(ValidationFailure):
@@ -95,33 +98,56 @@ class GroupModel:
         doubles, reusing its nodes, until two estimates agree to ``tol``
         relative to the integral of |fn|, the policy of the chart rule in
         :mod:`quadrature`, so scaling fn never changes the number of
-        evaluations.  A kinked integrand may exhaust
-        HAAR_MAX_NODES and raise NonConvergenceError with the last
-        estimate; it never returns silently.  A frequency that aliases on
-        two successive grids, such as 32 on the first two, goes unseen.
+        evaluations.  Nested grids alias the same frequencies, so once the
+        grids of n/2 and n nodes agree, a grid of n/2 nodes shifted by
+        HAAR_SHIFT of its step must agree too; a frequency that both nested
+        grids alias shows up there as a phase difference (Trefethen and
+        Weideman, SIAM Review 56(3), 2014, section 3), and the grid keeps
+        doubling.  The evaluations count the shifted nodes.  An integrand
+        that does not settle within HAAR_MAX_NODES raises
+        NonConvergenceError with the last estimate; it never returns
+        silently.
         """
         require_positive_finite("tol", tol)
         n = HAAR_START_NODES
         total = size = 0.0
         prev = None
+        evals = 0
+
+        def sample(nodes):
+            """The sums of fn and |fn| over the components at the given angles."""
+            nonlocal evals
+            values = [float(fn(self.element(c, angles)))
+                      for c in self.components for angles in nodes]
+            evals += len(values)
+            abs_sum = sum(map(abs, values))
+            if not math.isfinite(abs_sum):
+                raise ValueError("Haar integrand returned a non-finite value")
+            return sum(values), abs_sum
+
         while True:
             grid = itertools.product(range(n), repeat=self.rank)
-            fresh = [tuple(TWO_PI * i / n for i in idx) for idx in grid
-                     if prev is None or any(i % 2 for i in idx)]
-            values = [float(fn(self.element(c, angles)))
-                      for c in self.components for angles in fresh]
-            total += sum(values)
-            size += sum(map(abs, values))
-            if not math.isfinite(size):
-                raise ValueError("Haar integrand returned a non-finite value")
+            part, part_size = sample([tuple(TWO_PI * i / n for i in idx) for idx in grid
+                                      if prev is None or any(i % 2 for i in idx)])
+            total += part
+            size += part_size
             weight = self.haar_scale * (TWO_PI / n) ** self.rank
-            value, evals = weight * total, len(self.components) * n ** self.rank
-            if self.rank == 0 or (prev is not None and abs(value - prev) <= tol * weight * size):
+            value = weight * total
+            if self.rank == 0:
                 return value, evals
+            gap = math.inf if prev is None else abs(value - prev)
+            if gap <= tol * weight * size:
+                half = n // 2
+                grid = itertools.product(range(half), repeat=self.rank)
+                shifted, _ = sample([tuple(TWO_PI * (i + HAAR_SHIFT) / half for i in idx)
+                                     for idx in grid])
+                gap = abs(2 ** self.rank * weight * shifted - value)
+                if gap <= tol * weight * size:
+                    return value, evals
             if (2 * n) ** self.rank > HAAR_MAX_NODES:
                 raise NonConvergenceError(
                     f"trapezoid Haar rule hit {n ** self.rank} nodes before reaching tol={tol}",
-                    QuadratureResult(value, abs(value - prev), evals),
+                    QuadratureResult(value, gap, evals),
                 )
             prev = value
             n *= 2
@@ -178,6 +204,9 @@ class OrbitChart:
     parameter, and ``isotropy_volume`` the volume of the isotropy group
     over each regular orbit.  Singular parameter values are declared,
     not detected; the window around them scales with ``param_range``.
+    Each level set of ``param_axis`` in the chart must be a single orbit:
+    ``stack_volume`` reuses one fiber integral for every chart node with
+    the same orbit parameter.
     """
 
     param_axis: int
@@ -251,15 +280,33 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
     which holds for every catalog model).  A fiber counts as vanishing
     when it is negligible against the fiber a constant a = a(p) would
     give, so rescaling the Haar measure or the densities never changes
-    whether a model is degenerate.  The evaluations count the integrand
-    calls plus the evaluations of every nested fiber rule.
+    whether a model is degenerate.  Haar measure is invariant, so the
+    fiber integral is constant along each orbit: on a box chart with an
+    orbit chart and a non-constant a, each value of the orbit parameter
+    gets one fiber rule, whose integral serves every node with that
+    parameter.  This requires each level set of the orbit chart's
+    ``param_axis`` to be a single orbit.  The evaluations count the
+    integrand calls plus the evaluations of every fiber rule run.
     """
     fiber_evals = 0
+    # orbit parameter -> fiber integral, for this call only
+    fibers = ({} if am.orbit_chart is not None and not am.a_constant
+              and not isinstance(am.chart, PointChart) else None)
 
-    def b_over_fiber(p):
+    def fiber(p):
         nonlocal fiber_evals
+        if fibers is not None:
+            key = p[am.orbit_chart.param_axis]
+            if key in fibers:
+                return fibers[key]
         fib, evals = _fiber(am, p)
         fiber_evals += evals
+        if fibers is not None:
+            fibers[key] = fib
+        return fib
+
+    def b_over_fiber(p):
+        fib = fiber(p)
         if abs(fib) <= 1e-12 * abs(float(am.a_density(p))) * am.group.volume:
             raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
         return float(am.b_density(p)) / fib

@@ -595,6 +595,36 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_density_that_underflows_exits_two(self, capsys, fmt):
+        # V'(1) = 3e-200, whose square the "dv2" coefficient needs is below every float
+        code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
+                                      "c1=1e-200", "c2=1e-200", "ts=1", *fmt])
+        assert code == 2
+        assert out == ""
+        assert err == "error: coefficient V'(t)^2 underflows at t=1.0, where V'(t) = 3e-200\n"
+
+    def test_small_density_with_a_normal_square_is_printed(self, capsys):
+        code, out, _ = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
+                                    "c1=1e-150", "c2=1e-150", "ts=1"])
+        assert code == 0
+        assert out == "1 3e-150\n"
+
+    @pytest.mark.parametrize("c", ["1e1000000", "1E-1000000", "2.5e+1_000_000", " 1e1000000 "])
+    def test_fraction_exponent_past_the_digit_limit_is_refused_at_once(self, capsys, c):
+        # Fraction would expand the exponent into a power of ten first
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["smooth", "example", "symplectic-bk", f"c={c}"])
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad value for 'c'")
+        assert elapsed < 0.1
+
+    def test_fraction_exponent_inside_the_digit_limit_is_kept(self, capsys):
+        code, out, _ = run(capsys, ["smooth", "example", "symplectic-bk", "c=1e4000"])
+        assert code == 0
+        assert out == "1" + "0" * 4000 + "\n"
+
     @pytest.mark.parametrize("deep", ["groupoid", "weights"])
     def test_deeply_nested_json_exits_three(self, capsys, tmp_path, half_point, deep):
         path = tmp_path / "deep.json"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,22 @@ _circle_poly = st.tuples(st.floats(1.0, 2.0),
 def _trig(poly):
     mean, terms = poly
     return lambda t: mean + sum(c * math.cos(k * t) + s * math.sin(k * t) for k, c, s in terms)
+
+
+def _cosine_disk(k):
+    """plane-so2 with a = 1 + cos(k theta) / 2, whose fiber is 2pi at every point."""
+    return dataclasses.replace(plane_so2(R=2.0),
+                               a_density=lambda p: 1.0 + 0.5 * math.cos(k * p[1]),
+                               a_constant=False)
+
+
+def _along_orbits(model, poly, slope):
+    """The catalog model with a = trig(orbit coordinate) (1 + slope t), t the orbit parameter."""
+    base = model()
+    axis = base.orbit_chart.param_axis
+    f = _trig(poly)
+    return dataclasses.replace(base, a_constant=False,
+                               a_density=lambda p: f(p[1 - axis]) * (1.0 + slope * p[axis]))
 
 
 class TestGroupModels:
@@ -191,12 +208,30 @@ class TestFiberIntegral:
 
     def test_frequency_16_is_not_aliased(self):
         # equispaced grids of 4 or 8 steps per period alias frequency 16 to 1.5 * 2pi
-        am = dataclasses.replace(plane_so2(R=2.0),
-                                 a_density=lambda p: 1.0 + 0.5 * math.cos(16 * p[1]),
-                                 a_constant=False)
+        am = _cosine_disk(16)
         assert fiber_integral(am, (1.0, 0.3)) == pytest.approx(TWO_PI, rel=1e-9)
         res = stack_volume(am)
         assert abs(res.value - 2.0) <= 1e-6
+
+    @pytest.mark.parametrize("k", [32, 64, 96])
+    def test_frequencies_both_first_grids_alias_are_caught(self, k):
+        # the grids of 16 and 32 nodes both alias these frequencies and agree
+        # on a wrong value; the shifted grid's phase exposes them
+        assert fiber_integral(_cosine_disk(k), (1.0, 0.3)) == pytest.approx(TWO_PI, rel=1e-9)
+
+    @pytest.mark.parametrize("b", ["r", "a r"])
+    def test_volume_with_an_aliased_frequency_ends_quickly(self, b):
+        am = _cosine_disk(32)
+        if b == "a r":
+            am = dataclasses.replace(am, b_density=lambda p: am.a_density(p) * p[0])
+        start = time.perf_counter()
+        try:
+            res = stack_volume(am)
+        except NonConvergenceError:
+            assert b == "a r"  # b / fiber oscillates 32 times around each circle
+        else:
+            assert abs(res.value - 2.0) <= 1e-6
+        assert time.perf_counter() - start < 5.0
 
     def test_finite_fiber_matches_group_sum(self):
         s3 = FiniteGroup.symmetric(3)
@@ -265,6 +300,40 @@ class TestStackVolume:
         # b is read once per integrand call, act once per fiber-rule node
         assert res.evaluations == counts["b"] + counts["act"]
         assert counts["act"] > counts["b"]
+
+    def test_one_fiber_rule_runs_per_orbit_parameter(self):
+        counts = {"b": 0, "act": 0}
+        radii = set()
+
+        def theta(p):
+            r, phi = p
+            return 1.5 + 0.5 * math.sin(phi) + 0.1 * r
+
+        def b(p):
+            counts["b"] += 1
+            radii.add(p[0])
+            return theta(p) * p[0]
+
+        base = plane_so2(R=2.0)
+
+        def act(h, p):
+            counts["act"] += 1
+            return base.act(h, p)
+
+        am = dataclasses.replace(base, act=act, a_density=theta, b_density=b,
+                                 a_constant=False)
+        uncached = stack_volume(dataclasses.replace(am, orbit_chart=None))
+        counts.update(b=0, act=0)
+        radii.clear()
+        res = stack_volume(am)
+        assert abs(res.value - uncached.value) <= 1e-12
+        # the chart rule's own evaluations plus the fiber rules that ran,
+        # one per radius, each taking the same nodes on this a
+        assert res.evaluations == counts["b"] + counts["act"]
+        _, per_fiber = GroupModel("circle").integrate(lambda h: theta((1.0, h)))
+        assert counts["act"] == len(radii) * per_fiber
+        assert len(radii) < counts["b"]
+        assert res.evaluations < uncached.evaluations / 4
 
     def test_point_chart_evaluations_include_the_group_sums(self):
         s3 = FiniteGroup.symmetric(3)
@@ -348,6 +417,43 @@ class TestStackVolume:
         )
         res = stack_volume(am, tol=1e-5)
         assert abs(res.value - 2.0) < 5e-4
+
+
+_ORBIT_MODELS = [plane_so2, plane_o2, torus_free]
+
+
+class TestOrbitCache:
+    """stack_volume reuses a fiber for every node with the same orbit parameter."""
+
+    @pytest.mark.parametrize("model", _ORBIT_MODELS)
+    def test_fiber_is_constant_on_each_level_set_of_the_parameter(self, model):
+        am = _along_orbits(model, (1.5, [(1, 0.3, -0.2), (3, 0.1, 0.25), (20, 0.05, 0.0)]), 0.4)
+        axis = am.orbit_chart.param_axis
+        lo, hi = am.chart.bounds[1 - axis]
+        fibers = []
+        for t in (0.3, 1.1, 1.9):
+            values = []
+            for frac in (0.0, 0.05, 0.37, 0.8):
+                p = [0.0, 0.0]
+                p[axis], p[1 - axis] = t, lo + frac * (hi - lo)
+                values.append(fiber_integral(am, tuple(p)))
+            assert values == pytest.approx([values[0]] * len(values), rel=1e-9)
+            fibers.append(values[0])
+        # the fibers do depend on the parameter, so agreement above is not vacuous
+        assert fibers[0] < fibers[1] < fibers[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_ORBIT_MODELS),
+           st.tuples(st.floats(1.0, 2.0),
+                     st.lists(st.tuples(st.integers(1, 40), st.floats(-0.1, 0.1),
+                                        st.floats(-0.1, 0.1)), min_size=1, max_size=4)),
+           st.floats(0.0, 1.0))
+    def test_cached_and_uncached_volumes_agree(self, model, poly, slope):
+        am = _along_orbits(model, poly, slope)
+        cached = stack_volume(am)
+        uncached = stack_volume(dataclasses.replace(am, orbit_chart=None))
+        assert abs(cached.value - uncached.value) <= 1e-6 * abs(uncached.value)
+        assert cached.evaluations < uncached.evaluations
 
 
 class TestHomogeneousVolume:

@@ -111,7 +111,10 @@ class TestChamberProjection:
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_chamber_parameters_match_numpy_norm_bit_for_bit(points):
     period = su2_cartan().period
-    assert np.array_equal(chamber_parameters(points), np.linalg.norm(points, axis=1) / period)
+    # entries past about 1e154 overflow both sides to the same inf by design
+    with np.errstate(over="ignore"):
+        assert np.array_equal(chamber_parameters(points),
+                              np.linalg.norm(points, axis=1) / period)
 
 
 class TestOrbitDensity:
