@@ -69,7 +69,7 @@ _TENSOR_WEIGHTS = {d: [math.prod(w) for w in itertools.product(GAUSS_WEIGHTS, re
 # bounds on the adaptive panel rule: halvings of one cell, integrand calls
 MAX_DEPTH = 30
 MAX_EVALUATIONS = 2 ** 18
-MC_CHUNK = 65536  # rows per Monte Carlo chunk: 1.5 MB of points in dimension 3
+MC_CHUNK = 65536  # rows per Monte Carlo chunk: a 1.5 MB buffer of points in dimension 3
 
 
 def _panel(fn, weights, cell):
@@ -172,12 +172,16 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     """Plain Monte Carlo over a box with a seeded generator, in bounded memory.
 
     f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lows,
-    highs, (samples, d))``, and returns a finite value per row.  Chunk
-    statistics about the first chunk's mean merge as in Chan, Golub & LeVeque
-    (1983); the error estimate is the standard error times the volume.  The
-    statistics are kept in units of a power of two above every |value| seen,
-    which changes no bit of them but keeps the squares of values near 1e200
-    or 1e-300 from overflowing or vanishing.
+    highs, (samples, d))``, and returns a finite value per row.  The rows
+    are one buffer that every chunk refills, so f may overwrite them (to
+    square them in place, say) but must not keep them.  Memory stays at
+    that buffer of MC_CHUNK * d floats, plus what f allocates, whatever
+    the sample count.  Chunk statistics about the first chunk's mean merge
+    as in Chan, Golub & LeVeque (1983); the error estimate is the standard
+    error times the volume.  The statistics are kept in units of a power of
+    two above every |value| seen, which changes no bit of them but keeps
+    the squares of values near 1e200 or 1e-300 from overflowing or
+    vanishing.
     """
     import numpy as np
 
@@ -189,13 +193,16 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     volume = math.prod(hi - lo for lo, hi in bounds)
     require_positive_finite("box volume", volume)  # refuses infinite bounds
     rng = np.random.default_rng(seed)
-    lows, widths = np.array([(lo, hi - lo) for lo, hi in bounds]).T
+    box = [(lo, hi - lo) for lo, hi in bounds]
+    buf = np.empty((min(MC_CHUNK, samples), len(bounds)))
     mean = m2 = 0.0
     for count in range(0, samples, MC_CHUNK):
         k = min(MC_CHUNK, samples - count)
-        points = rng.random((k, len(bounds)))
-        points *= widths
-        points += lows
+        points = rng.random(out=buf[:k])
+        # one column at a time: broadcasting a row of d entries is slower
+        for col, (lo, width) in zip(points.T, box):
+            col *= width
+            col += lo
         values = np.asarray(f(points), dtype=float)
         if values.shape != (k,):
             raise ValueError("integrand must return one value per sample")
@@ -215,7 +222,8 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
         chunk_mean = float(dev.mean())
         dev -= chunk_mean
         delta = chunk_mean - mean
-        m2 += float(dev @ dev) + delta * delta * (count * k / (count + k))
+        # a numpy sum, not BLAS dot, whose order of addition follows the thread count
+        m2 += float(np.square(dev, out=dev).sum()) + delta * delta * (count * k / (count + k))
         mean += delta * (k / (count + k))
     stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) / scale
     return QuadratureResult((shift + mean) / scale * volume, stderr * volume, samples)

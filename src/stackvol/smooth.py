@@ -286,20 +286,26 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
     gets one fiber rule, whose integral serves every node with that
     parameter.  This requires each level set of the orbit chart's
     ``param_axis`` to be a single orbit.  The evaluations count the
-    integrand calls plus the evaluations of every fiber rule run.
+    integrand calls plus the evaluations of every fiber rule run, also in
+    the partial result of a NonConvergenceError from the chart rule.
     """
     fiber_evals = 0
+    fiber_failure = None  # a fiber rule's NonConvergenceError, passed on as it is
     # orbit parameter -> fiber integral, for this call only
     fibers = ({} if am.orbit_chart is not None and not am.a_constant
               and not isinstance(am.chart, PointChart) else None)
 
     def fiber(p):
-        nonlocal fiber_evals
+        nonlocal fiber_evals, fiber_failure
         if fibers is not None:
             key = p[am.orbit_chart.param_axis]
             if key in fibers:
                 return fibers[key]
-        fib, evals = _fiber(am, p)
+        try:
+            fib, evals = _fiber(am, p)
+        except NonConvergenceError as exc:
+            fiber_failure = exc
+            raise
         fiber_evals += evals
         if fibers is not None:
             fibers[key] = fib
@@ -317,7 +323,14 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
         total = sum((b_over_fiber(p) for p in am.chart.points), 0.0)
         return QuadratureResult(total, 0.0, len(am.chart.points) + fiber_evals)
 
-    res = integrate_box(lambda *p: b_over_fiber(p), _restrict_bounds(am, param_region), tol=tol)
+    try:
+        res = integrate_box(lambda *p: b_over_fiber(p), _restrict_bounds(am, param_region), tol=tol)
+    except NonConvergenceError as exc:
+        if exc is not fiber_failure:  # the chart rule's: add the fiber rules its nodes ran
+            part = exc.result
+            exc.result = QuadratureResult(part.value, part.error_estimate,
+                                          part.evaluations + fiber_evals)
+        raise
     return QuadratureResult(res.value, res.error_estimate, res.evaluations + fiber_evals)
 
 

@@ -169,8 +169,16 @@ def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndar
     """
     if cartan is None:
         cartan = su2_cartan()
-    sq = np.square(np.asarray(points, dtype=float))
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]) / cartan.period
+    return _chamber_from_squares(np.square(np.asarray(points, dtype=float)), cartan.period)
+
+
+def _chamber_from_squares(sq, period):
+    """Chamber parameters of the rows whose squared coordinates are ``sq``."""
+    s = np.add(sq[:, 0], sq[:, 1])
+    s += sq[:, 2]
+    np.sqrt(s, out=s)
+    s /= period
+    return s
 
 
 def gaussian_test_function(width: float = 0.25):
@@ -227,7 +235,8 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     bounds = [(-half, half)] * 3
 
     def integrand(points):
-        return phi(chamber_parameters(points, cartan))
+        # integrate_mc's chunk buffer, squared in place
+        return phi(_chamber_from_squares(np.square(points, out=points), cartan.period))
 
     mc = integrate_mc(integrand, bounds, mc_samples, seed)
     lhs = mc.value / cartan.volume_norm

@@ -1,6 +1,9 @@
 """Integration primitives against closed-form oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -249,6 +252,43 @@ class TestStreamedMC:
         assert res.error_estimate == pytest.approx(
             values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME, rel=1e-12)
 
+    def test_f_may_overwrite_its_chunk(self):
+        n = 2 * MC_CHUNK + 5
+        seen = []
+
+        def f(points):
+            seen.append(points.copy())
+            values = 1e6 + points[:, 0]
+            points.fill(np.nan)
+            return values
+
+        res = integrate_mc(f, MIXED_BOUNDS, n, seed=8)
+        one_shot = _one_shot_uniform(MIXED_BOUNDS, n, 8)
+        assert np.array_equal(np.concatenate(seen), one_shot)
+        values = 1e6 + one_shot[:, 0]
+        assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
+        assert res.error_estimate == pytest.approx(
+            values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME, rel=1e-12)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product splits its sum between threads: summing squares
+        # with dev @ dev gives other last bits under 1 and 2 threads on 4 of these seeds
+        script = (
+            "import numpy as np\n"
+            "from stackvol.quadrature import integrate_mc\n"
+            "f = lambda p: np.sin(p[:, 0]) * p[:, 1] + p[:, 2]\n"
+            "for seed in range(12):\n"
+            f"    r = integrate_mc(f, {MIXED_BOUNDS}, 200_003, seed)\n"
+            "    print(r.value.hex(), r.error_estimate.hex())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 12
+
     @pytest.mark.parametrize("bad_call", [0, 1])
     @pytest.mark.parametrize("bad, message", [
         (lambda p: np.zeros(len(p) + 1), "one value per sample"),
@@ -370,7 +410,7 @@ def _unscaled_statistics(values, chunk, volume):
         chunk_mean = float(dev.mean())
         dev -= chunk_mean
         delta = chunk_mean - mean
-        m2 += float(dev @ dev) + delta * delta * (count * k / (count + k))
+        m2 += float(np.square(dev).sum()) + delta * delta * (count * k / (count + k))
         mean += delta * (k / (count + k))
     return (shift + mean) * volume, math.sqrt(m2 / (n - 1)) / math.sqrt(n) * volume
 

@@ -233,6 +233,44 @@ class TestFiberIntegral:
             assert abs(res.value - 2.0) <= 1e-6
         assert time.perf_counter() - start < 5.0
 
+    def test_non_convergence_counts_the_fiber_rules(self):
+        # the model of the aliased-frequency test with b = a r, whose chart rule fails
+        counts = {"b": 0, "act": 0}
+        base = _cosine_disk(32)
+
+        def b(p):
+            counts["b"] += 1
+            return base.a_density(p) * p[0]
+
+        def act(h, p):
+            counts["act"] += 1
+            return base.act(h, p)
+
+        with pytest.raises(NonConvergenceError, match="Gauss panels") as exc:
+            stack_volume(dataclasses.replace(base, act=act, b_density=b))
+        assert exc.value.result.evaluations == counts["b"] + counts["act"]
+        assert counts["act"] > 0
+
+    def test_a_fiber_rules_non_convergence_passes_unchanged(self):
+        # the fibers of the first radii settle; at r > 1.5 the phase of a
+        # sweeps 4 * 10^6 radians around the circle, too fast for any trapezoid grid
+        counts = {"inner": 0, "outer": 0}
+        base = plane_so2(R=2.0)
+
+        def act(h, p):
+            counts["inner" if p[0] < 1.5 else "outer"] += 1
+            return base.act(h, p)
+
+        def a(p):
+            r, phi = p
+            return 1.5 + 0.5 * math.cos(phi if r < 1.5 else 1e6 * math.sin(phi))
+
+        am = dataclasses.replace(base, act=act, a_density=a, a_constant=False)
+        with pytest.raises(NonConvergenceError, match="trapezoid") as exc:
+            stack_volume(am)
+        assert counts["inner"] > 0
+        assert exc.value.result.evaluations == counts["outer"]
+
     def test_finite_fiber_matches_group_sum(self):
         s3 = FiniteGroup.symmetric(3)
         a = {0: 2.0, 1: 3.0, 2: 5.0}

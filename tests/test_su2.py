@@ -179,6 +179,7 @@ class TestWeylCheck:
         # recorded from the one-shot Monte Carlo before it streamed in chunks
         report = weyl_integration_check(gaussian_test_function(), seed=94720)
         assert f"{report.lhs:.12g}" == "3.1266616274"
+        assert repr(report.lhs) == "3.1266616273998906"
         assert f"{report.mc_stderr:.12g}" == "0.014463737326"
 
     def test_insufficient_samples_refused(self):
