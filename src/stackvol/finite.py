@@ -92,7 +92,7 @@ class FiniteGroupoid:
             self._compose_table = None
             self._product = compose
         self._by_l = self._by_r = None
-        self._orbit_cache = self._fiber_index = self._validation = None
+        self._orbit_cache = self._fiber_index = self._validation = self._gens = None
 
     def _built(self):
         """The arrow, identity and inverse tables, built and checked on first use."""
@@ -364,7 +364,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     pairs than the rows is scanned for spuriously composable pairs.
 
     The report is memoized on the groupoid, whose tables never change
-    after construction; each call returns a fresh copy of it.
+    after construction; each call returns a fresh copy of it.  The
+    generating set is memoized next to it, as ``_gens``: on a valid
+    groupoid every arrow is a left-bracketed product of its members,
+    which lets :func:`morita.validate_bibundle` check action laws at
+    generators only.
     """
     if g._validation is None:
         g._validation = _check_axioms(g)
@@ -429,7 +433,8 @@ def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
             if a not in ends or b not in ends or ends[a][1] != ends[b][0]:
                 report.add("spurious composition", (a, b))
 
-    for s in _generators(g, rows):
+    g._gens = _generators(g, rows)
+    for s in g._gens:
         s_row = rows[s]  # pairs missing from the rows are already reported
         for a in by_r[ends[s][0]]:
             a_row = rows[a]

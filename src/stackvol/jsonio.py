@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .errors import SchemaError
 from .finite import FiniteGroupoid, WeightData
@@ -33,17 +34,28 @@ def _as_str_id(value, where: str) -> str:
     return value
 
 
+def _all_str(values) -> bool:
+    """Whether every value is a str, at C speed.  Input failing this screen
+    is walked entry by entry, so its error names the first bad entry."""
+    return set(map(type, values)) <= {str}
+
+
+def _str_ids(raw: list, where: str) -> list:
+    return list(raw) if _all_str(raw) else [_as_str_id(x, where) for x in raw]
+
+
 def _str_map(raw, where: str) -> dict:
     _require(isinstance(raw, dict), where, "must be an object")
+    if _all_str(chain(raw, raw.values())):
+        return dict(raw)
     return {_as_str_id(k, where): _as_str_id(v, f"{where}[{k!r}]") for k, v in raw.items()}
 
 
 def _pair_table(raw, where: str, shape: str, pair: str) -> dict:
     """A list of [u, v, result] triples as {(u, v): result}; a pair may occur once."""
     _require(isinstance(raw, list), where, "must be a list")
-    # C-speed screen; a list failing it is walked below for the first bad entry
     if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
-            and set(map(type, chain.from_iterable(raw))) <= {str}
+            and _all_str(chain.from_iterable(raw))
             and len(table := {(u, v): res for u, v, res in raw}) == len(raw)):
         return table
     table = {}
@@ -53,6 +65,26 @@ def _pair_table(raw, where: str, shape: str, pair: str) -> dict:
         u, v, res = (_as_str_id(t, at) for t in triple)
         _require((u, v) not in table, at, f"duplicate {pair} ({u!r}, {v!r})")
         table[(u, v)] = res
+    return table
+
+
+def _arrow_table(raw) -> dict:
+    """A list of {"id", "l", "r"} objects as {id: (l, r)}; an id may occur once."""
+    _require(isinstance(raw, list), "groupoid.arrows", "must be a list")
+    if set(map(type, raw)) <= {dict} and all(map({"id", "l", "r"}.issubset, raw)):
+        rows = list(map(itemgetter("id", "l", "r"), raw))
+        if (_all_str(chain.from_iterable(rows))
+                and len(table := {a: (lo, ro) for a, lo, ro in rows}) == len(rows)):
+            return table
+    table = {}
+    for i, entry in enumerate(raw):
+        where = f"groupoid.arrows[{i}]"
+        _require(isinstance(entry, dict), where, "must be an object")
+        for key in ("id", "l", "r"):
+            _require(key in entry, where, f"missing field {key!r}")
+        aid = _as_str_id(entry["id"], where + ".id")
+        _require(aid not in table, where, f"duplicate arrow id {aid!r}")
+        table[aid] = (_as_str_id(entry["l"], where + ".l"), _as_str_id(entry["r"], where + ".r"))
     return table
 
 
@@ -84,22 +116,8 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         _require(key in data, "groupoid", f"missing field {key!r}")
     objects = data["objects"]
     _require(isinstance(objects, list), "groupoid.objects", "must be a list")
-    objects = [_as_str_id(x, "groupoid.objects") for x in objects]
-
-    arrows = data["arrows"]
-    _require(isinstance(arrows, list), "groupoid.arrows", "must be a list")
-    arrow_table = {}
-    for i, entry in enumerate(arrows):
-        where = f"groupoid.arrows[{i}]"
-        _require(isinstance(entry, dict), where, "must be an object")
-        for key in ("id", "l", "r"):
-            _require(key in entry, where, f"missing field {key!r}")
-        aid = _as_str_id(entry["id"], where + ".id")
-        _require(aid not in arrow_table, where, f"duplicate arrow id {aid!r}")
-        arrow_table[aid] = (
-            _as_str_id(entry["l"], where + ".l"),
-            _as_str_id(entry["r"], where + ".r"),
-        )
+    objects = _str_ids(objects, "groupoid.objects")
+    arrow_table = _arrow_table(data["arrows"])
 
     identity = _str_map(data["identity"], "groupoid.identity")
     inverse = _str_map(data["inverse"], "groupoid.inverse")
@@ -223,7 +241,7 @@ def bibundle_from_dict(data: dict) -> Bibundle:
         _require(key in data, "bibundle", f"missing field {key!r}")
     elements = data["elements"]
     _require(isinstance(elements, list), "bibundle.elements", "must be a list")
-    elements = [_as_str_id(e, "bibundle.elements") for e in elements]
+    elements = _str_ids(elements, "bibundle.elements")
 
     left_anchor, right_anchor = (_str_map(data[key], f"bibundle.{key}")
                                  for key in ("leftAnchor", "rightAnchor"))

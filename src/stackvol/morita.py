@@ -11,9 +11,43 @@ groupoid joins the disjoint object sets of both groupoids into one
 groupoid whose extra arrows are the bibundle elements and their formal
 inverses.  A bibundle is an equivalence exactly when its linking
 groupoid is a groupoid in which both factors are full (Moerdijk and
-Mrčun, *Introduction to Foliations and Lie Groupoids*, 2003, §5.4), so
-:func:`validate_bibundle` checks the link with :func:`finite.validate`.
-Link violations keep the groupoid axiom names, and their witnesses are
+Mrčun, *Introduction to Foliations and Lie Groupoids*, 2003, §5.4).
+
+:func:`validate_bibundle` first checks the anchors, the domains of the
+action tables and freeness.  When these pass and both factors pass
+:func:`finite.validate`, it decides the link from the action tables,
+with l, r the ends of an arrow and la, ra the anchors:
+
+    totality       |left table| = sum over b of |r-fiber of la(b)|, and
+                   |right table| = sum over b of |l-fiber of ra(b)|
+    closure        g·b and b·h are elements; la(g·b) = l(g),
+                   ra(g·b) = ra(b), la(b·h) = la(b), ra(b·h) = r(h)
+    transitivity   the left transports (b, g·b) number the sum of
+                   |ra-fiber|^2, the right ones the sum of |la-fiber|^2
+    left law       (a s)·b = a·(s·b) for s a generator of the left factor
+    right law      b·(h t) = (b·h)·t for t a generator of the right factor
+    commuting      (s·b)·t = s·(b·t) for generators s and t
+
+Freeness makes the transports distinct, and closure keeps each in one
+anchor fiber, so the counts say that every ordered pair of a fiber has
+one.  The generators are those :func:`finite.validate` memoizes: every
+arrow is a left-bracketed product (..(s1 s2)..) sk of them.  A law at s
+and t' gives it at t' s, by associativity of the factor:
+((a t') s)·b = (a t')·(s·b) = a·(t'·(s·b)) = a·((t' s)·b); so induction
+on k extends the left law to all arrows, and the right and commuting
+laws likewise, one side at a time.  The unit law follows: with
+k·(e·b) = b by transitivity, e·b = e·(k·(e·b)) = (e k)·(e·b) = b, and
+likewise on the right.  Every composable triple of link arrows then
+associates: LLL and RRR in the factors, LLB and BRR by the two laws,
+LBR by commuting, and every other pattern by these plus freeness, which
+makes each transport unique.  For instance ((B b)(Bi b'))(L g) is k g,
+k the transport with k·b' = b, and (B b)((Bi b')(L g)) is the transport
+carrying g⁻¹·b' to b, which k g is as well.  Totality, closure and
+transitivity give the missing composites, endpoints and inverses.  So
+when every law holds the link is a groupoid, and its memoized report is
+set empty.  When a law fails, or a factor is invalid, the link goes to
+:func:`finite.validate`, so the report is exactly that of its groupoid
+axioms.  Link violations keep the axiom names, and their witnesses are
 tagged arrows (L, R, B, Bi for LEFT, RIGHT, BRIDGE, BRIDGE_INV).  The
 bibundle law each pattern breaks:
 
@@ -111,15 +145,19 @@ class Bibundle:
 
 
 def validate_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> ValidationReport:
-    """Check the bibundle as its linking groupoid; every violation has a witness.
+    """Check the bibundle and its linking groupoid; every violation has a witness.
 
-    Besides :func:`finite.validate` on the link (see the module
-    docstring), the anchors must land in the object sets and be
-    surjective, so that both factors are full; the action tables may
-    hold no entry outside the defined pairs; and no two arrows may carry
-    an element to the same one.  The report and the link are memoized on
-    the bibundle for the last pair of groupoids, compared by identity, so
-    the transfer and the link check once; each call copies the report.
+    The anchors must land in the object sets and be surjective, so that
+    both factors are full; the action tables may hold no entry outside
+    the defined pairs; and no two arrows may carry an element to the
+    same one.  When all of that holds and both factors are valid, the
+    link is decided by the bibundle laws at generators, and
+    :func:`finite.validate` runs on it only if a law fails; otherwise,
+    or for an invalid factor, it runs at once (see the module
+    docstring).  Either way the report is that of the link's groupoid
+    axioms.  The report and the link are memoized on the bibundle for
+    the last pair of groupoids, compared by identity, so the transfer
+    and the link check once; each call copies the report.
     """
     return ValidationReport(list(_checked_link(g1, g2, bib)[0].violations))
 
@@ -131,7 +169,10 @@ def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> F
     arrow sets, the bibundle elements (running left to right), and their
     formal inverses.  The arrow count is therefore
     ``|g1| + |g2| + 2 * |bibundle|``.  The link is built once per
-    bibundle and pair of groupoids; an invalid bibundle raises
+    bibundle and pair of groupoids and checked by
+    :func:`validate_bibundle`: by the bibundle laws at generators, which
+    leave its memoized report empty, or by :func:`finite.validate`
+    when a law fails.  An invalid bibundle raises
     :class:`InvalidBibundleError`.
     """
     validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
@@ -152,7 +193,8 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     the factors, the action tables and the transports.  A pair whose
     factor composite, action or transport is undefined raises
     ``KeyError``, so :func:`finite.validate`, which composes each pair
-    once, reports it as a missing composition.
+    once, reports it as a missing composition.  The link is validated
+    only when :func:`_laws_hold` cannot vouch for it.
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
@@ -169,11 +211,12 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
                 report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
     left, right = bib.left_action, bib.right_action
+    els, ids1, ids2, r1, l2 = bib.element_set, g1.arrow_ids, g2.arrow_ids, g1.r, g2.l
     for (g, b) in left:
-        if not (b in bib.element_set and g in g1.arrow_ids and g1.r(g) == bib.left_anchor[b]):
+        if not (b in els and g in ids1 and r1(g) == bib.left_anchor[b]):
             report.add("left action domain", (g, b), "entry outside the defined domain")
     for (b, h) in right:
-        if not (b in bib.element_set and h in g2.arrow_ids and bib.right_anchor[b] == g2.l(h)):
+        if not (b in els and h in ids2 and bib.right_anchor[b] == l2(h)):
             report.add("right action domain", (b, h), "entry outside the defined domain")
 
     # the transports invert the actions and are well defined exactly when
@@ -234,8 +277,63 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
         return (RIGHT, right_transport[(vp, vq)])
 
     link = FiniteGroupoid(objects, arrows, identity, inverse, compose)
-    report.violations.extend(validate(link).violations)
+    if (report.ok and validate(g1).ok and validate(g2).ok
+            and _laws_hold(g1, g2, bib, left_transport, right_transport)):
+        link._validation = ValidationReport()  # a groupoid, by the module docstring
+    else:
+        report.violations.extend(validate(link).violations)
     return report, link
+
+
+def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
+    """Whether the bibundle laws of the module docstring hold.
+
+    Assumes valid factors, anchors in range and free actions whose
+    entries all lie in the defined domain, as :func:`_build_link` has
+    checked.  The checks run in that docstring's order, so every table
+    lookup of a law is defined by totality and closure.  A factor whose
+    generating set is not memoized (a link checked by these laws) gives
+    False, and the link goes to :func:`finite.validate`.
+    """
+    gens1, gens2 = g1._gens, g2._gens
+    if gens1 is None or gens2 is None:
+        return False
+    la, ra, left, right = bib.left_anchor, bib.right_anchor, bib.left_action, bib.right_action
+    over_l, over_r = {}, {}  # object -> the elements anchored at it
+    for b in bib.elements:
+        over_l.setdefault(la[b], []).append(b)
+        over_r.setdefault(ra[b], []).append(b)
+    l1, r1, l2, r2 = g1.l, g1.r, g2.l, g2.r
+    if not (len(left) == sum(len(g1.arrows_into(x)) * len(bs) for x, bs in over_l.items())
+            and len(right) == sum(len(g2.arrows_from(y)) * len(bs) for y, bs in over_r.items())
+            # a dict is never an element, so each table is its own marker
+            and all(la.get(c, left) == l1(g) and ra[c] == ra[b] for (g, b), c in left.items())
+            and all(ra.get(c, right) == r2(h) and la[c] == la[b] for (b, h), c in right.items())
+            and len(left_transport) == sum(len(bs) ** 2 for bs in over_r.values())
+            and len(right_transport) == sum(len(bs) ** 2 for bs in over_l.values())):
+        return False
+    compose1, compose2 = g1.compose, g2.compose
+    for s in gens1:  # (a s)·b = a·(s·b)
+        bs = over_l.get(r1(s), ())
+        s_bs = [left[(s, b)] for b in bs]
+        for a in g1.arrows_into(l1(s)):
+            a_s = compose1(a, s)
+            if [left[(a_s, b)] for b in bs] != [left[(a, sb)] for sb in s_bs]:
+                return False
+    for t in gens2:  # b·(h t) = (b·h)·t
+        for h in g2.arrows_into(l2(t)):
+            h_t, bs = compose2(h, t), over_r.get(l2(h), ())
+            if [right[(b, h_t)] for b in bs] != [right[(right[(b, h)], t)] for b in bs]:
+                return False
+    gens2_from = {}
+    for t in gens2:
+        gens2_from.setdefault(l2(t), []).append(t)
+    for s in gens1:  # (s·b)·t = s·(b·t)
+        for b in over_l.get(r1(s), ()):
+            s_b, ts = left[(s, b)], gens2_from.get(ra[b], ())
+            if [right[(s_b, t)] for t in ts] != [left[(s, right[(b, t)])] for t in ts]:
+                return False
+    return True
 
 
 def left_object_ids(g1: FiniteGroupoid):

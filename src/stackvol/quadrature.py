@@ -40,7 +40,14 @@ def require_positive_finite(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-class _EvalCounter:
+class EvalCounter:
+    """An integrand that counts its calls and refuses non-finite values.
+
+    The adaptive rule counts an integrand given as an EvalCounter with
+    that counter, so work the integrand adds to ``count`` itself, such as
+    the nodes of a nested rule, is charged to MAX_EVALUATIONS too.
+    """
+
     __slots__ = ("f", "count")
 
     def __init__(self, f):
@@ -103,7 +110,10 @@ def _gauss_panels(f, bounds, tol):
     value and leaves every decision alone.  A pass adds the refined value
     plus the Richardson correction delta/15.  Refining past MAX_DEPTH or
     MAX_EVALUATIONS raises NonConvergenceError carrying the accepted cells
-    plus the pending panels as the partial result.
+    plus the pending panels as the partial result.  The budget is checked
+    before each refinement against the counter of an :class:`EvalCounter`
+    f, nested work included, so the count can pass it only by the nested
+    work of the refinement's 2^d * 5^d nodes.
     """
     require_positive_finite("tol", tol)
     cell = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -111,7 +121,7 @@ def _gauss_panels(f, bounds, tol):
         return QuadratureResult(0.0, 0.0, 0)
     weights = _TENSOR_WEIGHTS[len(cell)]
     fan_out = 2 ** len(cell)
-    counter = _EvalCounter(f)
+    counter = f if isinstance(f, EvalCounter) else EvalCounter(f)
 
     total = err_total = 0.0
     value, size = _panel(counter, weights, cell)

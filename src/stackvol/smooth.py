@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .errors import ValidationFailure
 from .quadrature import (
+    EvalCounter,
     NonConvergenceError,
     QuadratureResult,
     integrate_1d,
@@ -286,27 +287,22 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
     gets one fiber rule, whose integral serves every node with that
     parameter.  This requires each level set of the orbit chart's
     ``param_axis`` to be a single orbit.  The evaluations count the
-    integrand calls plus the evaluations of every fiber rule run, also in
-    the partial result of a NonConvergenceError from the chart rule.
+    integrand calls plus the evaluations of every fiber rule run, and the
+    chart rule charges both to one budget, ``quadrature.MAX_EVALUATIONS``:
+    past it the rule raises NonConvergenceError, whose partial result
+    counts both as well.
     """
-    fiber_evals = 0
-    fiber_failure = None  # a fiber rule's NonConvergenceError, passed on as it is
     # orbit parameter -> fiber integral, for this call only
     fibers = ({} if am.orbit_chart is not None and not am.a_constant
               and not isinstance(am.chart, PointChart) else None)
 
     def fiber(p):
-        nonlocal fiber_evals, fiber_failure
         if fibers is not None:
             key = p[am.orbit_chart.param_axis]
             if key in fibers:
                 return fibers[key]
-        try:
-            fib, evals = _fiber(am, p)
-        except NonConvergenceError as exc:
-            fiber_failure = exc
-            raise
-        fiber_evals += evals
+        fib, evals = _fiber(am, p)
+        counter.count += evals  # a fiber rule's NonConvergenceError passes as it is
         if fibers is not None:
             fibers[key] = fib
         return fib
@@ -317,21 +313,14 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
             raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
         return float(am.b_density(p)) / fib
 
+    counter = EvalCounter(lambda *p: b_over_fiber(p))
     if isinstance(am.chart, PointChart):
         if param_region is not None:
             raise ValueError("param_region is meaningless for point charts")
         total = sum((b_over_fiber(p) for p in am.chart.points), 0.0)
-        return QuadratureResult(total, 0.0, len(am.chart.points) + fiber_evals)
-
-    try:
-        res = integrate_box(lambda *p: b_over_fiber(p), _restrict_bounds(am, param_region), tol=tol)
-    except NonConvergenceError as exc:
-        if exc is not fiber_failure:  # the chart rule's: add the fiber rules its nodes ran
-            part = exc.result
-            exc.result = QuadratureResult(part.value, part.error_estimate,
-                                          part.evaluations + fiber_evals)
-        raise
-    return QuadratureResult(res.value, res.error_estimate, res.evaluations + fiber_evals)
+        # no chart rule ran, so the counter holds the fiber rules' evaluations alone
+        return QuadratureResult(total, 0.0, len(am.chart.points) + counter.count)
+    return integrate_box(counter, _restrict_bounds(am, param_region), tol=tol)
 
 
 def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:

@@ -382,6 +382,44 @@ def test_pair_table_errors_name_the_entry(field, edit):
     assert str(exc.value) == _PAIR_TABLE_ERRORS[(field, edit)]
 
 
+# (edit, message) per field; the messages as the entry-by-entry walk wrote
+# them before id lists, arrow lists and string maps were screened in bulk
+_ID_FIELD_ERRORS = {
+    ("objects", "int-id"): (lambda v: v + [7], "groupoid.objects: expected a string id, got 7"),
+    ("objects", "not-a-list"): (lambda v: "pt", "groupoid.objects: must be a list"),
+    ("arrows", "not-a-list"): (lambda v: {"e": "e"}, "groupoid.arrows: must be a list"),
+    ("arrows", "entry-not-an-object"):
+        (lambda v: v[:1] + [["s", "pt", "pt"]], "groupoid.arrows[1]: must be an object"),
+    ("arrows", "missing-field"):
+        (lambda v: v[:1] + [{"id": "s", "l": "pt"}], "groupoid.arrows[1]: missing field 'r'"),
+    ("arrows", "int-id"): (lambda v: v[:1] + [{"id": "s", "l": "pt", "r": 5}],
+                           "groupoid.arrows[1].r: expected a string id, got 5"),
+    ("arrows", "duplicate-id"): (lambda v: v + [v[0]], "groupoid.arrows[2]: duplicate arrow id 'e'"),
+    ("identity", "not-an-object"): (lambda v: ["e"], "groupoid.identity: must be an object"),
+    ("identity", "int-value"):
+        (lambda v: {**v, "pt": 3}, "groupoid.identity['pt']: expected a string id, got 3"),
+    ("inverse", "int-value"):
+        (lambda v: {**v, "s": None}, "groupoid.inverse['s']: expected a string id, got None"),
+    ("elements", "int-id"): (lambda v: v + [9], "bibundle.elements: expected a string id, got 9"),
+    ("leftAnchor", "int-value"):
+        (lambda v: {**v, "e": 4}, "bibundle.leftAnchor['e']: expected a string id, got 4"),
+    ("rightAnchor", "not-an-object"): (list, "bibundle.rightAnchor: must be an object"),
+}
+
+
+@pytest.mark.parametrize("field, edit", sorted(_ID_FIELD_ERRORS))
+def test_id_field_errors_name_the_entry(field, edit):
+    if field in ONE_OBJECT_ORDER_TWO:
+        doc, load = json.loads(json.dumps(ONE_OBJECT_ORDER_TWO)), jsonio.groupoid_from_dict
+    else:
+        doc, load = jsonio.bibundle_to_dict(*_string_id_triple()), jsonio.bibundle_from_dict
+    change, message = _ID_FIELD_ERRORS[(field, edit)]
+    doc[field] = change(doc[field])
+    with pytest.raises(jsonio.SchemaError) as exc:
+        load(doc)
+    assert str(exc.value) == message
+
+
 class TestSmoothCommands:
     def test_disk_volume(self, capsys):
         code, out, err = run(capsys, ["smooth", "example", "plane-so2", "R=2"])

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import stackvol.finite as finite_module
+import stackvol.morita as morita_module
 from stackvol import jsonio
 from stackvol.errors import SchemaError
 from stackvol.finite import (
     FiniteGroupoid,
     UndefinedComposition,
     WeightData,
+    _check_axioms,
     block_groupoid,
     cardinality,
     check_strict_isomorphism,
@@ -513,3 +516,135 @@ def test_random_triple_sides_are_unions_of_blocks(bounds):
         assert set(bib.left_anchor.values()) == set(g1.objects)
         assert set(bib.right_anchor.values()) == set(g2.objects)
         assert validate_bibundle(g1, g2, bib).ok
+
+
+# ---------------------------------------------------------------------------
+# the law check against the generic check of the link
+
+_BIBUNDLE_AXIOMS = {"anchor range", "anchor not surjective", "left action domain",
+                    "right action domain", "left action not free", "right action not free"}
+
+
+def _refusing(g, rng):
+    """A copy of g whose product rule refuses one composable pair."""
+    p = rng.choice(sorted(g.arrow_ids, key=repr))
+    refused = (p, rng.choice(sorted(g.arrows_from(g.r(p)), key=repr)))
+
+    def compose(a, b):
+        if (a, b) == refused:
+            raise UndefinedComposition((a, b))
+        return g.compose(a, b)
+
+    return FiniteGroupoid(g.objects, {a: (g.l(a), g.r(a)) for a in g.arrow_ids},
+                          {x: g.identity(x) for x in g.objects},
+                          {a: g.inverse(a) for a in g.arrow_ids}, compose)
+
+
+def _mutated_triple(seed, kind, rng):
+    """random_morita_triple(seed) after one mutation of the given kind.
+
+    "shuffle" permutes one element's action entries under the arrows
+    between two objects, which keeps the actions total and free; "swap"
+    trades the entries of two arrows with the same ends, which keeps the
+    two actions commuting; "conjugate" conjugates the left action on the
+    elements over one right object by a permutation that keeps both
+    anchors, which keeps the left law.
+    """
+    g1, g2, bib = random_morita_triple(seed)
+    elements, la, ra = list(bib.elements), dict(bib.left_anchor), dict(bib.right_anchor)
+    left, right = dict(bib.left_action), dict(bib.right_action)
+    side = rng.randrange(2)  # 0: the left action and g1, 1: the right action and g2
+    g, table = (g1, left) if side == 0 else (g2, right)
+    keys = sorted(table, key=repr)
+    if kind == "retarget":
+        table[rng.choice(keys)] = rng.choice(elements)
+    elif kind == "delete":
+        del table[rng.choice(keys)]
+    elif kind == "re-point":
+        (la, ra)[side][rng.choice(elements)] = rng.choice(g.objects)
+    elif kind == "refuse":
+        g1, g2 = (_refusing(g1, rng), g2) if side == 0 else (g1, _refusing(g2, rng))
+    elif kind == "shuffle":
+        b = rng.choice(elements)
+        acting = g1.arrows_into(la[b]) if side == 0 else g2.arrows_from(ra[b])
+        far = g.l if side == 0 else g.r  # the end of an acting arrow away from b
+        x = far(rng.choice(acting))
+        row = [(a, b) if side == 0 else (b, a) for a in acting if far(a) == x]
+        values = [table[k] for k in row]
+        rng.shuffle(values)
+        table.update(zip(row, values))
+    elif kind == "swap":
+        a = rng.choice(sorted(g.arrow_ids, key=repr))
+        twins = [c for c in g.arrow_ids if (g.l(c), g.r(c)) == (g.l(a), g.r(a))]
+        c = rng.choice(twins)
+        for k in keys:
+            if k[side] == a:  # the arrow is first in a left key, second in a right key
+                k2 = (c, k[1]) if side == 0 else (k[0], c)
+                table[k], table[k2] = table[k2], table[k]
+    elif kind == "conjugate":
+        y0 = rng.choice(g2.objects)
+        over = [b for b in elements if ra[b] == y0]
+        phi = {}
+        for x in g1.objects:
+            fiber = [b for b in over if la[b] == x]
+            phi.update(zip(fiber, rng.sample(fiber, len(fiber))))
+        phi_inv = {v: k for k, v in phi.items()}
+        left.update({(h, b): phi_inv[left[(h, phi[b])]]
+                     for h, b in bib.left_action if b in phi})
+    return g1, g2, Bibundle(elements, la, ra, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000),
+       st.sampled_from([None, "retarget", "delete", "re-point", "refuse", "shuffle", "swap",
+                        "conjugate"]),
+       st.randoms(use_true_random=False))
+def test_law_check_agrees_with_the_link_axioms(seed, kind, rng):
+    g1, g2, bib = _mutated_triple(seed, kind, rng)
+    report = _agreeing_report(g1, g2, bib)
+    if kind is None:
+        assert report.ok
+
+
+def _agreeing_report(g1, g2, bib):
+    """validate_bibundle's report, asserted equal, violation for violation, to
+    the bibundle's own checks followed by the generic axiom check of its link."""
+    report = validate_bibundle(g1, g2, bib)
+    link = morita_module._checked_link(g1, g2, bib)[1]
+    if link is None:  # an anchor leaves its groupoid, and no link is built
+        assert report.axioms() == {"anchor range"}
+    else:
+        own = [v for v in report.violations if v.axiom in _BIBUNDLE_AXIOMS]
+        assert report.violations == own + _check_axioms(link).violations
+    return report
+
+
+@pytest.mark.parametrize("trivial_side", ["left", "right"])
+def test_an_action_that_is_not_transitive_is_refused(trivial_side):
+    # Z2 acts on itself from one side, the trivial group from the other: both
+    # actions are total, free and lawful, but the trivial one cannot move 0 to 1
+    one = classifying_groupoid(FiniteGroup.trivial())
+    g1, g2, bib = z2_self_equivalence()
+    fixed = {0: 0, 1: 1}
+    if trivial_side == "left":
+        g1, left, right = one, {(_arrow(0), b): b for b in fixed}, bib.right_action
+        pattern = (BRIDGE, BRIDGE_INV)
+    else:
+        g2, left, right = one, bib.left_action, {(b, _arrow(0)): b for b in fixed}
+        pattern = (BRIDGE_INV, BRIDGE)
+    report = _agreeing_report(g1, g2, Bibundle((0, 1), bib.left_anchor, bib.right_anchor,
+                                               left, right))
+    missing = {v.witness for v in report.violations if v.axiom == "missing composition"}
+    assert missing == {((pattern[0], 0), (pattern[1], 1)), ((pattern[0], 1), (pattern[1], 0))}
+
+
+def test_a_passing_law_check_leaves_nothing_for_validate(monkeypatch):
+    g1, g2, bib = random_morita_triple(7)
+    assert validate(g1).ok and validate(g2).ok
+    calls = []
+    check = finite_module._check_axioms
+    monkeypatch.setattr(finite_module, "_check_axioms", lambda g: calls.append(g) or check(g))
+    assert validate_bibundle(g1, g2, bib).ok
+    link = linking_groupoid(g1, g2, bib)
+    assert validate(link).ok and validate(link).violations == []
+    assert calls == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stackvol.catalog import plane_o2, plane_so2, torus_free
 from stackvol.groups import FiniteGroup
-from stackvol.quadrature import NonConvergenceError
+from stackvol.quadrature import MAX_EVALUATIONS, NonConvergenceError
 from stackvol.smooth import (
     TWO_PI,
     ActionModel,
@@ -251,6 +251,29 @@ class TestFiberIntegral:
         assert exc.value.result.evaluations == counts["b"] + counts["act"]
         assert counts["act"] > 0
 
+    def test_one_budget_covers_the_chart_and_the_fiber_rules(self):
+        # without an orbit chart every chart node runs its own fiber rule, so
+        # a budget on the chart nodes alone let this model run for minutes
+        counts = {"b": 0, "act": 0}
+        base = dataclasses.replace(_cosine_disk(32), orbit_chart=None)
+
+        def b(p):
+            counts["b"] += 1
+            return base.a_density(p) * p[0]
+
+        def act(h, p):
+            counts["act"] += 1
+            return base.act(h, p)
+
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="Gauss panels") as exc:
+            stack_volume(dataclasses.replace(base, act=act, b_density=b))
+        assert time.perf_counter() - start < 10.0
+        assert exc.value.result.evaluations == counts["b"] + counts["act"]
+        # the fiber rules of one refinement may carry the count past the budget
+        assert MAX_EVALUATIONS < exc.value.result.evaluations < 2 * MAX_EVALUATIONS
+        assert counts["b"] < counts["act"] / 100
+
     def test_a_fiber_rules_non_convergence_passes_unchanged(self):
         # the fibers of the first radii settle; at r > 1.5 the phase of a
         # sweeps 4 * 10^6 radians around the circle, too fast for any trapezoid grid
@@ -338,6 +361,16 @@ class TestStackVolume:
         # b is read once per integrand call, act once per fiber-rule node
         assert res.evaluations == counts["b"] + counts["act"]
         assert counts["act"] > counts["b"]
+
+    def test_theta_model_keeps_its_evaluations_and_bits(self):
+        # the benchmark's volume model; the shared budget never binds on it
+        def theta(p):
+            return 1.5 + 0.5 * math.sin(p[1]) + 0.1 * p[0]
+
+        am = dataclasses.replace(plane_so2(R=2.0), a_density=theta,
+                                 b_density=lambda p: theta(p) * p[0], a_constant=False)
+        res = stack_volume(am)
+        assert (res.value.hex(), res.evaluations) == ("0x1.ffffffffffffep+0", 845)
 
     def test_one_fiber_rule_runs_per_orbit_parameter(self):
         counts = {"b": 0, "act": 0}
