@@ -129,7 +129,11 @@ def _poisson_coeff(mode: str, d_area):
     if mode == "dv2":
         def squared_slope(t):
             slope = d_area(t)
-            square = slope ** 2  # a float that overflows raises OverflowError
+            try:
+                square = slope ** 2
+            except OverflowError:
+                raise NumericalFailure(f"coefficient V'(t)^2 overflows at t={t!r}, "
+                                       f"where V'(t) = {slope!r}") from None
             if slope and abs(square) < sys.float_info.min:
                 raise NumericalFailure(f"coefficient V'(t)^2 underflows at t={t!r}, "
                                        f"where V'(t) = {slope!r}")

@@ -518,19 +518,6 @@ def random_morita_weights(g1, g2, bib, seed):
     return w1, WeightData(a2, b2)
 
 
-def relabel_bibundle(bib: Bibundle, rename: dict) -> Bibundle:
-    """An isomorphic copy with renamed elements (rename must be a bijection)."""
-    if set(rename) != set(bib.elements) or len(set(rename.values())) != len(bib.elements):
-        raise ValueError("rename must be a bijection on the elements")
-    if (bad := bib.foreign_entry()) is not None:
-        raise ValueError(f"action entry {bad[0]!r} -> {bad[1]!r} names a non-element")
-    return Bibundle([rename[e] for e in bib.elements],
-                    {rename[e]: x for e, x in bib.left_anchor.items()},
-                    {rename[e]: y for e, y in bib.right_anchor.items()},
-                    {(g, rename[b]): rename[c] for (g, b), c in bib.left_action.items()},
-                    {(rename[b], h): rename[c] for (b, h), c in bib.right_action.items()})
-
-
 def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid,
                       b12: Bibundle, b23: Bibundle) -> Bibundle:
     """Composite bibundle: matched pairs modulo the middle groupoid action.

@@ -1,16 +1,18 @@
 """Numerical integration for the smooth models.
 
-One adaptive rule covers every chart integral: tensor order-5 Gauss
-panels over a box of dimension 1 or 2, with a tolerance relative to the
-integral of |f| and fixed bounds on depth and evaluations.  A seeded
-Monte Carlo estimator covers the high-dimensional comparison check.
+One globally adaptive rule covers every chart integral: tensor order-5
+Gauss panels over a box of dimension 1 or 2, with a tolerance relative to
+the integral of |f| and one bound on evaluations.  A seeded Monte Carlo
+estimator covers the high-dimensional comparison check.
 Both report an error estimate and the number of integrand evaluations.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
@@ -73,14 +75,12 @@ GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
 _TENSOR_WEIGHTS = {d: [math.prod(w) for w in itertools.product(GAUSS_WEIGHTS, repeat=d)]
                    for d in (1, 2)}
 
-# bounds on the adaptive panel rule: halvings of one cell, integrand calls
-MAX_DEPTH = 30
 MAX_EVALUATIONS = 2 ** 18
 MC_CHUNK = 65536  # rows per Monte Carlo chunk: a 1.5 MB buffer of points in dimension 3
 
 
 def _panel(fn, weights, cell):
-    """Tensor Gauss panel over ``cell``: estimates of the integrals of fn and |fn|."""
+    """Tensor Gauss panel over ``cell``: integrals of fn and |fn|, and whether fn was nonzero."""
     half = [0.5 * (hi - lo) for lo, hi in cell]
     axes = [[0.5 * (lo + hi) + h * n for n in GAUSS_NODES] for (lo, hi), h in zip(cell, half)]
     acc = size = 0.0
@@ -88,10 +88,11 @@ def _panel(fn, weights, cell):
         v = fn(*point)
         acc += w * v
         size += w * abs(v)
+    nonzero = size > 0.0
     for h in half:
         acc *= h
         size *= h
-    return acc, size
+    return acc, size, nonzero
 
 
 def _children(cell):
@@ -101,61 +102,54 @@ def _children(cell):
 
 
 def _gauss_panels(f, bounds, tol):
-    """Adaptive tensor Gauss panels over a box of dimension 1 or 2.
-
-    Each cell gets an order-5 Gauss panel and is compared with the sum of
-    the panels on its 2^d halves.  A cell of share 2^-(d depth) passes when
-    that refinement moves its value by at most its share of ``tol`` times
-    the current estimate of the integral of |f|, so scaling f scales the
-    value and leaves every decision alone.  A pass adds the refined value
-    plus the Richardson correction delta/15.  Refining past MAX_DEPTH or
-    MAX_EVALUATIONS raises NonConvergenceError carrying the accepted cells
-    plus the pending panels as the partial result.  The budget is checked
-    before each refinement against the counter of an :class:`EvalCounter`
-    f, nested work included, so the count can pass it only by the nested
-    work of the refinement's 2^d * 5^d nodes.
-    """
+    """The rule of :func:`integrate_box` on bounds already checked."""
     require_positive_finite("tol", tol)
     cell = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if any(lo == hi for lo, hi in cell):
         return QuadratureResult(0.0, 0.0, 0)
     weights = _TENSOR_WEIGHTS[len(cell)]
-    fan_out = 2 ** len(cell)
     counter = f if isinstance(f, EvalCounter) else EvalCounter(f)
+    budget = MAX_EVALUATIONS - 4 ** len(cell) * len(weights)  # less one split's nodes
+    size, err, nonzero = 0.0, 0.0, False  # running sums over the leaves of |f| and of |delta|
+    leaves = []  # heap of (-|delta|, half-panel sum, its |f| sum, halves, their panels)
 
-    total = err_total = 0.0
-    value, size = _panel(counter, weights, cell)
-    # stack entries: (cell, panel value, panel |f| value, depth, error bound);
-    # a pending half's bound is its share of the change its parent saw
-    stack = [(cell, value, size, 0, math.inf)]
-    while stack:
-        cell, parent_value, parent_size, depth, _ = stack[-1]
-        if depth == MAX_DEPTH or counter.count + fan_out * len(weights) > MAX_EVALUATIONS:
-            bound = f"depth {MAX_DEPTH}" if depth == MAX_DEPTH else f"{MAX_EVALUATIONS} evaluations"
-            partial = QuadratureResult(total + sum(e[1] for e in stack),
-                                       err_total + sum(e[4] for e in stack), counter.count)
-            raise NonConvergenceError(
-                f"adaptive Gauss panels hit {bound} before reaching tol={tol}", partial)
-        stack.pop()
+    def add_leaf(cell, own):
+        nonlocal size, err, nonzero
         cells = _children(cell)
         panels = [_panel(counter, weights, c) for c in cells]
-        refined = sum(v for v, _ in panels)
-        delta = refined - parent_value
-        size += sum(s for _, s in panels) - parent_size
-        if abs(delta) <= 15.0 * tol * size / fan_out ** depth:
-            total += refined + delta / 15.0
-            err_total += abs(delta) / 15.0
-        else:
-            for c, (v, s) in zip(cells, panels):
-                stack.append((c, v, s, depth + 1, abs(delta) / fan_out))
-    return QuadratureResult(total, err_total, counter.count)
+        refined, refined_size, nonzero_panels = map(sum, zip(*panels))
+        delta = abs(refined - own)
+        size, err, nonzero = size + refined_size, err + delta, nonzero or nonzero_panels > 0
+        heapq.heappush(leaves, (-delta, refined, refined_size, cells, panels))
+
+    add_leaf(cell, _panel(counter, weights, cell)[0])
+    while True:
+        if not (math.isfinite(err) and (sys.float_info.min <= size < math.inf or not nonzero)):
+            raise NumericalFailure(f"adaptive Gauss panels: the integral of |f|, {size!r}, "
+                                   f"or its error, {err!r}, left the normal floats")
+        if err <= tol * size:  # the running sum passes: test the correctly rounded one
+            err = abs(math.fsum(leaf[0] for leaf in leaves))
+        neg_delta, _, refined_size, cells, panels = leaves[0]
+        narrow = any(not lo < 0.5 * (lo + hi) < hi for c in cells for lo, hi in c)
+        if err <= tol * size or narrow or counter.count > budget:
+            break
+        heapq.heappop(leaves)
+        size, err = size - refined_size, err + neg_delta
+        for c, p in zip(cells, panels):
+            add_leaf(c, p[0])
+    result = QuadratureResult(math.fsum(leaf[1] for leaf in leaves), err, counter.count)
+    if err <= tol * size:
+        return result
+    bound = "a cell too narrow to halve" if narrow else f"{MAX_EVALUATIONS} evaluations"
+    raise NonConvergenceError(f"adaptive Gauss panels hit {bound} before reaching tol={tol}",
+                              result)
 
 
 def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
-    """Integral of f from a to b by the adaptive Gauss panels of :func:`integrate_box`.
+    """Integral of f from a to b by the globally adaptive rule of :func:`integrate_box`.
 
-    ``tol`` is relative to the integral of |f|.  Reversed bounds flip
-    the sign, and an empty interval costs no evaluations.
+    ``tol`` bounds the summed refinement changes relative to the integral
+    of |f|.  Reversed bounds flip the sign; an empty interval costs nothing.
     """
     if b < a:
         return _gauss_panels(lambda x: -f(x), [(b, a)], tol)
@@ -163,13 +157,19 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
 
 
 def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
-    """Adaptive tensor Gauss panels over an axis-aligned box of dimension 1 or 2.
+    """Globally adaptive tensor Gauss panels over an axis-aligned box of dimension 1 or 2.
 
-    A cell is accepted when refining it into its 2^d halves moves the
-    value by at most its share of ``tol`` times the integral of |f|, so
-    the tolerance is relative and scaling f never changes the number of
-    evaluations.  Past MAX_DEPTH halvings or MAX_EVALUATIONS calls the
-    rule raises :class:`NonConvergenceError` with the partial result.
+    Each leaf cell holds the order-5 Gauss panels on its 2^d halves and
+    |delta|, the change from its own panel to their sum.  The leaf with the
+    largest |delta| is split until the sum of |delta| is at most ``tol``
+    times the integral of |f|; that sum is the error estimate, and the
+    half-panels sum to the value (QUADPACK's QAG: Piessens et al., 1983).
+    Scaling f scales every sum and changes no decision.  MAX_EVALUATIONS,
+    the one budget, counts the nested work an :class:`EvalCounter` f adds;
+    only one split's 4^d * 5^d nodes can carry the count past it.  Past it,
+    or at a leaf too narrow to halve, :class:`NonConvergenceError` carries
+    the partial sums.  Non-finite sums, or an integral of |f| below the
+    normal floats from an f nonzero at a node, raise NumericalFailure.
     """
     if len(bounds) not in (1, 2):
         raise ValueError("integrate_box supports dimensions 1 and 2")

@@ -465,6 +465,20 @@ class TestSmoothCommands:
         t_str, d_str = out.split()
         assert float(d_str) == pytest.approx(4 * math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_disk_volume_is_right_or_refused_at_every_magnitude(self, capsys, fmt):
+        # R^2/2 is a normal float only for R from about 1e-154 to 1e154; past
+        # that the integrand's integral leaves the floats, and the rule refuses
+        for k in range(-170, 309):
+            code, out, err = run(capsys, ["smooth", "example", "plane-so2", f"R=1e{k}", *fmt])
+            if code == 0:
+                value = json.loads(out)["value"] if fmt else float(out.split()[0])
+                assert value == pytest.approx(10.0 ** k * 10.0 ** k / 2, rel=1e-6), k
+            else:
+                assert (code, out) == (2, ""), k
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (k, err)
+                assert "left the normal floats" in err, (k, err)
+
     def test_poisson_default_t(self, capsys):
         code, out, err = run(capsys, ["smooth", "example", "su2-dual"])
         assert code == 0
@@ -632,6 +646,14 @@ class TestErrorPaths:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_density_whose_square_overflows_names_it(self, capsys, fmt):
+        code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
+                                      "c1=1e300", "c2=1e300", "ts=4.9", *fmt])
+        assert (code, out) == (2, "")
+        assert err == ("error: coefficient V'(t)^2 overflows at t=4.9, "
+                       "where V'(t) = 1.0800000000000002e+301\n")
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
     def test_density_that_underflows_exits_two(self, capsys, fmt):

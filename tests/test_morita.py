@@ -45,7 +45,6 @@ from stackvol.morita import (
     morita_volume_check,
     random_morita_triple,
     random_morita_weights,
-    relabel_bibundle,
     restrict_full,
     right_object_ids,
     transfer_section,
@@ -60,6 +59,19 @@ from test_finite import disjoint_union  # the reference union of separately buil
 #   pair groupoid on two points, equivalent to a single point: linking has
 #   3 objects and 4 + 1 + 2*2 = 9 arrows; with section value 3 both volumes
 #   equal 3
+
+
+def relabel_bibundle(bib: Bibundle, rename: dict) -> Bibundle:
+    """An isomorphic copy with renamed elements (rename must be a bijection)."""
+    if set(rename) != set(bib.elements) or len(set(rename.values())) != len(bib.elements):
+        raise ValueError("rename must be a bijection on the elements")
+    if (bad := bib.foreign_entry()) is not None:
+        raise ValueError(f"action entry {bad[0]!r} -> {bad[1]!r} names a non-element")
+    return Bibundle([rename[e] for e in bib.elements],
+                    {rename[e]: x for e, x in bib.left_anchor.items()},
+                    {rename[e]: y for e, y in bib.right_anchor.items()},
+                    {(g, rename[b]): rename[c] for (g, b), c in bib.left_action.items()},
+                    {(rename[b], h): rename[c] for (b, h), c in bib.right_action.items()})
 
 
 def _arrow(k):

@@ -87,3 +87,19 @@ def test_exact_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_smooth_example_loads_no_numpy():
+    # the chart rule and the Haar rule are plain Python; numpy is for su2 and Monte Carlo
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('stackvol', 'numpy'))); "
+         "sys.exit(code)",
+         "smooth", "example", "plane-so2", "R=2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["stackvol"] + [f"stackvol.{m}" for m in
+                             ("catalog", "cli", "errors", "families", "quadrature", "smooth")]
+    assert proc.stdout.splitlines()[-1] == str(loaded)

@@ -9,13 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stackvol.quadrature as quadrature
+from stackvol.errors import NumericalFailure
 from stackvol.quadrature import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     MAX_EVALUATIONS,
+    EvalCounter,
     MC_CHUNK,
     NonConvergenceError,
     integrate_1d,
@@ -77,12 +79,14 @@ class TestIntegrate1D:
             integrate_1d(lambda x: float("nan"), 0.0, 1.0)
 
     def test_non_convergence_carries_partial_result(self):
-        with pytest.raises(NonConvergenceError) as exc:
-            integrate_1d(lambda x: math.sqrt(abs(x - 1.0 / 3.0)), 0.0, 1.0,
-                         tol=1e-15)
+        # no float rule meets tol=1e-300: the cell around the jump is halved
+        # down to the spacing of the floats near 1/3 and still moves by 1e-17
+        with pytest.raises(NonConvergenceError, match="too narrow") as exc:
+            integrate_1d(lambda x: 1.0 if x < 1.0 / 3.0 else -2.0, 0.0, 1.0, tol=1e-300)
         partial = exc.value.result
         assert math.isfinite(partial.value)
         assert partial.evaluations > 0
+        assert abs(partial.value + 1.0) <= 1e-15
 
     def test_tighter_tol_does_not_worsen_estimate(self):
         f = lambda x: math.sin(20.0 * x) + x * x
@@ -98,6 +102,53 @@ class TestIntegrate1D:
         rg = integrate_1d(g, 0.0, 2.0)
         budget = combo.error_estimate + 2.0 * rf.error_estimate + 3.0 * rg.error_estimate
         assert abs(combo.value - (2.0 * rf.value + 3.0 * rg.value)) <= budget + 1e-9
+
+
+class TestGlobalRule:
+    # closed forms on [0, 1]: sqrt x gives 2/3, x^(-1/2) gives 2, and the
+    # jump from 1 to -2 at x = 1/3 gives -1, with 5/3 for its |f|
+    @pytest.mark.parametrize("f, tol, exact, size", [
+        (math.sqrt, 1e-9, 2.0 / 3.0, 2.0 / 3.0),
+        (lambda x: 1.0 / math.sqrt(x), 1e-9, 2.0, 2.0),
+        (lambda x: 1.0 if x < 1.0 / 3.0 else -2.0, 1e-12, -1.0, 5.0 / 3.0),
+    ], ids=["sqrt", "inverse-sqrt", "sign-jump"])
+    def test_singular_integrands_converge_within_tol(self, f, tol, exact, size):
+        res = integrate_1d(f, 0.0, 1.0, tol=tol)
+        assert abs(res.value - exact) <= tol * size
+        assert res.error_estimate <= tol * size
+
+    @pytest.mark.parametrize("f, bounds", [
+        (lambda x: 1e300, [(0.0, 1e10)]),
+        (lambda x, y: 1e300, [(0.0, 1e5), (0.0, 1e5)]),
+        (lambda x: x, [(0.0, 1e-160)]),
+        (lambda x, y: 1e-300, [(0.0, 1e-10), (0.0, 1.0)]),
+    ], ids=["overflow-1d", "overflow-2d", "underflow-1d", "underflow-2d"])
+    def test_sums_outside_the_normal_floats_are_refused_at_once(self, f, bounds):
+        counter = EvalCounter(f)
+        with pytest.raises(NumericalFailure, match="left the normal floats") as exc:
+            integrate_box(counter, bounds)
+        assert not isinstance(exc.value, NonConvergenceError)
+        d = len(bounds)
+        assert counter.count == 5 ** d * (1 + 2 ** d)  # the first leaf only
+
+    def test_an_exact_panel_reports_a_positive_zero_error(self):
+        res = integrate_box(lambda x, y: 1.0, [(0.0, 1.0), (0.0, 2.0)])
+        assert res.value == pytest.approx(2.0, rel=1e-15)
+        assert str(res.error_estimate) == "0.0"
+
+    @pytest.mark.parametrize("f", [math.sqrt, lambda x: math.exp(x) * (1.5 + math.sin(3.0 * x))],
+                             ids=["sqrt", "exp-sin"])
+    def test_error_estimate_is_the_sum_that_stops_the_rule(self, f):
+        # f > 0, so the value is the integral of |f|: a tol just above the
+        # returned error's share of it stops at the same leaves, and one
+        # just below it needs another split
+        res = integrate_1d(f, 0.0, 3.0, tol=1e-8)
+        share = res.error_estimate / res.value
+        assert 0.0 < share <= 1e-8
+        assert integrate_1d(f, 0.0, 3.0, tol=share * (1 + 1e-9)) == res
+        finer = integrate_1d(f, 0.0, 3.0, tol=share * (1 - 1e-9))
+        assert finer.evaluations > res.evaluations
+        assert finer.error_estimate <= share * (1 - 1e-9) * finer.value
 
 
 class TestIntegrateBox:
@@ -463,3 +514,63 @@ def test_affine_integrals_are_exact(width, slope):
     res = integrate_1d(lambda x: slope * x + 1.0, 0.0, width)
     expected = slope * width * width / 2.0 + width
     assert abs(res.value - expected) <= 1e-9 + 1e-9 * abs(expected)
+
+
+def _abs_sin_antiderivative(u):
+    """An antiderivative of |sin u|: 2 per half period passed, then 1 - cos."""
+    k = math.floor(u / math.pi)
+    return 2.0 * k + 1.0 - math.cos(u - k * math.pi)
+
+
+# one factor of a separable integrand on [a, b]: (g, integral of g, integral of |g|)
+_FACTORS = {
+    "power": lambda p, a, b: (lambda t: t ** p,
+                              (b ** (p + 1) - a ** (p + 1)) / (p + 1),
+                              (math.copysign(abs(b) ** (p + 1), b)
+                               - math.copysign(abs(a) ** (p + 1), a)) / (p + 1)),
+    "exp": lambda p, a, b: (lambda t: math.exp((p - 2) * t),
+                            (math.exp((p - 2) * b) - math.exp((p - 2) * a)) / (p - 2),
+                            (math.exp((p - 2) * b) - math.exp((p - 2) * a)) / (p - 2)),
+    "sin": lambda p, a, b: (lambda t: math.sin((p + 1) * t),
+                            (math.cos((p + 1) * a) - math.cos((p + 1) * b)) / (p + 1),
+                            (_abs_sin_antiderivative((p + 1) * b)
+                             - _abs_sin_antiderivative((p + 1) * a)) / (p + 1)),
+}
+
+_FACTOR = st.tuples(st.sampled_from(sorted(_FACTORS)), st.sampled_from([0, 1, 3, 4]),
+                    st.floats(-2.0, 1.75), st.floats(0.25, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(_FACTOR, min_size=1, max_size=2), scale=st.integers(-160, 150),
+       amplitude=st.integers(-160, 150), tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+       reverse=st.booleans())
+@example(factors=[("power", 1, 0.0, 1.0)], scale=-160, amplitude=-160, tol=1e-6, reverse=False)
+@example(factors=[("power", 1, 0.0, 1.0)] * 2, scale=-160, amplitude=0, tol=1e-6, reverse=False)
+@example(factors=[("exp", 3, -1.0, 2.0)] * 2, scale=150, amplitude=10, tol=1e-6, reverse=False)
+def test_closed_forms_at_every_magnitude(factors, scale, amplitude, tol, reverse):
+    # f(x) = 10^amplitude * prod g(x_i / L) on the box L * [a_i, a_i + w_i],
+    # L = 10^scale: the rule lands within tol * int|f| + error_estimate of
+    # the exact value, or refuses; it refuses only when int|f| is near or
+    # outside the normal floats
+    L, amp = 10.0 ** scale, 10.0 ** amplitude
+    parts = [_FACTORS[name](p, a, a + w) for name, p, a, w in factors]
+    bounds = [(L * a, L * (a + w)) for _, _, a, w in factors]
+    factor = Fraction(amp) * Fraction(L) ** len(parts)
+    exact = factor * math.prod(Fraction(integral) for _, integral, _ in parts)
+    size = factor * math.prod(Fraction(abs_integral) for _, _, abs_integral in parts)
+
+    def f(*x):
+        return amp * math.prod(g(xi / L) for (g, _, _), xi in zip(parts, x))
+
+    try:
+        if len(parts) == 1 and reverse:
+            res = integrate_1d(f, bounds[0][1], bounds[0][0], tol=tol)
+            exact = -exact
+        else:
+            res = integrate_box(f, bounds, tol=tol)
+    except NumericalFailure:  # NonConvergenceError included
+        assert not 1e-280 < size < 1e280
+        return
+    # the closed forms are float expressions, good to about 1e-13 of int|g|
+    assert abs(Fraction(res.value) - exact) <= (tol + 1e-13) * size + Fraction(res.error_estimate)
