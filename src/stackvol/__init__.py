@@ -23,11 +23,11 @@ _EXPORTS = {
                  "symplectic_bk_volume"),
     "finite": ("FiniteGroupoid", "Orbit", "OrbitDecomposition", "WeightData", "action_groupoid",
                "block_groupoid", "block_union", "cardinality", "classifying_groupoid",
-               "empty_groupoid", "fiber_volume", "finite_sets_cardinality",
-               "invariant_section", "orbit_set_measure", "orbit_volume", "orbits", "pair_groupoid",
-               "random_groupoid", "random_invariant_weights", "random_positive_rescaling",
-               "restrict_to_objects", "validate"),
-    "groups": ("FiniteGroup", "group_zoo"),
+               "empty_groupoid", "fiber_volume", "invariant_section", "orbit_set_measure",
+               "orbit_volume", "orbits", "pair_groupoid", "random_groupoid",
+               "random_invariant_weights", "random_positive_rescaling", "restrict_to_objects",
+               "validate"),
+    "groups": ("FiniteGroup", "finite_sets_cardinality", "group_zoo"),
     "morita": ("Bibundle", "MoritaVolumeReport", "block_bibundle", "compose_bibundles",
                "extend_invariant_section", "identity_bibundle", "linking_groupoid",
                "morita_volume_check", "random_morita_triple", "random_morita_weights",

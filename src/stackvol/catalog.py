@@ -25,41 +25,44 @@ class UnknownModelError(ValidationFailure):
     """The requested catalog name or parameter does not exist."""
 
 
+def _disk(name: str, R: float, group: str, act, isotropy: float) -> ActionModel:
+    """The radius-R disk in the polar chart with Lebesgue b and constant a.
+
+    The orbit space is the radius interval with density r; the origin is
+    the single singular orbit, and every regular orbit has isotropy
+    volume ``isotropy``.
+    """
+    if R <= 0:
+        raise ValueError("R must be positive")
+    return ActionModel(
+        name=name,
+        group=GroupModel(group),
+        chart=BoxChart(bounds=((0.0, R), (0.0, TWO_PI)), periods=(None, TWO_PI)),
+        act=act,
+        a_density=lambda p: 1.0,
+        b_density=lambda p: p[0],
+        a_constant=True,
+        orbit_chart=OrbitChart(param_axis=0, param_range=(0.0, R), orbit_density=lambda t: t,
+                               isotropy_volume=lambda t: isotropy, singular_params=(0.0,)),
+    )
+
+
 def plane_so2(R: float = 2.0) -> ActionModel:
     """Rotations of the radius-R disk, polar chart, Lebesgue b.
 
     The orbit space is the radius interval with density r; the origin is
     the single singular orbit.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
 
     def act(phi, p):
         r, theta = p
         return (r, (theta + phi) % TWO_PI)
 
-    return ActionModel(
-        name="plane-so2",
-        group=GroupModel("circle"),
-        chart=BoxChart(bounds=((0.0, R), (0.0, TWO_PI)), periods=(None, TWO_PI)),
-        act=act,
-        a_density=lambda p: 1.0,
-        b_density=lambda p: p[0],
-        a_constant=True,
-        orbit_chart=OrbitChart(
-            param_axis=0,
-            param_range=(0.0, R),
-            orbit_density=lambda t: t,
-            isotropy_volume=lambda t: 1.0,
-            singular_params=(0.0,),
-        ),
-    )
+    return _disk("plane-so2", R, "circle", act, 1.0)
 
 
 def plane_o2(R: float = 2.0) -> ActionModel:
     """Rotations and reflections of the disk; reflections halve the density."""
-    if R <= 0:
-        raise ValueError("R must be positive")
 
     def act(h, p):
         flag, phi = h
@@ -67,23 +70,8 @@ def plane_o2(R: float = 2.0) -> ActionModel:
         sign = -1.0 if flag else 1.0
         return (r, (phi + sign * theta) % TWO_PI)
 
-    return ActionModel(
-        name="plane-o2",
-        group=GroupModel("o2"),
-        chart=BoxChart(bounds=((0.0, R), (0.0, TWO_PI)), periods=(None, TWO_PI)),
-        act=act,
-        a_density=lambda p: 1.0,
-        b_density=lambda p: p[0],
-        a_constant=True,
-        orbit_chart=OrbitChart(
-            param_axis=0,
-            param_range=(0.0, R),
-            orbit_density=lambda t: t,
-            # each regular point is fixed by exactly one reflection
-            isotropy_volume=lambda t: 2.0,
-            singular_params=(0.0,),
-        ),
-    )
+    # each regular point is fixed by exactly one reflection
+    return _disk("plane-o2", R, "o2", act, 2.0)
 
 
 def torus_free() -> ActionModel:

@@ -312,7 +312,7 @@ def _cmd_smooth_weyl(args) -> int:
 
 
 def _cmd_series_finite_sets(args) -> int:
-    from .finite import finite_sets_cardinality
+    from .groups import finite_sets_cardinality
 
     n, limit = args.cutoff, getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_long = ValueError(f"--cutoff {n}: the value has too many digits to print")

@@ -2,12 +2,12 @@
 
 The symplectic family is exact rational arithmetic; the Poisson family
 evaluates leaf-space densities for a one-parameter family of symplectic
-leaves whose area function has no critical points.
+leaves whose area function has no critical points.  Both model types
+check their input in the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -18,20 +18,21 @@ class CriticalPointError(ValidationFailure):
     """The leaf-area function has a (near-)critical point in the domain."""
 
 
-@dataclass(frozen=True)
 class SymplecticModel:
     """Quotient data: measure constant c, finite kernel order, dimension 2m."""
 
-    c: Fraction
-    k_order: int
-    m: int = 1
+    __slots__ = ("c", "k_order", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.k_order < 1:
+    def __init__(self, c: Fraction, k_order: int, m: int = 1):
+        self.c = Fraction(c)
+        if k_order < 1:
             raise ValueError("kernel order must be >= 1")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("dimension parameter m must be >= 1")
+        self.k_order, self.m = k_order, m
+
+    def __repr__(self):
+        return f"SymplecticModel(c={self.c}, k_order={self.k_order}, m={self.m})"
 
 
 def symplectic_bk_volume(sm: SymplecticModel) -> Fraction:
@@ -42,7 +43,6 @@ def symplectic_bk_volume(sm: SymplecticModel) -> Fraction:
 _DERIV_STEP = 1e-5
 
 
-@dataclass(frozen=True)
 class PoissonFamilyModel:
     """A family of symplectic leaves over an interval of parameters t.
 
@@ -55,27 +55,28 @@ class PoissonFamilyModel:
     and a NaN slope or area counts as critical.
     """
 
-    area: Callable[[float], float]
-    coeff: Callable[[float], float]
-    t_domain: tuple
-    d_area: Optional[Callable[[float], float]] = None
-    name: str = "poisson-family"
-    critical_slope: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("area", "coeff", "t_domain", "d_area", "name", "critical_slope")
 
-    def __post_init__(self):
-        lo, hi = float(self.t_domain[0]), float(self.t_domain[1])
+    def __init__(self, area: Callable[[float], float], coeff: Callable[[float], float],
+                 t_domain: tuple, d_area: Optional[Callable[[float], float]] = None,
+                 name: str = "poisson-family"):
+        lo, hi = float(t_domain[0]), float(t_domain[1])
         if not lo < hi:
             raise ValueError("t_domain must be a nonempty open interval")
-        object.__setattr__(self, "t_domain", (lo, hi))
+        self.area, self.coeff, self.t_domain, self.d_area, self.name = (
+            area, coeff, (lo, hi), d_area, name)
         span = hi - lo
         grid = [lo + span * k / 65.0 for k in range(1, 65)]
-        size = max(abs(float(self.area(t))) for t in grid)
-        object.__setattr__(self, "critical_slope", 1e-8 * size / span)
+        size = max(abs(float(area(t))) for t in grid)
+        self.critical_slope = 1e-8 * size / span
         for t in grid:
             if not abs(self._derivative(t)) > self.critical_slope:  # NaN too
                 raise CriticalPointError(
                     f"leaf area of {self.name} is critical near t={t:.6g}"
                 )
+
+    def __repr__(self):
+        return f"PoissonFamilyModel({self.name}, t_domain={self.t_domain})"
 
     def _derivative(self, t: float) -> float:
         if self.d_area is not None:

@@ -24,7 +24,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import ValidationFailure, ValidationReport
-from .groups import FiniteGroup, group_zoo
+from .groups import FiniteGroup, finite_sets_cardinality, group_zoo
 
 
 class UndefinedComposition(KeyError):
@@ -667,7 +667,7 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# generators and series
+# generators
 
 
 MAX_RANDOM_ARROWS = 150_000  # over ten times the 12,800 arrows of 40 points x order 8
@@ -712,22 +712,6 @@ def random_positive_rescaling(g: FiniteGroupoid, seed) -> dict:
     """A positive rational function on objects, for rescale-invariance checks."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return {x: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for x in g.objects}
-
-
-def finite_sets_cardinality(cutoff: int) -> Fraction:
-    """Partial sum of 1/n! for n = 0..cutoff, over one denominator cutoff!.
-
-    The groupoid of finite sets and bijections has one orbit per size n
-    with isotropy the n! permutations, so its cardinality is the
-    exponential series at 1; the skeleton used here is sizes 0..cutoff.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    total = tail = 1  # tail = N!/n! and total = sum of N!/m! over m >= n, N = cutoff
-    for n in range(cutoff, 0, -1):
-        tail *= n
-        total += tail
-    return Fraction(total, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 These feed the finite groupoid constructors: a block of a finite groupoid
 is a pair groupoid crossed with one of these groups, and action groupoids
 need a concrete group to act.  Only tiny orders are ever required, so the
-tables are stored as plain dicts.
+tables are stored as plain dicts.  The groupoid of finite sets, whose
+cardinality is the sum of 1/|S_n|, is here too, so that its series needs
+no groupoid code.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
@@ -131,3 +134,19 @@ def _zoo(max_order: int) -> tuple[FiniteGroup, ...]:
         zoo.append(FiniteGroup.dihedral(4))
         zoo.append(FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)))
     return tuple(zoo)
+
+
+def finite_sets_cardinality(cutoff: int) -> Fraction:
+    """Partial sum of 1/n! for n = 0..cutoff, over one denominator cutoff!.
+
+    The groupoid of finite sets and bijections has one orbit per size n
+    with isotropy the n! permutations, so its cardinality is the
+    exponential series at 1; the skeleton used here is sizes 0..cutoff.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    total = tail = 1  # tail = N!/n! and total = sum of N!/m! over m >= n, N = cutoff
+    for n in range(cutoff, 0, -1):
+        tail *= n
+        total += tail
+    return Fraction(total, tail)

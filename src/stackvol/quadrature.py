@@ -13,16 +13,13 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NumericalFailure
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.value:.12g} (est err {self.error_estimate:.3g}, {self.evaluations} evals)"
@@ -45,6 +42,9 @@ def require_positive_finite(name: str, value: float):
 class EvalCounter:
     """An integrand that counts its calls and refuses non-finite values.
 
+    An infinite value is an overflow and raises NumericalFailure; a NaN
+    is an invalid integrand and raises ValueError.  Both name the node.
+
     The adaptive rule counts an integrand given as an EvalCounter with
     that counter, so work the integrand adds to ``count`` itself, such as
     the nodes of a nested rule, is charged to MAX_EVALUATIONS too.
@@ -60,6 +60,8 @@ class EvalCounter:
         self.count += 1
         v = float(self.f(*args))
         if not math.isfinite(v):
+            if math.isinf(v):
+                raise NumericalFailure(f"integrand overflowed to {v} at {args}")
             raise ValueError(f"integrand returned non-finite value {v} at {args}")
         return v
 

@@ -11,6 +11,11 @@ the angles, refined until it settles.  Models may also carry an orbit
 chart describing the regular part of the orbit space, which supports
 the pushforward-density route and the consistency check between the
 two.
+
+Box and point charts check their input when built.  The orbit chart and
+the reports are namedtuples, so ``_replace`` copies one; an
+``ActionModel`` is frozen and copied with the standard library's
+``replace``.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ValidationFailure
+from .errors import NumericalFailure, ValidationFailure
 from .quadrature import (
     EvalCounter,
     NonConvergenceError,
@@ -122,8 +128,13 @@ class GroupModel:
                       for c in self.components for angles in nodes]
             evals += len(values)
             abs_sum = sum(map(abs, values))
-            if not math.isfinite(abs_sum):
-                raise ValueError("Haar integrand returned a non-finite value")
+            if math.isnan(abs_sum):
+                raise ValueError("Haar integrand returned NaN")
+            if abs_sum == math.inf:  # an infinite value, or finite ones summing past the floats
+                i = max(range(len(values)), key=lambda i: abs(values[i]))
+                c, k = divmod(i, len(nodes))
+                raise NumericalFailure(f"Haar integrand overflowed: largest value {values[i]!r} "
+                                       f"at {self.element(self.components[c], nodes[k])!r}")
             return sum(values), abs_sum
 
         while True:
@@ -161,43 +172,46 @@ class GroupModel:
 # charts
 
 
-@dataclass(frozen=True)
 class BoxChart:
     """A bounded box of dimension 1 or 2, the dimensions ``integrate_box`` covers.
 
     ``periods[i]`` is the period of axis i or None.
     """
 
-    bounds: tuple
-    periods: tuple
+    __slots__ = ("bounds", "periods")
 
-    def __post_init__(self):
-        if len(self.bounds) != len(self.periods):
+    def __init__(self, bounds, periods):
+        if len(bounds) != len(periods):
             raise ValueError("bounds and periods must have equal length")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if len(bounds) not in (1, 2):
             raise ValueError(f"a chart has dimension 1 or 2, not {len(bounds)}")
         if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds):
             raise ValueError(f"chart bounds {bounds} are not finite intervals lo < hi")
-        object.__setattr__(self, "bounds", bounds)
+        self.bounds, self.periods = bounds, tuple(periods)
+
+    def __repr__(self):
+        return f"BoxChart({self.bounds}, {self.periods})"
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
 
 
-@dataclass(frozen=True)
 class PointChart:
     """A finite point set, for actions of finite groups on finite sets."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(self, points):
+        self.points = tuple(points)
+
+    def __repr__(self):
+        return f"PointChart({len(self.points)} points)"
 
 
-@dataclass(frozen=True)
-class OrbitChart:
+class OrbitChart(namedtuple("OrbitChart", "param_axis param_range orbit_density "
+                                          "isotropy_volume singular_params", defaults=((),))):
     """Analytic description of the strongly regular part of an orbit space.
 
     ``param_axis`` names the chart coordinate that descends to the orbit
@@ -210,18 +224,14 @@ class OrbitChart:
     the same orbit parameter.
     """
 
-    param_axis: int
-    param_range: tuple
-    orbit_density: Callable[[float], float]
-    isotropy_volume: Callable[[float], float]
-    singular_params: tuple = ()
+    __slots__ = ()
 
     def is_singular(self, t: float) -> bool:
         lo, hi = self.param_range
         return any(abs(t - s) < 1e-12 * (hi - lo) for s in self.singular_params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # kept, as perfbench/workloads.py copies it with dataclasses.replace
 class ActionModel:
     """A group action on a chart together with the volume densities."""
 
@@ -352,13 +362,8 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
 # invariance checking
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    passed: bool
-    max_defect: float
-    witness: Optional[tuple]
-    samples: int
-    tol: float
+class InvarianceReport(namedtuple("InvarianceReport", "passed max_defect witness samples tol")):
+    __slots__ = ()
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -460,13 +465,9 @@ def pushforward_density(am: ActionModel, t: float) -> float:
     return float(oc.orbit_density(t)) / float(oc.isotropy_volume(t))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    stack_result: QuadratureResult
-    pushforward_result: QuadratureResult
-    difference: float
-    tolerance: float
-    passed: bool
+class ComparisonReport(namedtuple("ComparisonReport", "stack_result pushforward_result "
+                                                      "difference tolerance passed")):
+    __slots__ = ()
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"

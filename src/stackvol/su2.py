@@ -8,13 +8,13 @@ representation), and the Euclidean-coordinate volume of the group (by
 integrating the exponential Jacobian, a product over the same adjoint
 eigenvalues, over a ball).  A Monte Carlo / quadrature cross-check of
 the Weyl integration identity then validates the whole normalization
-chain.
+chain.  The normalization data and the reports are namedtuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -28,14 +28,10 @@ from .quadrature import (
 )
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(namedtuple("CartanData", "period sigma volume_norm basis")):
     """Computed normalization data for the rank-one compact group."""
 
-    period: float
-    sigma: tuple
-    volume_norm: float
-    basis: tuple
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -130,10 +126,7 @@ def su2_cartan() -> CartanData:
 # orbit density on the chamber
 
 
-@dataclass(frozen=True)
-class OrbitDensity:
-    value: float
-    on_wall: bool
+OrbitDensity = namedtuple("OrbitDensity", "value on_wall")
 
 
 def adjoint_orbit_density(t: float, cartan: CartanData = None) -> OrbitDensity:
@@ -196,14 +189,9 @@ def gaussian_test_function(width: float = 0.25):
     return phi
 
 
-@dataclass(frozen=True)
-class WeylReport:
-    lhs: float
-    rhs: float
-    relative_error: float
-    mc_stderr: float
-    evaluations: int
-    passed: bool
+class WeylReport(namedtuple("WeylReport", "lhs rhs relative_error mc_stderr evaluations "
+                                          "passed")):
+    __slots__ = ()
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"

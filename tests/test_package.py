@@ -69,6 +69,19 @@ def _morita_files(tmp_path):
     return paths
 
 
+def _modules_after(argv):
+    """The modules a fresh interpreter holds after ``stackvol argv`` exits 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
+         "print(*sorted(sys.modules)); sys.exit(code)",
+         *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
 @pytest.mark.parametrize("argv", [
     ["finite", "volume", "--groupoid", "{left}", "--weights", "{w1}"],
     ["series", "finite-sets"],
@@ -77,29 +90,24 @@ def _morita_files(tmp_path):
 ])
 def test_exact_commands_load_no_dataclasses_or_inspect(tmp_path, argv):
     paths = _morita_files(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
-         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
-         "sys.exit(code)",
-         *(arg.format(**paths) for arg in argv)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = _modules_after([arg.format(**paths) for arg in argv])
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def test_weyl_check_loads_no_dataclasses():
+    assert "dataclasses" not in _modules_after(
+        ["smooth", "weyl-check", "--samples", "20000", "--tol", "1"])
+
+
+def test_series_loads_no_groupoid_code():
+    loaded = _modules_after(["series", "finite-sets"])
+    assert [m for m in loaded if m.split(".")[0] == "stackvol"] == [
+        "stackvol", "stackvol.cli", "stackvol.errors", "stackvol.groups"]
 
 
 def test_smooth_example_loads_no_numpy():
     # the chart rule and the Haar rule are plain Python; numpy is for su2 and Monte Carlo
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from stackvol import cli; code = cli.main(sys.argv[1:]); "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('stackvol', 'numpy'))); "
-         "sys.exit(code)",
-         "smooth", "example", "plane-so2", "R=2"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = ["stackvol"] + [f"stackvol.{m}" for m in
-                             ("catalog", "cli", "errors", "families", "quadrature", "smooth")]
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    loaded = _modules_after(["smooth", "example", "plane-so2", "R=2"])
+    expected = ["stackvol"] + [f"stackvol.{m}" for m in
+                               ("catalog", "cli", "errors", "families", "quadrature", "smooth")]
+    assert [m for m in loaded if m.split(".")[0] in ("stackvol", "numpy")] == expected

@@ -75,7 +75,8 @@ class TestIntegrate1D:
             integrate_1d(lambda x: x, 0.0, 1.0, tol=tol)
 
     def test_rejects_non_finite_integrand(self):
-        with pytest.raises(ValueError):
+        # NaN is invalid input; an infinite value is an overflow (TestGlobalRule)
+        with pytest.raises(ValueError, match="non-finite value nan"):
             integrate_1d(lambda x: float("nan"), 0.0, 1.0)
 
     def test_non_convergence_carries_partial_result(self):
@@ -130,6 +131,13 @@ class TestGlobalRule:
         assert not isinstance(exc.value, NonConvergenceError)
         d = len(bounds)
         assert counter.count == 5 ** d * (1 + 2 ** d)  # the first leaf only
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_integrand_overflowing_at_a_node_is_a_numerical_failure(self, sign):
+        counter = EvalCounter(lambda x, y: sign * x * y)
+        with pytest.raises(NumericalFailure, match=r"overflowed to -?inf at \(4\.6"):
+            integrate_box(counter, [(0.0, 1e200)] * 2)
+        assert counter.count == 1  # the first node
 
     def test_an_exact_panel_reports_a_positive_zero_error(self):
         res = integrate_box(lambda x, y: 1.0, [(0.0, 1.0), (0.0, 2.0)])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackvol.catalog import plane_o2, plane_so2, torus_free
+from stackvol.errors import NumericalFailure
 from stackvol.groups import FiniteGroup
 from stackvol.quadrature import MAX_EVALUATIONS, NonConvergenceError
 from stackvol.smooth import (
@@ -86,6 +88,19 @@ class TestGroupModels:
         with pytest.raises(ValueError, match="positive and finite"):
             GroupModel("circle").integrate(lambda h: calls.append(h) or 1.0, tol=tol)
         assert calls == []
+
+    @pytest.mark.parametrize("fn, largest", [
+        (lambda h: 1e308, "1e+308 at 0.0"),
+        (lambda h: -math.inf if h > 3.0 else 1.0, "-inf at 3.14159"),  # node pi, of 16
+    ], ids=["finite-values-summing-past-the-floats", "infinite-value"])
+    def test_haar_overflow_is_a_numerical_failure(self, fn, largest):
+        message = re.escape(f"overflowed: largest value {largest}")
+        with pytest.raises(NumericalFailure, match=message):
+            GroupModel("circle").integrate(fn)
+
+    def test_haar_nan_stays_invalid_input(self):
+        with pytest.raises(ValueError, match="NaN"):
+            GroupModel("o2").integrate(lambda h: math.nan if h[0] else 1.0)
 
     def test_bad_parameters(self):
         for kind in ("quaternionic", "su2", "torus"):
@@ -738,8 +753,7 @@ class TestTwoRouteComparison:
         am = dataclasses.replace(
             base,
             b_density=lambda p: scale * p[0],
-            orbit_chart=dataclasses.replace(base.orbit_chart,
-                                            orbit_density=lambda t: 1.01 * scale * t),
+            orbit_chart=base.orbit_chart._replace(orbit_density=lambda t: 1.01 * scale * t),
         )
         assert not stack_volume_vs_pushforward(am, (0.0, 2.0)).passed
 

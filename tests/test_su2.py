@@ -248,10 +248,9 @@ class TestWeylCheck:
         assert "weyl check" in str(report)
 
     def test_custom_cartan_is_used(self):
-        import dataclasses
         phi = gaussian_test_function()
         real = su2_cartan()
-        fake = dataclasses.replace(real, volume_norm=2 * real.volume_norm)
+        fake = real._replace(volume_norm=2 * real.volume_norm)
         honest = weyl_integration_check(phi, mc_samples=50_000, seed=9,
                                         require_convergence=False)
         skewed = weyl_integration_check(phi, mc_samples=50_000, seed=9,
