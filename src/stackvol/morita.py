@@ -523,52 +523,31 @@ def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid
     """Composite bibundle: matched pairs modulo the middle groupoid action.
 
     Pairs (p, q) with right anchor of p equal to the left anchor of q are
-    identified along (p acted by h, q) ~ (p, h acting on q).  The class
-    representatives are deterministic minima so the result is stable.
-    Both factors must be valid; otherwise :class:`InvalidBibundleError`
-    is raised.
+    identified along (p·h, q) ~ (p, h·q).  A valid b12 is biprincipal, so
+    its right action is free and transitive on each left-anchor fiber:
+    with p0 the first element of b12 over the left anchor of p, exactly
+    one arrow k has p0·k = p, and the class of (p, q) holds exactly one
+    pair with p0 first, (p0, k·q), which represents it.  Both factors
+    must be valid; otherwise :class:`InvalidBibundleError` is raised.
     """
     validate_bibundle(g1, g2, b12).require(InvalidBibundleError, "invalid left factor")
     validate_bibundle(g2, g3, b23).require(InvalidBibundleError, "invalid right factor")
-    pairs = [
-        (p, q)
-        for p in b12.elements
-        for q in b23.elements
-        if b12.right_anchor[p] == b23.left_anchor[q]
-    ]
-    parent = {pq: pq for pq in pairs}
+    first = {}  # left object -> the first element of b12 over it
+    for p in b12.elements:
+        first.setdefault(b12.left_anchor[p], p)
+    transport = {b12.right_action[(p0, k)]: (p0, k)  # p -> (p0, k) with p0·k = p
+                 for p0 in first.values() for k in g2.arrows_from(b12.right_anchor[p0])}
 
-    def find(z):
-        while parent[z] != z:
-            parent[z] = parent[parent[z]]
-            z = parent[z]
-        return z
+    def rep(p, q):
+        p0, k = transport[p]
+        return (p0, b23.left_action[(k, q)])
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    for (p, q) in pairs:
-        for h in g2.arrows_from(b12.right_anchor[p]):
-            moved = (b12.right_action[(p, h)], b23.left_action[(g2.inverse(h), q)])
-            union((p, q), moved)
-
-    classes = {}
-    for pq in pairs:
-        classes.setdefault(find(pq), []).append(pq)
-    rep_of = {}
-    reps = []
-    for members in classes.values():
-        rep = min(members, key=repr)
-        reps.append(rep)
-        for m in members:
-            rep_of[m] = rep
-
-    left_anchor = {rep: b12.left_anchor[rep[0]] for rep in reps}
-    right_anchor = {rep: b23.right_anchor[rep[1]] for rep in reps}
-    left = {(g, (p, q)): rep_of[(b12.left_action[(g, p)], q)]
-            for p, q in reps for g in g1.arrows_into(left_anchor[(p, q)])}
-    right = {((p, q), h): rep_of[(p, b23.right_action[(q, h)])]
-             for p, q in reps for h in g3.arrows_from(right_anchor[(p, q)])}
+    reps = [(p0, q) for p0 in first.values()
+            for q in b23.elements if b23.left_anchor[q] == b12.right_anchor[p0]]
+    left_anchor = {(p, q): b12.left_anchor[p] for p, q in reps}
+    right_anchor = {(p, q): b23.right_anchor[q] for p, q in reps}
+    left = {(g, (p, q)): rep(b12.left_action[(g, p)], q)
+            for p, q in reps for g in g1.arrows_into(b12.left_anchor[p])}
+    right = {((p, q), h): (p, b23.right_action[(q, h)])
+             for p, q in reps for h in g3.arrows_from(b23.right_anchor[q])}
     return Bibundle(reps, left_anchor, right_anchor, left, right)

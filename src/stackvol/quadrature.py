@@ -9,9 +9,11 @@ Both report an error estimate and the number of integrand evaluations.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -39,6 +41,18 @@ def require_positive_finite(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def left_sum(values):
+    """The sum from the left, which ``sum`` of floats compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def refuse_non_finite(value, where):
+    """Refuse a non-finite value or sum: NumericalFailure if infinite, ValueError if NaN."""
+    if math.isinf(value):
+        raise NumericalFailure(f"integrand overflowed to {value} {where}")
+    raise ValueError(f"integrand returned non-finite value {value} {where}")
+
+
 class EvalCounter:
     """An integrand that counts its calls and refuses non-finite values.
 
@@ -60,9 +74,7 @@ class EvalCounter:
         self.count += 1
         v = float(self.f(*args))
         if not math.isfinite(v):
-            if math.isinf(v):
-                raise NumericalFailure(f"integrand overflowed to {v} at {args}")
-            raise ValueError(f"integrand returned non-finite value {v} at {args}")
+            refuse_non_finite(v, f"at {args}")
         return v
 
 
@@ -119,7 +131,7 @@ def _gauss_panels(f, bounds, tol):
         nonlocal size, err, nonzero
         cells = _children(cell)
         panels = [_panel(counter, weights, c) for c in cells]
-        refined, refined_size, nonzero_panels = map(sum, zip(*panels))
+        refined, refined_size, nonzero_panels = map(left_sum, zip(*panels))
         delta = abs(refined - own)
         size, err, nonzero = size + refined_size, err + delta, nonzero or nonzero_panels > 0
         heapq.heappush(leaves, (-delta, refined, refined_size, cells, panels))
@@ -184,11 +196,12 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
     """Plain Monte Carlo over a box with a seeded generator, in bounded memory.
 
     f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lows,
-    highs, (samples, d))``, and returns a finite value per row.  The rows
-    are one buffer that every chunk refills, so f may overwrite them (to
-    square them in place, say) but must not keep them.  Memory stays at
-    that buffer of MC_CHUNK * d floats, plus what f allocates, whatever
-    the sample count.  Chunk statistics about the first chunk's mean merge
+    highs, (samples, d))``, and returns a value per row: an infinite one
+    raises NumericalFailure, a NaN ValueError.  The rows are one buffer
+    that every chunk refills, so f may overwrite them (to square them in
+    place, say) but must not keep them.  Memory stays at that buffer of
+    MC_CHUNK * d floats, plus what f allocates, whatever the sample
+    count.  Chunk statistics about the first chunk's mean merge
     as in Chan, Golub & LeVeque (1983); the error estimate is the standard
     error times the volume.  The statistics are kept in units of a power of
     two above every |value| seen, which changes no bit of them but keeps
@@ -218,8 +231,8 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
         values = np.asarray(f(points), dtype=float)
         if values.shape != (k,):
             raise ValueError("integrand must return one value per sample")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("integrand returned non-finite values")
+        if not np.all(np.isfinite(values)):  # a NaN, if any, else an infinity
+            refuse_non_finite(float(values[~np.isfinite(values)].max()), "in a sample chunk")
         # 1/unit: the power of two just above the chunk's largest |value|
         unit = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(values).max()))[1]))
         if count == 0:

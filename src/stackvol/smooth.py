@@ -34,6 +34,8 @@ from .quadrature import (
     QuadratureResult,
     integrate_1d,
     integrate_box,
+    left_sum,
+    refuse_non_finite,
     require_positive_finite,
 )
 
@@ -127,7 +129,7 @@ class GroupModel:
             values = [float(fn(self.element(c, angles)))
                       for c in self.components for angles in nodes]
             evals += len(values)
-            abs_sum = sum(map(abs, values))
+            abs_sum = left_sum(map(abs, values))
             if math.isnan(abs_sum):
                 raise ValueError("Haar integrand returned NaN")
             if abs_sum == math.inf:  # an infinite value, or finite ones summing past the floats
@@ -135,7 +137,7 @@ class GroupModel:
                 c, k = divmod(i, len(nodes))
                 raise NumericalFailure(f"Haar integrand overflowed: largest value {values[i]!r} "
                                        f"at {self.element(self.components[c], nodes[k])!r}")
-            return sum(values), abs_sum
+            return left_sum(values), abs_sum
 
         while True:
             grid = itertools.product(range(n), repeat=self.rank)
@@ -323,13 +325,16 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
             raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
         return float(am.b_density(p)) / fib
 
-    counter = EvalCounter(lambda *p: b_over_fiber(p))
     if isinstance(am.chart, PointChart):
         if param_region is not None:
             raise ValueError("param_region is meaningless for point charts")
-        total = sum((b_over_fiber(p) for p in am.chart.points), 0.0)
-        # no chart rule ran, so the counter holds the fiber rules' evaluations alone
-        return QuadratureResult(total, 0.0, len(am.chart.points) + counter.count)
+        # refuses each non-finite b/fiber, and counts the points and (in fiber) the fiber rules
+        counter = EvalCounter(b_over_fiber)
+        total = left_sum(map(counter, am.chart.points))
+        if not math.isfinite(total):
+            refuse_non_finite(total, "in the sum over the chart points")
+        return QuadratureResult(total, 0.0, counter.count)
+    counter = EvalCounter(lambda *p: b_over_fiber(p))
     return integrate_box(counter, _restrict_bounds(am, param_region), tol=tol)
 
 
@@ -342,20 +347,21 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     """
     if not am.a_constant:
         raise ValueError("homogeneous_volume requires a constant a_density")
-    if isinstance(am.chart, PointChart):
-        probe = am.chart.points[0]
-    else:
-        probe = tuple(lo for lo, _ in am.chart.bounds)
-    a0 = float(am.a_density(probe))
+    point_chart = isinstance(am.chart, PointChart)
+    a0 = float(am.a_density(am.chart.points[0] if point_chart
+                            else tuple(lo for lo, _ in am.chart.bounds)))
     if a0 == 0.0:
         raise DegenerateModelError("group volume weighted by a vanishes")
     denom = a0 * am.group.volume
 
-    if isinstance(am.chart, PointChart):
-        total = sum(float(am.b_density(p)) for p in am.chart.points)
-        return QuadratureResult(total / denom, 0.0, len(am.chart.points))
-    res = integrate_box(lambda *p: float(am.b_density(p)), am.chart.bounds, tol=tol)
-    return QuadratureResult(res.value / denom, res.error_estimate / abs(denom), res.evaluations)
+    if point_chart:
+        total = left_sum(float(am.b_density(p)) for p in am.chart.points)
+        res = QuadratureResult(total, 0.0, len(am.chart.points))
+    else:
+        res = integrate_box(lambda *p: float(am.b_density(p)), am.chart.bounds, tol=tol)
+    if not math.isfinite(value := res.value / denom):
+        refuse_non_finite(value, "in the b mass over the group volume")
+    return QuadratureResult(value, res.error_estimate / abs(denom), res.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +407,7 @@ def _jacobian_det(am: ActionModel, h, p) -> float:
 
 def invariance_defect(am: ActionModel, h, p) -> float:
     """|b(h p) |Jac| - b(p)| at one sample."""
-    if isinstance(am.chart, PointChart):
-        jac = 1.0
-    else:
-        jac = _jacobian_det(am, h, p)
+    jac = 1.0 if isinstance(am.chart, PointChart) else _jacobian_det(am, h, p)
     moved = am.act(h, p)
     return abs(float(am.b_density(moved)) * jac - float(am.b_density(p)))
 

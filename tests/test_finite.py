@@ -565,6 +565,39 @@ class TestConstructors:
         bad_map[keys[0]], bad_map[keys[1]] = bad_map[keys[1]], bad_map[keys[0]]
         assert not check_strict_isomorphism(g, h, obj_map, bad_map)
 
+    @pytest.mark.parametrize("table, key, value", [
+        ("arrow_map", (0, 0, 1), None),  # None deletes the entry
+        ("object_map", 1, 0),
+        ("arrow_map", (0, 0, 1), "elsewhere"),
+        ("arrows", (0, 1, 0), (1, 1)),
+        ("inverse", (0, 0, 1), (0, 0, 1)),
+        ("identity", 0, (0, 0, 1)),
+        ("compose", ((0, 0, 1), (0, 0, 1)), None),
+        ("compose", ((0, 0, 1), (0, 0, 1)), (0, 0, 0)),
+    ], ids=["map domain", "object codomain", "arrow codomain", "endpoints", "inverse",
+            "identity", "undefined composite", "wrong composite"])
+    def test_strict_isomorphism_refuses_each_broken_table(self, table, key, value):
+        # one edit to the identity maps of g onto a copy, or to the copy's tables
+        g = block_groupoid([0, 1], FiniteGroup.cyclic(3))
+        tables = {"object_map": {x: x for x in g.objects}, "arrow_map": {a: a for a in g.arrow_ids},
+                  "arrows": {a: (g.l(a), g.r(a)) for a in g.arrow_ids},
+                  "identity": {x: g.identity(x) for x in g.objects},
+                  "inverse": {a: g.inverse(a) for a in g.arrow_ids},
+                  "compose": {(p, q): g.compose(p, q)
+                              for p in g.arrow_ids for q in g.arrows_from(g.r(p))}}
+
+        def holds():
+            h = FiniteGroupoid(g.objects, *(tables[k] for k in ("arrows", "identity", "inverse",
+                                                                  "compose")))
+            return check_strict_isomorphism(g, h, tables["object_map"], tables["arrow_map"])
+
+        assert holds()
+        if value is None:
+            del tables[table][key]
+        else:
+            tables[table][key] = value
+        assert not holds()
+
 
 class TestSeries:
     def test_small_partial_sums(self):

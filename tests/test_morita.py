@@ -20,6 +20,7 @@ from stackvol.finite import (
     check_strict_isomorphism,
     classifying_groupoid,
     fiber_volume,
+    orbits,
     pair_groupoid,
     random_invariant_weights,
     unit_weights,
@@ -427,6 +428,21 @@ class TestBibundleAlgebra:
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["left", "right"]))
+def test_composing_with_an_identity_bibundle_keeps_the_equivalence(seed, side):
+    g1, g2, b12 = random_morita_triple(seed)
+    if side == "left":
+        composite = compose_bibundles(g1, g1, g2, identity_bibundle(g1), b12)
+    else:
+        composite = compose_bibundles(g1, g2, g2, b12, identity_bibundle(g2))
+    assert validate_bibundle(g1, g2, composite).ok
+    assert len(composite.elements) == len(b12.elements)
+    # a transfer copies values, so one value per orbit stands for every invariant section
+    section = {x: Fraction(i) for i, orb in enumerate(orbits(g1)) for x in orb.objects}
+    assert transfer_section(g1, g2, composite, section) == transfer_section(g1, g2, b12, section)
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_equivalent_presentations_share_volume(seed):
     g1, g2, bib = random_morita_triple(seed)
@@ -660,3 +676,24 @@ def test_a_passing_law_check_leaves_nothing_for_validate(monkeypatch):
     link = linking_groupoid(g1, g2, bib)
     assert validate(link).ok and validate(link).violations == []
     assert calls == []
+
+
+@pytest.mark.parametrize("retarget", [False, True])
+def test_a_factor_without_generators_goes_to_the_axiom_scan(retarget, monkeypatch):
+    # a link decided by the law check memoizes no generators, so as a factor
+    # of another bibundle it leaves that bibundle's link to the axiom scan
+    g1, g2, bib = z2_self_equivalence()
+    link = linking_groupoid(g1, g2, bib)
+    assert link._gens is None
+    outer = identity_bibundle(link)
+    if retarget:  # to an element over another right object: free, but not closed
+        key = ((LEFT, _arrow(1)), (BRIDGE, 0))
+        outer.left_action[key] = next(c for c in outer.elements
+                                      if link.r(c) != link.r(outer.left_action[key]))
+    verdicts = []
+    laws = morita_module._laws_hold
+    monkeypatch.setattr(morita_module, "_laws_hold",
+                        lambda *args: verdicts.append(laws(*args)) or verdicts[-1])
+    report = _agreeing_report(link, link, outer)
+    assert verdicts == [False]
+    assert report.ok != retarget

@@ -1,6 +1,5 @@
-"""The package namespace: lazy exports, and which imports load numpy."""
+"""The package namespace: it holds no aliases, and which imports and commands load what."""
 
-import importlib
 import subprocess
 import sys
 
@@ -11,30 +10,15 @@ from stackvol import jsonio
 from stackvol.morita import random_morita_triple, random_morita_weights
 
 
-def test_every_export_is_its_home_modules_object():
-    listed = dir(stackvol)
-    for name in stackvol.__all__:
-        value = getattr(stackvol, name)
-        home = f"stackvol.{stackvol._HOME[name]}"
-        assert name in listed
-        assert value is getattr(importlib.import_module(home), name)
-        # a re-import in another module would give the wrong home
-        assert getattr(value, "__module__", home) == home, name
+def test_the_package_holds_no_aliases():
+    # each public name is imported from its module; submodules still import by name
+    with pytest.raises(AttributeError, match="stack_volume"):
+        stackvol.stack_volume
+    assert not hasattr(stackvol, "__all__")
+    from stackvol import finite, smooth, su2
 
-
-def test_star_import_binds_every_export():
-    namespace = {}
-    exec("from stackvol import *", namespace)
-    assert set(stackvol.__all__) <= set(namespace)
-
-
-def test_other_names_fall_through_to_submodules():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        stackvol.no_such_name
-    from stackvol import catalog, smooth, su2
-
-    assert smooth.stack_volume is stackvol.stack_volume
-    assert catalog.__name__ == "stackvol.catalog" and su2.__name__ == "stackvol.su2"
+    assert smooth.stack_volume.__module__ == "stackvol.smooth"
+    assert (finite.__name__, su2.__name__) == ("stackvol.finite", "stackvol.su2")
 
 
 @pytest.mark.parametrize("module, loads_numpy", [

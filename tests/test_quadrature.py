@@ -364,6 +364,15 @@ class TestStreamedMC:
             integrate_mc(f, MIXED_BOUNDS, MC_CHUNK + 10, seed=4)
         assert len(calls) == bad_call + 1
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_an_infinite_value_is_a_numerical_failure(self, value):
+        # an overflow exits 2 as in the chart rule; a NaN stays invalid input
+        def f(points):
+            return np.where(points[:, 0] < 0.5, value, 1.0)
+
+        with pytest.raises(NumericalFailure, match="overflowed"):
+            integrate_mc(f, [(0, 1)], 100, seed=0)
+
     @pytest.mark.parametrize("size", [1e200, 1e-300])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_error_estimate_survives_extreme_magnitudes(self, size):

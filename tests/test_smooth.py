@@ -581,6 +581,15 @@ class TestHomogeneousVolume:
             return
         assert homog == pytest.approx(stack_volume(am).value, rel=1e-12)
 
+    @pytest.mark.parametrize("volume", [stack_volume, homogeneous_volume])
+    @pytest.mark.parametrize("b, error", [(1e308, NumericalFailure), (math.nan, ValueError)])
+    def test_a_point_chart_sum_that_is_not_finite_is_refused(self, volume, b, error):
+        # two finite terms of 1e308 overflow; a NaN term is invalid input
+        am = finite_action_model(FiniteGroup.cyclic(1), [0, 1], lambda h, p: p,
+                                 {0: 1, 1: 1}, {0: b, 1: b})
+        with pytest.raises(error):
+            volume(am)
+
     def test_point_chart_with_zero_a_is_degenerate(self):
         z2 = FiniteGroup.cyclic(2)
         am = finite_action_model(z2, [0, 1], lambda h, x: (x + h) % 2,
@@ -673,6 +682,21 @@ class TestInvariance:
         skew = {0: 1.0, 1: 2.0, 2: 3.0}
         am = finite_action_model(s3, range(3), lambda p, x: p[x], unit, skew)
         assert not check_invariance(am, samples=60, seed=1).passed
+
+    def test_one_dimensional_chart(self):
+        # rotations of a periodic circle chart; the Jacobian is the 1x1 determinant
+        am = ActionModel(name="circle", group=GroupModel("circle"),
+                         chart=BoxChart(bounds=((0.0, TWO_PI),), periods=(TWO_PI,)),
+                         act=lambda phi, p: ((p[0] + phi) % TWO_PI,),
+                         a_density=lambda p: 1.0, b_density=lambda p: 1.0, a_constant=True)
+        assert check_invariance(am, samples=50, seed=2).passed
+        skew = dataclasses.replace(am, b_density=lambda p: 2.0 + math.sin(p[0]))
+        report = check_invariance(skew, samples=50, seed=2)
+        assert not report.passed and report.witness is not None
+        h, p = report.witness
+        assert invariance_defect(skew, h, p) == report.max_defect > 0
+        doubling = dataclasses.replace(am, act=lambda s, p: (2.0 * p[0],))
+        assert invariance_defect(doubling, 0.0, (1.0,)) == pytest.approx(1.0, rel=1e-9)
 
     def test_report_formatting(self):
         report = check_invariance(plane_so2(), samples=10)
