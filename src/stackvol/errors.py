@@ -81,6 +81,12 @@ class ValidationReport:
         return "; ".join(lines)
 
     def require(self, exc_type: type[StackVolError], label: str) -> None:
-        """Raise ``exc_type`` when the report is not clean."""
+        """Raise ``exc_type`` when the report is not clean.
+
+        The exception carries this report as its ``report`` attribute, so a
+        caller can read every witness, not only the summary text.
+        """
         if not self.ok:
-            raise exc_type(f"{label}: {self.summary()}")
+            exc = exc_type(f"{label}: {self.summary()}")
+            exc.report = self
+            raise exc

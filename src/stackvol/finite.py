@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, product, repeat
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import ValidationFailure, ValidationReport
@@ -550,9 +550,24 @@ def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
     return g._orbit_cache
 
 
+def _fraction_sum(terms) -> Fraction:
+    """The exact sum of the quotients p/q of the int pairs ``(p, q)``, q nonzero.
+
+    The running sum is kept as ``top / bottom`` over the lcm of the
+    denominators seen so far, so no term is normalized: one gcd in the
+    final ``Fraction`` reduces the whole sum.  An empty sum is 0.
+    """
+    top, bottom = 0, 1
+    for p, q in terms:
+        c = gcd(bottom, q)
+        top = top * (q // c) + p * (bottom // c)
+        bottom *= q // c
+    return Fraction(top, bottom)
+
+
 def cardinality(g: FiniteGroupoid) -> Fraction:
     """Sum over orbits of the reciprocal isotropy order; an empty groupoid counts 0."""
-    return sum((Fraction(1, o.isotropy_order) for o in orbits(g)), Fraction(0))
+    return _fraction_sum((1, o.isotropy_order) for o in orbits(g))
 
 
 def _as_fraction(v) -> Fraction:
@@ -610,60 +625,77 @@ def fiber_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
     hom-set sizes, so it is read off the groupoid's memoized
     :meth:`FiniteGroupoid.fiber_index`.  With a written over one common
     denominator D, each mass is the integer sum of |Hom(x, y)| times the
-    numerator of a(x), and b(y) / mass is one exact step per object.  A
-    zero fiber mass raises :class:`DegenerateWeightError`.
+    numerator of a(x), and b(y) / (mass / D) is one pair of integers per
+    object.  The pairs are summed over the integers, into one
+    ``Fraction`` for the whole volume.  A zero fiber mass raises
+    :class:`DegenerateWeightError`.
     """
     _require_coverage(g, w)
     a = {x: w.a[x] for x in g.objects}
     den = lcm(*(v.denominator for v in a.values()))
     num = {x: v.numerator * (den // v.denominator) for x, v in a.items()}
-    total = Fraction(0)
+    terms = []
     for y, sources in g.fiber_index():
-        mass = sum(m * num[x] for x, m in sources)
+        mass = sum([m * num[x] for x, m in sources])
         if mass == 0:
             raise DegenerateWeightError(f"fiber over {y!r} has total weight zero")
         by = w.b[y]
-        total += Fraction(by.numerator * den, by.denominator * mass)
-    return total
+        terms.append((by.numerator * den, by.denominator * mass))
+    return _fraction_sum(terms)
 
 
 def invariant_section(g: FiniteGroupoid, w: WeightData, dec: OrbitDecomposition | None = None) -> dict:
-    """The orbit-wise value of b/a; raises when the section is not constant."""
+    """The orbit-wise value of b/a; raises when the section is not constant.
+
+    Inside an orbit, b/a is compared with its value at the first member
+    by integer cross-multiplication, and one ``Fraction`` is built per
+    orbit.
+    """
     _require_coverage(g, w)
     if dec is None:
         dec = orbits(g)
+    a, b = w.a, w.b
     values = {}
     for orb in dec:
         members = sorted(orb.objects, key=repr)
-        val = w.ratio(members[0])
+        a0, b0 = a[members[0]], b[members[0]]
+        top, bottom = b0.numerator * a0.denominator, b0.denominator * a0.numerator
         for x in members[1:]:
-            if w.ratio(x) != val:
+            ax, bx = a[x], b[x]
+            if bx.numerator * ax.denominator * bottom != top * bx.denominator * ax.numerator:
                 raise NonInvariantSectionError(
-                    f"non-invariant section: b/a takes {val} at {members[0]!r} "
+                    f"non-invariant section: b/a takes {w.ratio(members[0])} at {members[0]!r} "
                     f"but {w.ratio(x)} at {x!r} on the orbit of {orb.representative!r}"
                 )
-        values[orb.representative] = val
+        values[orb.representative] = Fraction(top, bottom)
     return values
 
 
 def orbit_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
-    """Exact volume by the orbit formula: sum of (b/a)(orbit)/isotropy order."""
-    dec = orbits(g)
-    section = invariant_section(g, w, dec)
-    return sum((section[orb.representative] / orb.isotropy_order for orb in dec), Fraction(0))
+    """Exact volume by the orbit formula: sum of (b/a)(orbit)/isotropy order.
+
+    This is the measure of the union of all orbits: the sum runs over the
+    integers, one pair per orbit, into one ``Fraction`` for the whole
+    volume.
+    """
+    return orbit_set_measure(g, w, [orb.representative for orb in orbits(g)])
 
 
 def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
-    """Measure of a union of orbits, identified by their representatives."""
+    """Measure of a union of orbits, identified by their representatives.
+
+    One integer pair (b/a) / isotropy order per orbit, summed by
+    :func:`_fraction_sum`.
+    """
     dec = orbits(g)
     section = invariant_section(g, w, dec)
-    total = Fraction(0)
+    terms = []
     for rep in set(orbit_reps):
         orb = dec.by_representative.get(rep)
         if orb is None:
             raise UnknownOrbitError(f"no orbit has representative {rep!r}")
-        total += section[rep] / orb.isotropy_order
-    return total
+        terms.append((section[rep].numerator, section[rep].denominator * orb.isotropy_order))
+    return _fraction_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,13 @@ class MoritaVolumeReport(namedtuple("MoritaVolumeReport", "equal volume_left vol
         return f"volume {self.volume_left} {rel} {self.volume_right}"
 
 
+def _object_section(g: FiniteGroupoid, w: WeightData) -> dict:
+    """b/a at every object, read from its orbit's value in :func:`invariant_section`."""
+    dec = orbits(g)
+    values = invariant_section(g, w, dec)
+    return {x: values[dec.find(x).representative] for x in g.objects}
+
+
 def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
                         w1: WeightData, w2: WeightData) -> MoritaVolumeReport:
     """Verify that corresponding weights give exactly equal volumes.
@@ -421,15 +428,14 @@ def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
     correspond under the bibundle transfer; otherwise
     :class:`SectionMismatchError` is raised.
     """
-    invariant_section(g1, w1)  # checks that both weights cover every object
-    invariant_section(g2, w2)
-    section1 = {x: w1.ratio(x) for x in g1.objects}
+    section1 = _object_section(g1, w1)  # checks that both weights cover every object
+    section2 = _object_section(g2, w2)
     transferred = transfer_section(g1, g2, bib, section1)
     for y in g2.objects:
-        if w2.ratio(y) != transferred[y]:
+        if section2[y] != transferred[y]:
             raise SectionMismatchError(
                 f"sections not corresponding at object {y!r}: "
-                f"expected {transferred[y]}, got {w2.ratio(y)}"
+                f"expected {transferred[y]}, got {section2[y]}"
             )
     v1 = fiber_volume(g1, w1)
     v2 = fiber_volume(g2, w2)
@@ -512,7 +518,7 @@ def random_morita_weights(g1, g2, bib, seed):
     """Corresponding weight pairs on both sides of a Morita triple."""
     rng = random.Random(seed)
     w1 = random_invariant_weights(g1, rng)
-    section2 = transfer_section(g1, g2, bib, {x: w1.ratio(x) for x in g1.objects})
+    section2 = transfer_section(g1, g2, bib, _object_section(g1, w1))
     a2 = {y: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for y in g2.objects}
     b2 = {y: a2[y] * section2[y] for y in g2.objects}
     return w1, WeightData(a2, b2)

@@ -22,6 +22,7 @@ from stackvol.errors import SchemaError
 from stackvol.finite import (
     MAX_RANDOM_ARROWS,
     FiniteGroupoid,
+    InvalidGroupoidError,
     WeightData,
     block_groupoid,
     block_union,
@@ -756,6 +757,21 @@ class TestErrorPaths:
                                     "--groupoid", str(path)])
         assert code == 1
         assert "invalid groupoid" in err
+
+    def test_axiom_violation_carries_its_report(self, capsys, tmp_path):
+        broken = dict(ONE_OBJECT_ORDER_TWO)
+        broken["compose"] = [["e", "e", "e"], ["e", "s", "s"],
+                             ["s", "e", "s"], ["s", "s", "s"]]
+        path = tmp_path / "axiom.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(InvalidGroupoidError) as exc:
+            cli._load_valid_groupoid(str(path))
+        report = exc.value.report
+        assert report.violations[0] == validate(jsonio.load_groupoid(path)).violations[0]
+        code, out, err = run(capsys, ["finite", "cardinality", "--groupoid", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {exc.value}"]
+        assert str(report.violations[0]) in err
 
     def test_float_weights_rejected(self, capsys, half_point, tmp_path):
         wpath = tmp_path / "w.json"

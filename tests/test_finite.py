@@ -17,6 +17,7 @@ from stackvol.finite import (
     DegenerateWeightError,
     FiniteGroupoid,
     InvalidActionError,
+    InvalidGroupoidError,
     NonInvariantSectionError,
     UndefinedComposition,
     UnknownOrbitError,
@@ -371,6 +372,17 @@ class TestValidate:
         assert validate(g).violations == found
         assert len(scans) == 1
 
+    def test_require_attaches_the_report_to_its_exception(self):
+        arrows, identity, inverse, table = self._z4_tables()
+        table[(1, 1)] = 3
+        report = validate(FiniteGroupoid(["pt"], arrows, identity, inverse, table))
+        with pytest.raises(InvalidGroupoidError) as exc:
+            report.require(InvalidGroupoidError, "z4")
+        assert exc.value.report is report
+        assert exc.value.report.violations[0].witness == report.violations[0].witness
+        assert str(exc.value) == f"z4: {report.summary()}"
+        validate(z_n(4)).require(InvalidGroupoidError, "clean")  # a clean report raises nothing
+
     def test_violation_report_summary_mentions_witness(self):
         arrows, identity, inverse, table = self._z4_tables()
         table[(1, 1)] = 3
@@ -684,7 +696,9 @@ def _small_groupoid(seed):
     return random_groupoid(seed, max_objects=6, max_group_order=4, max_blocks=3)
 
 
-_signed_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+# signed, with denominators up to 10**30; b may be zero, a never is
+_signed_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30)
+_signed_b = st.one_of(st.just(Fraction(0)), _signed_rationals)
 
 
 class TestFiberIndex:
@@ -727,7 +741,7 @@ def test_indexed_fiber_sum_matches_per_arrow_sum(seed, data):
     # a and b are arbitrary: not invariant, signed, with large denominators
     g = _small_groupoid(seed)
     a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
-    b = {x: data.draw(_signed_rationals) for x in g.objects}
+    b = {x: data.draw(_signed_b) for x in g.objects}
     w = WeightData(a, b)
     try:
         expected = naive_fiber_volume(g, w)
@@ -753,12 +767,57 @@ def test_zero_fiber_mass_names_the_same_object(seed, data):
     if sum(m * a[x] for x, m in rest) == 0:
         a[rest[0][0]] *= 2
     a[x0] = -sum((m * a[x] for x, m in rest), Fraction(0)) / m0
-    w = WeightData(a, {x: 1 for x in g.objects})
+    w = WeightData(a, {x: data.draw(_signed_b) for x in g.objects})
     with pytest.raises(DegenerateWeightError) as want:
         naive_fiber_volume(g, w)
     with pytest.raises(DegenerateWeightError) as got:
         fiber_volume(g, w)
     assert str(got.value) == str(want.value)
+
+
+def _signed_invariant_weights(g, data):
+    """Weights with b/a constant on each reference orbit: a signed, b possibly zero."""
+    a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
+    b = {}
+    for _, members, _ in _reference_orbits(g):
+        value = data.draw(_signed_b)
+        b.update((x, a[x] * value) for x in members)
+    return WeightData(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_orbit_sums_match_plain_fraction_sums(seed, data):
+    g = _small_groupoid(seed)
+    w = _signed_invariant_weights(g, data)
+    ref = _reference_orbits(g)  # (representative, objects, isotropy order) from the arrows
+    section = {rep: w.b[rep] / w.a[rep] for rep, _, _ in ref}
+    chosen = data.draw(st.sets(st.sampled_from([rep for rep, _, _ in ref])))
+    got = cardinality(g), orbit_volume(g, w), orbit_set_measure(g, w, chosen)
+    assert got == (sum((Fraction(1, n) for _, _, n in ref), Fraction(0)),
+                   sum((section[rep] / n for rep, _, n in ref), Fraction(0)),
+                   sum((section[rep] / n for rep, _, n in ref if rep in chosen), Fraction(0)))
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_non_invariant_section_names_both_ratios_in_lowest_terms(seed, data):
+    g = disjoint_union(_small_groupoid(seed), pair_groupoid([0, 1]))
+    w = _signed_invariant_weights(g, data)
+    rep, members, _ = data.draw(st.sampled_from([o for o in _reference_orbits(g) if len(o[1]) > 1]))
+    members = sorted(members, key=repr)
+    x = data.draw(st.sampled_from(members[1:]))
+    w.b[x] += data.draw(_signed_rationals.filter(bool)) * w.a[x]  # b/a moves at x only
+    ratios = [Fraction(w.b[z].numerator * w.a[z].denominator,
+                       w.b[z].denominator * w.a[z].numerator) for z in members]
+    bad = next(i for i, r in enumerate(ratios) if r != ratios[0])
+    for call in (invariant_section, orbit_volume):
+        with pytest.raises(NonInvariantSectionError) as got:
+            call(g, w)
+        assert str(got.value) == (
+            f"non-invariant section: b/a takes {ratios[0]} at {members[0]!r} "
+            f"but {ratios[bad]} at {members[bad]!r} on the orbit of {rep!r}")
 
 
 # ---------------------------------------------------------------------------
