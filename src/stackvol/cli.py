@@ -5,7 +5,8 @@ non-invariant sections, failed checks, parameters out of range, usage
 errors), 2 numerical non-convergence or a result that overflowed, 3 I/O
 and schema problems.  Human output keeps results on stdout and a
 reproducibility echo of the effective parameters on stderr; --json
-emits a single JSON object including the parameters.
+emits a single JSON object including the parameters, and on a failure
+one JSON object naming the error next to the ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -432,6 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, exc, code) -> int:
+    """Report a failure as one ``error:`` line on stderr and, with --json, as JSON on stdout.
+
+    The JSON object holds the exception class name, the exit code, the
+    message and, for a failed validation, its first five violations.
+    """
+    print(f"error: {exc}", file=sys.stderr)
+    if args.json:
+        obj = {"error": type(exc).__name__, "exitCode": code, "message": str(exc)}
+        report = getattr(exc, "report", None)
+        if report is not None:
+            obj["violations"] = [{"axiom": v.axiom, "witness": repr(v.witness), "detail": v.detail}
+                                 for v in report.violations[:5]]
+        print(json.dumps(obj, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -439,14 +457,11 @@ def main(argv=None) -> int:
         return args.handler(args)
     # the decode errors are ValueErrors, so this clause must come first
     except (SchemaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(args, exc, 3)
     except (ValidationFailure, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, 1)
     except (NumericalFailure, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, 2)
 
 
 if __name__ == "__main__":

@@ -205,12 +205,19 @@ class FiniteGroupoid:
         One entry ``(y, ((x, |Hom(x, y)|), ...))`` per object y, in
         ``objects`` order, listing each source object x of the r-fiber of
         y once with its multiplicity: :meth:`pair_counts` grouped by r.
+        Equal rows are one tuple object, so :func:`fiber_volume` computes
+        one mass per distinct hom-count row; the fibers of one orbit share
+        theirs whenever their pairs come in the same order.
         """
         if self._fiber_index is None:
             sources = {y: [] for y in self._objects}
             for (x, y), m in self.pair_counts().items():
                 sources[y].append((x, m))
-            self._fiber_index = tuple((y, tuple(xs)) for y, xs in sources.items())
+            rows, index = {}, []
+            for y, xs in sources.items():
+                row = tuple(xs)
+                index.append((y, rows.setdefault(row, row)))
+            self._fiber_index = tuple(index)
         return self._fiber_index
 
     def __repr__(self):
@@ -623,20 +630,25 @@ def fiber_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
     left object; the volume is the sum of b(y) over the reciprocal of
     that fiber mass.  The mass depends on the arrows only through the
     hom-set sizes, so it is read off the groupoid's memoized
-    :meth:`FiniteGroupoid.fiber_index`.  With a written over one common
-    denominator D, each mass is the integer sum of |Hom(x, y)| times the
-    numerator of a(x), and b(y) / (mass / D) is one pair of integers per
-    object.  The pairs are summed over the integers, into one
-    ``Fraction`` for the whole volume.  A zero fiber mass raises
-    :class:`DegenerateWeightError`.
+    :meth:`FiniteGroupoid.fiber_index`, once per distinct hom-count row:
+    the index holds equal rows as one object, which keys the masses by
+    ``id`` (the memoized index keeps every row alive).  With a written over
+    one common denominator D, each mass is the integer sum of |Hom(x, y)|
+    times the numerator of a(x), and b(y) / (mass / D) is one pair of
+    integers per object.  The pairs are summed over the integers, into
+    one ``Fraction`` for the whole volume.  A zero fiber mass raises
+    :class:`DegenerateWeightError`, naming the first such object.
     """
     _require_coverage(g, w)
     a = {x: w.a[x] for x in g.objects}
     den = lcm(*(v.denominator for v in a.values()))
     num = {x: v.numerator * (den // v.denominator) for x, v in a.items()}
+    masses = {}
     terms = []
     for y, sources in g.fiber_index():
-        mass = sum([m * num[x] for x, m in sources])
+        mass = masses.get(id(sources))
+        if mass is None:
+            mass = masses[id(sources)] = sum([m * num[x] for x, m in sources])
         if mass == 0:
             raise DegenerateWeightError(f"fiber over {y!r} has total weight zero")
         by = w.b[y]
@@ -647,9 +659,10 @@ def fiber_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
 def invariant_section(g: FiniteGroupoid, w: WeightData, dec: OrbitDecomposition | None = None) -> dict:
     """The orbit-wise value of b/a; raises when the section is not constant.
 
-    Inside an orbit, b/a is compared with its value at the first member
-    by integer cross-multiplication, and one ``Fraction`` is built per
-    orbit.
+    Inside an orbit, b/a is compared with its value at the representative,
+    the least member by ``repr``, by integer cross-multiplication, and one
+    ``Fraction`` is built per orbit.  Only on a mismatch are the members
+    ordered by ``repr``, so that the error names the first one that differs.
     """
     _require_coverage(g, w)
     if dec is None:
@@ -657,17 +670,18 @@ def invariant_section(g: FiniteGroupoid, w: WeightData, dec: OrbitDecomposition 
     a, b = w.a, w.b
     values = {}
     for orb in dec:
-        members = sorted(orb.objects, key=repr)
-        a0, b0 = a[members[0]], b[members[0]]
+        rep = orb.representative
+        a0, b0 = a[rep], b[rep]
         top, bottom = b0.numerator * a0.denominator, b0.denominator * a0.numerator
-        for x in members[1:]:
-            ax, bx = a[x], b[x]
-            if bx.numerator * ax.denominator * bottom != top * bx.denominator * ax.numerator:
-                raise NonInvariantSectionError(
-                    f"non-invariant section: b/a takes {w.ratio(members[0])} at {members[0]!r} "
-                    f"but {w.ratio(x)} at {x!r} on the orbit of {orb.representative!r}"
-                )
-        values[orb.representative] = Fraction(top, bottom)
+        bad = [x for x in orb.objects if b[x].numerator * a[x].denominator * bottom
+               != top * b[x].denominator * a[x].numerator]
+        if bad:
+            x = min(bad, key=repr)
+            raise NonInvariantSectionError(
+                f"non-invariant section: b/a takes {w.ratio(rep)} at {rep!r} "
+                f"but {w.ratio(x)} at {x!r} on the orbit of {rep!r}"
+            )
+        values[rep] = Fraction(top, bottom)
     return values
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,18 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_failure_stdout(argv, code, out, err, kind):
+    """Nothing on stdout after a failure; with --json, one object naming the error."""
+    if "--json" not in argv:
+        assert out == ""
+        return None
+    assert out.count("\n") == 1
+    obj = json.loads(out)
+    assert {k: obj[k] for k in ("error", "exitCode")} == {"error": kind, "exitCode": code}
+    assert err == f"error: {obj['message']}\n"
+    return obj
+
+
 class TestFiniteCommands:
     def test_cardinality_prints_rational(self, capsys, half_point):
         code, out, err = run(capsys, ["finite", "cardinality",
@@ -122,6 +135,10 @@ class TestFiniteCommands:
                                       "--weights", str(wpath), "--method", "orbit"])
         assert code == 1
         assert "non-invariant section" in err
+        code, out, err = run(capsys, ["finite", "volume", "--groupoid", str(gpath),
+                                      "--weights", str(wpath), "--method", "orbit", "--json"])
+        obj = assert_failure_stdout(["--json"], code, out, err, "NonInvariantSectionError")
+        assert code == 1 and "violations" not in obj
 
     def test_measure_of_one_orbit(self, capsys, tmp_path):
         g = block_groupoid(["u", "v"], FiniteGroup.cyclic(2))
@@ -476,7 +493,8 @@ class TestSmoothCommands:
                 value = json.loads(out)["value"] if fmt else float(out.split()[0])
                 assert value == pytest.approx(10.0 ** k * 10.0 ** k / 2, rel=1e-6), k
             else:
-                assert (code, out) == (2, ""), k
+                assert code == 2, k
+                assert_failure_stdout(fmt, code, out, err, "NumericalFailure")
                 assert len(err.splitlines()) == 1 and err.startswith("error: "), (k, err)
                 assert "left the normal floats" in err, (k, err)
 
@@ -644,7 +662,7 @@ class TestErrorPaths:
     def test_density_that_overflows_exits_two(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2
-        assert out == ""
+        assert_failure_stdout(argv, code, out, err, "NumericalFailure")
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "Traceback" not in err
 
@@ -652,7 +670,8 @@ class TestErrorPaths:
     def test_density_whose_square_overflows_names_it(self, capsys, fmt):
         code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
                                       "c1=1e300", "c2=1e300", "ts=4.9", *fmt])
-        assert (code, out) == (2, "")
+        assert code == 2
+        assert_failure_stdout(fmt, code, out, err, "NumericalFailure")
         assert err == ("error: coefficient V'(t)^2 overflows at t=4.9, "
                        "where V'(t) = 1.0800000000000002e+301\n")
 
@@ -662,7 +681,7 @@ class TestErrorPaths:
         code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
                                       "c1=1e-200", "c2=1e-200", "ts=1", *fmt])
         assert code == 2
-        assert out == ""
+        assert_failure_stdout(fmt, code, out, err, "NumericalFailure")
         assert err == "error: coefficient V'(t)^2 underflows at t=1.0, where V'(t) = 3e-200\n"
 
     def test_small_density_with_a_normal_square_is_printed(self, capsys):
@@ -728,6 +747,9 @@ class TestErrorPaths:
                                     "--groupoid", str(path)])
         assert code == 3
         assert "missing field" in err
+        code, out, err = run(capsys, ["finite", "cardinality", "--groupoid", str(path), "--json"])
+        assert code == 3
+        assert_failure_stdout(["--json"], code, out, err, "SchemaError")
 
     @pytest.mark.parametrize("field, value, message", [
         ("objects", ["pt", "pt"], "duplicate object ids"),
@@ -772,6 +794,21 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {exc.value}"]
         assert str(report.violations[0]) in err
+
+    def test_json_failure_lists_the_first_five_violations(self, capsys, tmp_path):
+        # one object, four arrows, every product "s": seven violations
+        broken = {"objects": ["pt"], "arrows": [{"id": g, "l": "pt", "r": "pt"} for g in "estu"],
+                  "identity": {"pt": "e"}, "inverse": {"e": "e", "s": "t", "t": "s", "u": "u"},
+                  "compose": [[g, h, "s"] for g in "estu" for h in "estu"]}
+        path = tmp_path / "axioms.json"
+        path.write_text(json.dumps(broken))
+        violations = validate(jsonio.load_groupoid(path)).violations
+        assert len(violations) > 5
+        code, out, err = run(capsys, ["finite", "cardinality", "--groupoid", str(path), "--json"])
+        obj = assert_failure_stdout(["--json"], code, out, err, "InvalidGroupoidError")
+        assert code == 1
+        assert obj["violations"] == [{"axiom": v.axiom, "witness": repr(v.witness),
+                                      "detail": v.detail} for v in violations[:5]]
 
     def test_float_weights_rejected(self, capsys, half_point, tmp_path):
         wpath = tmp_path / "w.json"
@@ -980,9 +1017,9 @@ def _mutate(draw, docs, kinds, targets=()):
         if kind == "retype":
             path = draw(st.sampled_from([p for p, _ in nodes]))
             if path:
-                _at(docs[name], path[:-1])[path[-1]] = draw(st.sampled_from(_WRONG_TYPES))
+                _at(docs[name], path[:-1])[path[-1]] = deepcopy(draw(st.sampled_from(_WRONG_TYPES)))
             else:
-                docs[name] = draw(st.sampled_from(_WRONG_TYPES))
+                docs[name] = deepcopy(draw(st.sampled_from(_WRONG_TYPES)))
             continue
         if kind == "delete":
             paths = [p for p, _ in nodes if p]
@@ -1049,16 +1086,23 @@ def _refuse_constant(name):
 def _assert_clean_exits(argvs):
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
+        usage = False
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # a usage error
-                code = exc.code
+                code, usage = exc.code, True
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
-        if "--json" in argv and out.getvalue():
-            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        if "--json" in argv and (out.getvalue() or code and not usage):
+            obj = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+            if code and "error" in obj:  # a failure caught in cli.main
+                assert obj["exitCode"] == code, (argv, obj)
+                assert err.getvalue() == f"error: {obj['message']}\n", (argv, obj)
+                assert len(obj.get("violations", ())) <= 5
+            elif code:  # a check that ran and failed: morita check or weyl-check
+                assert False in (obj.get("equal"), obj.get("passed")), (argv, obj)
 
 
 @settings(max_examples=40, deadline=5000)

@@ -696,6 +696,39 @@ def _small_groupoid(seed):
     return random_groupoid(seed, max_objects=6, max_group_order=4, max_blocks=3)
 
 
+def _interleaved_action():
+    """Z/2 acting on range(4) by x -> x + 2 mod 4: the orbits {0, 2} and {1, 3} interleave."""
+    return action_groupoid(FiniteGroup.cyclic(2), range(4), lambda h, x: (x + 2 * h) % 4)
+
+
+@st.composite
+def _groupoids_with_rows_apart(draw):
+    """Unions of interleaved actions and small random groupoids, sometimes sent
+    through JSON with shuffled objects, so that fibers which share a hom-count
+    row need not be adjacent in ``objects`` order."""
+    parts = [_interleaved_action() if draw(st.booleans())
+             else _small_groupoid(draw(st.integers(0, 100_000)))
+             for _ in range(draw(st.integers(1, 3)))]
+    g = disjoint_union(*parts)
+    if draw(st.booleans()):
+        doc = groupoid_to_dict(g)
+        doc["objects"] = draw(st.permutations(doc["objects"]))
+        g = groupoid_from_dict(doc)
+    return g
+
+
+def _cancel_one_fiber(g, a, data):
+    """Set a at one source object so that the mass over a drawn fiber with two
+    or more source objects is zero; when g has no such fiber, a stays as it is."""
+    fibers = [src for _, src in g.fiber_index() if len(src) > 1]
+    if not fibers:
+        return
+    (x0, m0), *rest = data.draw(st.sampled_from(fibers))
+    if sum(m * a[x] for x, m in rest) == 0:
+        a[rest[0][0]] *= 2
+    a[x0] = -sum((m * a[x] for x, m in rest), Fraction(0)) / m0
+
+
 # signed, with denominators up to 10**30; b may be zero, a never is
 _signed_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30)
 _signed_b = st.one_of(st.just(Fraction(0)), _signed_rationals)
@@ -722,6 +755,22 @@ class TestFiberIndex:
         expected = orbit_volume(g, w)
         monkeypatch.setattr(finite_module, "orbits", forbidden)
         assert fiber_volume(g, w) == expected
+
+    def test_equal_rows_are_one_object_within_one_groupoid_only(self):
+        def interleaved():
+            # the orbits {o0, o1} and {o2, o3} alternate in objects order
+            doc = groupoid_to_dict(disjoint_union(block_groupoid([0, 1], FiniteGroup.cyclic(2)),
+                                                  block_groupoid([0, 1], FiniteGroup.cyclic(3))))
+            doc["objects"] = ["o0", "o2", "o1", "o3"]
+            return groupoid_from_dict(doc)
+
+        for build in (interleaved, lambda: random_groupoid(5)):
+            g, twin = build(), build()
+            rows = [row for _, row in g.fiber_index()]
+            assert len({id(row) for row in rows}) < len(rows)
+            assert all((r == s) == (r is s) for r in rows for s in rows)
+            assert twin.fiber_index() == g.fiber_index()
+            assert not {id(row) for _, row in twin.fiber_index()} & {id(row) for row in rows}
 
     def test_shared_object_ids_do_not_share_the_index(self):
         # same object ids 0, 1, 2, different hom-set sizes
@@ -761,18 +810,32 @@ def test_zero_fiber_mass_names_the_same_object(seed, data):
     # the pair block guarantees a fiber with two source objects
     g = disjoint_union(_small_groupoid(seed), pair_groupoid([0, 1]))
     a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
-    # cancel the mass over one fiber with at least two source objects
-    fibers = [src for _, src in g.fiber_index() if len(src) > 1]
-    (x0, m0), *rest = data.draw(st.sampled_from(fibers))
-    if sum(m * a[x] for x, m in rest) == 0:
-        a[rest[0][0]] *= 2
-    a[x0] = -sum((m * a[x] for x, m in rest), Fraction(0)) / m0
+    _cancel_one_fiber(g, a, data)
     w = WeightData(a, {x: data.draw(_signed_b) for x in g.objects})
     with pytest.raises(DegenerateWeightError) as want:
         naive_fiber_volume(g, w)
     with pytest.raises(DegenerateWeightError) as got:
         fiber_volume(g, w)
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_groupoids_with_rows_apart(), st.data())
+def test_fiber_sum_matches_per_arrow_sum_with_shared_rows_apart(g, data):
+    a = {x: data.draw(_signed_rationals.filter(bool)) for x in g.objects}
+    if data.draw(st.booleans()):
+        _cancel_one_fiber(g, a, data)
+    w = WeightData(a, {x: data.draw(_signed_b) for x in g.objects})
+    try:
+        expected = naive_fiber_volume(g, w)
+    except DegenerateWeightError as exc:
+        with pytest.raises(DegenerateWeightError) as got:
+            fiber_volume(g, w)
+        assert str(got.value) == str(exc)
+        return
+    got = fiber_volume(g, w)
+    assert type(got) is Fraction
+    assert got == expected
 
 
 def _signed_invariant_weights(g, data):
@@ -818,6 +881,23 @@ def test_non_invariant_section_names_both_ratios_in_lowest_terms(seed, data):
         assert str(got.value) == (
             f"non-invariant section: b/a takes {ratios[0]} at {members[0]!r} "
             f"but {ratios[bad]} at {members[bad]!r} on the orbit of {rep!r}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(12)), st.data())
+def test_non_invariant_section_names_the_first_of_several_mismatches_in_repr_order(objects, data):
+    g = pair_groupoid(objects)  # one orbit, whose representative 0 is the least by repr
+    w = _signed_invariant_weights(g, data)
+    moved = data.draw(st.sets(st.sampled_from(range(1, 12)), min_size=2))
+    for x in moved:
+        w.b[x] += data.draw(_signed_rationals.filter(bool)) * w.a[x]
+    first = min(moved, key=repr)  # repr order: 0, 1, 10, 11, 2, ...
+    for call in (invariant_section, orbit_volume):
+        with pytest.raises(NonInvariantSectionError) as got:
+            call(g, w)
+        assert str(got.value) == (
+            f"non-invariant section: b/a takes {w.ratio(0)} at 0 "
+            f"but {w.ratio(first)} at {first!r} on the orbit of 0")
 
 
 # ---------------------------------------------------------------------------
