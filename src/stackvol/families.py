@@ -107,12 +107,3 @@ def natural_leaf_measure(pm: PoissonFamilyModel, t: float) -> float:
     """Density V'(t) of the measure pulled from the leaf areas."""
     return _checked_derivative(pm, t)
 
-
-def leaf_measure_product(pm: PoissonFamilyModel, t: float,
-                         reference_t: float = 1.0) -> float:
-    """Natural leaf density times the leaf Liouville mass, rescaled.
-
-    For families whose leaf form scales linearly from the reference leaf
-    this recovers the radius-weighted product V'(t) * V(t) / V(ref).
-    """
-    return _checked_derivative(pm, t) * float(pm.area(t)) / float(pm.area(reference_t))

@@ -618,7 +618,9 @@ def unit_weights(g: FiniteGroupoid) -> WeightData:
 
 
 def _require_coverage(g: FiniteGroupoid, w: WeightData):
-    for x in g.objects:
+    if w.a.keys() >= g._object_set and w.b.keys() >= g._object_set:
+        return
+    for x in g.objects:  # only on a miss, to name the first missing object
         if x not in w.a or x not in w.b:
             raise ValidationFailure(f"weights missing object {x!r}")
 

@@ -79,7 +79,6 @@ from .finite import (
     invariant_section,
     orbits,
     random_invariant_weights,
-    restrict_to_objects,
     validate,
 )
 from .groups import group_zoo
@@ -345,18 +344,7 @@ def right_object_ids(g2: FiniteGroupoid):
 
 
 # ---------------------------------------------------------------------------
-# restriction, extension, transfer
-
-
-def restrict_full(g: FiniteGroupoid, keep) -> FiniteGroupoid:
-    """Full subgroupoid on ``keep``; every orbit must meet ``keep``."""
-    keep_set = set(keep)
-    for orb in orbits(g):
-        if not (orb.objects & keep_set):
-            raise NotFullError(
-                f"subset misses the orbit of {orb.representative!r}"
-            )
-    return restrict_to_objects(g, keep_set)
+# extension, transfer
 
 
 def extend_invariant_section(g: FiniteGroupoid, subset, partial: dict) -> dict:
@@ -382,17 +370,14 @@ def transfer_section(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
                      section: dict) -> dict:
     """Carry an invariant section of g1 to g2 along the bibundle anchors.
 
-    A valid bibundle is biprincipal, so elements with one right anchor
-    have left anchors in one orbit of g1; an orbit-constant section then
-    gives each object y of g2 the single value ``section[left_anchor(b)]``
-    over the elements b with ``right_anchor(b) == y``.
+    A valid bibundle is biprincipal, so the left anchors of the elements
+    with one right anchor fill exactly one orbit of g1, and every orbit
+    is filled, the anchors being surjective.  An orbit-constant section
+    then gives each object y of g2 the single value
+    ``section[left_anchor(b)]`` over the elements b with
+    ``right_anchor(b) == y``, and any other section takes two values at
+    some y, which raises :class:`InconsistentSectionError`.
     """
-    for orb in orbits(g1):
-        vals = {section[x] for x in orb.objects}
-        if len(vals) > 1:
-            raise InconsistentSectionError(
-                f"input section is not constant on the orbit of {orb.representative!r}"
-            )
     validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
     out = {}
     for b in bib.elements:
@@ -444,15 +429,6 @@ def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
 
 # ---------------------------------------------------------------------------
 # canonical bibundles
-
-
-def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
-    """The groupoid acting on its own arrows by composition on both sides."""
-    elements = list(g.arrow_ids)
-    composites = {(p, q): g.compose(p, q)
-                  for y in g.objects for p in g.arrows_into(y) for q in g.arrows_from(y)}
-    return Bibundle(elements, {a: g.l(a) for a in elements}, {a: g.r(a) for a in elements},
-                    composites, composites)
 
 
 def _write_block_actions(tables, pts1, pts2, group, tag):
@@ -523,37 +499,3 @@ def random_morita_weights(g1, g2, bib, seed):
     b2 = {y: a2[y] * section2[y] for y in g2.objects}
     return w1, WeightData(a2, b2)
 
-
-def compose_bibundles(g1: FiniteGroupoid, g2: FiniteGroupoid, g3: FiniteGroupoid,
-                      b12: Bibundle, b23: Bibundle) -> Bibundle:
-    """Composite bibundle: matched pairs modulo the middle groupoid action.
-
-    Pairs (p, q) with right anchor of p equal to the left anchor of q are
-    identified along (p·h, q) ~ (p, h·q).  A valid b12 is biprincipal, so
-    its right action is free and transitive on each left-anchor fiber:
-    with p0 the first element of b12 over the left anchor of p, exactly
-    one arrow k has p0·k = p, and the class of (p, q) holds exactly one
-    pair with p0 first, (p0, k·q), which represents it.  Both factors
-    must be valid; otherwise :class:`InvalidBibundleError` is raised.
-    """
-    validate_bibundle(g1, g2, b12).require(InvalidBibundleError, "invalid left factor")
-    validate_bibundle(g2, g3, b23).require(InvalidBibundleError, "invalid right factor")
-    first = {}  # left object -> the first element of b12 over it
-    for p in b12.elements:
-        first.setdefault(b12.left_anchor[p], p)
-    transport = {b12.right_action[(p0, k)]: (p0, k)  # p -> (p0, k) with p0·k = p
-                 for p0 in first.values() for k in g2.arrows_from(b12.right_anchor[p0])}
-
-    def rep(p, q):
-        p0, k = transport[p]
-        return (p0, b23.left_action[(k, q)])
-
-    reps = [(p0, q) for p0 in first.values()
-            for q in b23.elements if b23.left_anchor[q] == b12.right_anchor[p0]]
-    left_anchor = {(p, q): b12.left_anchor[p] for p, q in reps}
-    right_anchor = {(p, q): b23.right_anchor[q] for p, q in reps}
-    left = {(g, (p, q)): rep(b12.left_action[(g, p)], q)
-            for p, q in reps for g in g1.arrows_into(b12.left_anchor[p])}
-    right = {((p, q), h): (p, b23.right_action[(q, h)])
-             for p, q in reps for h in g3.arrows_from(b23.right_anchor[q])}
-    return Bibundle(reps, left_anchor, right_anchor, left, right)

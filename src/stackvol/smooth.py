@@ -8,21 +8,18 @@ on the chart.  The stack volume integrates b against the reciprocal of
 the fiber integral of a, mirroring the exact finite formula; each fiber
 integral is a sum over the components of a periodic trapezoid rule in
 the angles, refined until it settles.  Models may also carry an orbit
-chart describing the regular part of the orbit space, which supports
-the pushforward-density route and the consistency check between the
-two.
+chart describing the regular part of the orbit space, which gives the
+pushforward density of the stack measure on the orbit parameter.
 
-Box and point charts check their input when built.  The orbit chart and
-the reports are namedtuples, so ``_replace`` copies one; an
-``ActionModel`` is frozen and copied with the standard library's
-``replace``.
+Box and point charts check their input when built.  The orbit chart is
+a namedtuple, so ``_replace`` copies one; an ``ActionModel`` is frozen
+and copied with the standard library's ``replace``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,7 +29,6 @@ from .quadrature import (
     EvalCounter,
     NonConvergenceError,
     QuadratureResult,
-    integrate_1d,
     integrate_box,
     left_sum,
     refuse_non_finite,
@@ -93,10 +89,6 @@ class GroupModel:
     @property
     def volume(self) -> float:
         return self.haar_scale * len(self.components) * TWO_PI ** self.rank
-
-    def random_element(self, rng: random.Random):
-        c = rng.choice(self.components) if len(self.components) > 1 else self.components[0]
-        return self.element(c, tuple(rng.uniform(0.0, TWO_PI) for _ in range(self.rank)))
 
     def integrate(self, fn: Callable, tol: float = 1e-9):
         """Haar integral of fn over the group; returns (value, evaluations).
@@ -267,33 +259,12 @@ def fiber_integral(am: ActionModel, y, tol: float = 1e-9) -> float:
     return _fiber(am, y, tol)[0]
 
 
-def _restrict_bounds(am: ActionModel, param_region):
-    chart = am.chart
-    if param_region is None:
-        return chart.bounds
-    if am.orbit_chart is None:
-        raise ValueError("param_region needs a model with an orbit chart")
-    axis = am.orbit_chart.param_axis
-    t0, t1 = float(param_region[0]), float(param_region[1])
-    lo, hi = chart.bounds[axis]
-    if t0 > t1:
-        raise ValueError("param_region must be an interval (lo, hi)")
-    new = list(chart.bounds)
-    new[axis] = (max(lo, t0), min(hi, t1))
-    if new[axis][0] > new[axis][1]:
-        raise ValueError("param_region does not meet the chart")
-    return tuple(new)
-
-
-def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> QuadratureResult:
+def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     """Volume of the quotient stack: integral of b over the reciprocal fibers.
 
-    ``param_region`` restricts the chart to the saturation of an orbit
-    parameter interval (the orbit parameter must be a chart coordinate,
-    which holds for every catalog model).  A fiber counts as vanishing
-    when it is negligible against the fiber a constant a = a(p) would
-    give, so rescaling the Haar measure or the densities never changes
-    whether a model is degenerate.  Haar measure is invariant, so the
+    A fiber counts as vanishing when it is negligible against the fiber
+    a constant a = a(p) would give, so rescaling the Haar measure or the
+    densities never changes whether a model is degenerate.  Haar measure is invariant, so the
     fiber integral is constant along each orbit: on a box chart with an
     orbit chart and a non-constant a, each value of the orbit parameter
     gets one fiber rule, whose integral serves every node with that
@@ -326,8 +297,6 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
         return float(am.b_density(p)) / fib
 
     if isinstance(am.chart, PointChart):
-        if param_region is not None:
-            raise ValueError("param_region is meaningless for point charts")
         # refuses each non-finite b/fiber, and counts the points and (in fiber) the fiber rules
         counter = EvalCounter(b_over_fiber)
         total = left_sum(map(counter, am.chart.points))
@@ -335,7 +304,7 @@ def stack_volume(am: ActionModel, tol: float = 1e-6, param_region=None) -> Quadr
             refuse_non_finite(total, "in the sum over the chart points")
         return QuadratureResult(total, 0.0, counter.count)
     counter = EvalCounter(lambda *p: b_over_fiber(p))
-    return integrate_box(counter, _restrict_bounds(am, param_region), tol=tol)
+    return integrate_box(counter, am.chart.bounds, tol=tol)
 
 
 def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
@@ -365,91 +334,6 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# invariance checking
-
-
-class InvarianceReport(namedtuple("InvarianceReport", "passed max_defect witness samples tol")):
-    __slots__ = ()
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"invariance {status}: max defect {self.max_defect:.3g} over {self.samples} samples"
-
-
-def _jacobian_det(am: ActionModel, h, p) -> float:
-    """|det| of the chart Jacobian of the action of h at p, by central differences."""
-    chart = am.chart
-    d = chart.dim
-    cols = []
-    for j in range(d):
-        lo, hi = chart.bounds[j]
-        eps = 1e-6 * (hi - lo)
-        plus = list(p)
-        minus = list(p)
-        plus[j] += eps
-        minus[j] -= eps
-        fp = am.act(h, tuple(plus))
-        fm = am.act(h, tuple(minus))
-        col = []
-        for i in range(d):
-            diff = fp[i] - fm[i]
-            period = chart.periods[i]
-            if period:
-                # wrapped coordinates may jump by a full period
-                diff -= period * round(diff / period)
-            col.append(diff / (2.0 * eps))
-        cols.append(col)
-    if d == 1:
-        return abs(cols[0][0])
-    (j00, j10), (j01, j11) = cols  # cols[j][i] is d(act_i)/dp_j
-    return abs(j00 * j11 - j01 * j10)
-
-
-def invariance_defect(am: ActionModel, h, p) -> float:
-    """|b(h p) |Jac| - b(p)| at one sample."""
-    jac = 1.0 if isinstance(am.chart, PointChart) else _jacobian_det(am, h, p)
-    moved = am.act(h, p)
-    return abs(float(am.b_density(moved)) * jac - float(am.b_density(p)))
-
-
-def _sample_point(am: ActionModel, rng: random.Random):
-    chart = am.chart
-    if isinstance(chart, PointChart):
-        return rng.choice(chart.points)
-    coords = []
-    for (lo, hi), period in zip(chart.bounds, chart.periods):
-        margin = 0.0 if period else 0.02 * (hi - lo)
-        coords.append(rng.uniform(lo + margin, hi - margin))
-    return tuple(coords)
-
-
-def check_invariance(am: ActionModel, samples: int = 200, tol: float = 1e-8,
-                     seed: int = 0) -> InvarianceReport:
-    """Sample (h, p) pairs and verify the density transformation law for b.
-
-    A sample fails when its defect exceeds ``tol`` times |b(p)|, so
-    multiplying b by a constant never changes the verdict.  A sample
-    where b is NaN or infinite fails with an infinite defect.  ``max_defect``
-    is the largest defect and the witness the worst failing sample.
-    """
-    rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    witness_defect = 0.0
-    for _ in range(samples):
-        h = am.group.random_element(rng)
-        p = _sample_point(am, rng)
-        defect = invariance_defect(am, h, p)
-        if not math.isfinite(defect):
-            defect = math.inf
-        worst = max(worst, defect)
-        failed = defect == math.inf or defect > tol * abs(float(am.b_density(p)))
-        if failed and defect > witness_defect:
-            witness, witness_defect = (h, p), defect
-    return InvarianceReport(witness is None, worst, witness, samples, tol)
-
-
-# ---------------------------------------------------------------------------
 # pushforward route
 
 
@@ -466,44 +350,6 @@ def pushforward_density(am: ActionModel, t: float) -> float:
             f"parameter {t} is singular; the density lives on the strongly regular part only"
         )
     return float(oc.orbit_density(t)) / float(oc.isotropy_volume(t))
-
-
-class ComparisonReport(namedtuple("ComparisonReport", "stack_result pushforward_result "
-                                                      "difference tolerance passed")):
-    __slots__ = ()
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (f"{status}: stack {self.stack_result.value:.12g} vs pushforward "
-                f"{self.pushforward_result.value:.12g} (diff {self.difference:.3g})")
-
-
-def stack_volume_vs_pushforward(am: ActionModel, region, tol: float = 1e-6) -> ComparisonReport:
-    """Compare the chart-integral volume with the orbit-space integral.
-
-    ``region`` is an orbit-parameter interval, compact inside the orbit
-    range; its endpoints may touch the declared singular set since that
-    set carries no volume.  The routes agree when they differ by at most
-    their error estimates plus ``tol`` times the larger value.
-    """
-    oc = am.orbit_chart
-    if oc is None:
-        raise ValueError(f"model {am.name} declares no orbit chart")
-    t0, t1 = float(region[0]), float(region[1])
-    lo, hi = oc.param_range
-    if not (lo <= t0 <= t1 <= hi):
-        raise ValueError(f"region [{t0}, {t1}] outside orbit range [{lo}, {hi}]")
-    via_chart = stack_volume(am, tol=tol, param_region=(t0, t1))
-
-    def density(t):
-        # raw ratio: region endpoints may touch the singular set
-        return float(oc.orbit_density(t)) / float(oc.isotropy_volume(t))
-
-    via_orbit = integrate_1d(density, t0, t1, tol=tol)
-    diff = abs(via_chart.value - via_orbit.value)
-    scale = max(abs(via_chart.value), abs(via_orbit.value))
-    budget = via_chart.error_estimate + via_orbit.error_estimate + tol * scale
-    return ComparisonReport(via_chart, via_orbit, diff, budget, diff <= budget)
 
 
 # ---------------------------------------------------------------------------

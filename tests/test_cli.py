@@ -37,11 +37,11 @@ from stackvol.finite import (
 from stackvol.groups import FiniteGroup
 from stackvol.morita import (
     block_bibundle,
-    identity_bibundle,
     random_morita_triple,
     random_morita_weights,
     validate_bibundle,
 )
+from test_morita import identity_bibundle
 
 ONE_OBJECT_ORDER_TWO = {
     "objects": ["pt"],

@@ -10,7 +10,6 @@ from stackvol.families import (
     CriticalPointError,
     PoissonFamilyModel,
     SymplecticModel,
-    leaf_measure_product,
     natural_leaf_measure,
     poisson_stack_density,
     symplectic_bk_volume,
@@ -151,12 +150,6 @@ class TestPoissonDensity:
             PoissonFamilyModel(area=lambda t: t, coeff=lambda t: 1.0,
                                t_domain=(2.0, 2.0))
 
-    def test_leaf_measure_product_scales_with_area(self):
-        pm = linear_model()
-        for t in (0.5, 1.0, 2.0):
-            assert leaf_measure_product(pm, t) == pytest.approx(
-                4.0 * math.pi * t, rel=1e-9)
-
 
 class TestCatalogFamilies:
     def test_su2_dual_natural_measure(self):
@@ -176,11 +169,6 @@ class TestCatalogFamilies:
         inv = su2_dual(mode="one")
         assert poisson_stack_density(inv, 2.0) == pytest.approx(
             1.0 / (4.0 * math.pi), abs=1e-9)
-
-    def test_su2_dual_leaf_product(self):
-        pm = su2_dual()
-        assert leaf_measure_product(pm, 2.0) == pytest.approx(
-            8.0 * math.pi, rel=1e-9)
 
     def test_sphere_bundle_density(self):
         pm = poisson_sphere_bundle(c1=3.0, c2=1.0, mode="dv2")

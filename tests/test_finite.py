@@ -162,6 +162,17 @@ class TestFiberAndOrbitVolumes:
         with pytest.raises(ValidationFailure):
             fiber_volume(g, WeightData({1: 1}, {1: 1}))
 
+    @pytest.mark.parametrize("volume", [fiber_volume, orbit_volume])
+    def test_coverage_error_names_the_first_missing_object(self, volume):
+        g = pair_groupoid([3, 1, 2])
+        # extra keys are allowed; 2 lacks a and 1 lacks b, and 1 comes first
+        a = {3: 1, 1: 1, "extra": 1}
+        b = {3: 1, 2: 1, "extra": 1}
+        with pytest.raises(ValidationFailure, match=r"^weights missing object 1$"):
+            volume(g, WeightData(a, b))
+        a[2] = b[1] = 1
+        assert volume(g, WeightData(a, b)) == 1
+
 
 class TestOrbitDecomposition:
     def test_block_structure(self):

@@ -1,4 +1,5 @@
-"""The README's command examples print exactly the output shown under them."""
+"""The README's command examples print exactly the output shown under them,
+and its Python examples run."""
 
 import os
 import shlex
@@ -55,3 +56,26 @@ def test_readme_commands_print_what_the_readme_shows(tmp_path):
         if expected is not None and proc.stdout != expected:
             mismatches.append(f"{shlex.join(argv)}\n  README: {expected!r}\n  prints: {proc.stdout!r}")
     assert not mismatches, "\n".join(mismatches)
+
+
+def readme_python_blocks():
+    """The source of each README block marked ``python``, in order."""
+    blocks, block = [], None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if block is None:
+            if line == "```python":
+                block = []
+        elif line.startswith("```"):
+            blocks.append("\n".join(block) + "\n")
+            block = None
+        else:
+            block.append(line)
+    return blocks
+
+
+def test_readme_python_blocks_run():
+    blocks = readme_python_blocks()
+    assert blocks
+    for i, source in enumerate(blocks, 1):
+        # each block in a fresh namespace, as if run on its own
+        exec(compile(source, f"<README python block {i}>", "exec"), {"__name__": "__main__"})

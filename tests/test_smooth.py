@@ -5,6 +5,7 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,26 +13,23 @@ from hypothesis import strategies as st
 
 from stackvol.catalog import plane_o2, plane_so2, torus_free
 from stackvol.errors import NumericalFailure
-from stackvol.groups import FiniteGroup
-from stackvol.quadrature import MAX_EVALUATIONS, NonConvergenceError
+from stackvol.finite import (DegenerateWeightError, WeightData, action_groupoid,
+                             fiber_volume, orbits)
+from stackvol.groups import FiniteGroup, group_zoo
+from stackvol.quadrature import MAX_EVALUATIONS, NonConvergenceError, integrate_1d
 from stackvol.smooth import (
     TWO_PI,
-    ActionModel,
     BoxChart,
-    ComparisonReport,
     DegenerateModelError,
     GroupModel,
     OrbitChart,
     PointChart,
     SingularOrbitError,
-    check_invariance,
     fiber_integral,
     finite_action_model,
     homogeneous_volume,
-    invariance_defect,
     pushforward_density,
     stack_volume,
-    stack_volume_vs_pushforward,
 )
 
 # frozen oracles:
@@ -70,6 +68,13 @@ def _along_orbits(model, poly, slope):
     f = _trig(poly)
     return dataclasses.replace(base, a_constant=False,
                                a_density=lambda p: f(p[1 - axis]) * (1.0 + slope * p[axis]))
+
+
+def _window(am, t0, t1):
+    """The model on the saturation of the orbit-parameter interval [t0, t1]."""
+    bounds = list(am.chart.bounds)
+    bounds[am.orbit_chart.param_axis] = (t0, t1)
+    return dataclasses.replace(am, chart=BoxChart(bounds, am.chart.periods))
 
 
 class TestGroupModels:
@@ -170,16 +175,6 @@ class TestGroupModels:
             assert exc.result.evaluations > 0
         else:
             assert abs(value - 4.0) <= tol * 4.0
-
-    def test_random_element_keeps_the_seeded_stream(self):
-        s3 = FiniteGroup.symmetric(3)
-        new, old = random.Random(5), random.Random(5)
-        for _ in range(20):
-            assert GroupModel("circle").random_element(new) == old.uniform(0.0, TWO_PI)
-            assert (GroupModel("o2").random_element(new)
-                    == (old.randint(0, 1), old.uniform(0.0, TWO_PI)))
-            assert (GroupModel("finite", group=s3).random_element(new)
-                    == old.choice(s3.elements))
 
 
 class TestCharts:
@@ -339,7 +334,7 @@ class TestStackVolume:
         assert abs(res.value - TWO_PI) <= res.error_estimate + 1e-9
 
     def test_annulus_restriction(self):
-        res = stack_volume(plane_so2(R=2.0), param_region=(1.0, 2.0))
+        res = stack_volume(_window(plane_so2(R=2.0), 1.0, 2.0))
         assert abs(res.value - 1.5) <= res.error_estimate + 1e-9
 
     def test_point_chart_is_exact(self):
@@ -427,19 +422,6 @@ class TestStackVolume:
                                  {x: 1 for x in range(3)})
         assert not am.a_constant
         assert stack_volume(am).evaluations == 3 + 3 * 6
-
-    def test_param_region_needs_orbit_chart(self):
-        s3 = FiniteGroup.symmetric(3)
-        unit = {x: 1 for x in range(3)}
-        am = finite_action_model(s3, range(3), lambda p, x: p[x], unit, unit)
-        with pytest.raises(ValueError):
-            stack_volume(am, param_region=(0.0, 1.0))
-
-    def test_param_region_must_be_interval(self):
-        with pytest.raises(ValueError):
-            stack_volume(plane_so2(), param_region=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            stack_volume(plane_so2(), param_region=(5.0, 6.0))
 
     def test_vanishing_fiber_is_degenerate(self):
         am = dataclasses.replace(plane_so2(), a_density=lambda p: 0.0)
@@ -606,101 +588,25 @@ class TestHomogeneousVolume:
 
 
 class TestInvariance:
+    # every catalog action has Jacobian 1 in its chart, so b must be unchanged by it
+    @staticmethod
+    def assert_b_invariant(am):
+        rng = random.Random(3)
+        gm = am.group
+        for _ in range(100):
+            h = gm.element(rng.choice(gm.components),
+                           tuple(rng.uniform(0.0, TWO_PI) for _ in range(gm.rank)))
+            p = tuple(rng.uniform(lo, hi) for lo, hi in am.chart.bounds)
+            assert am.b_density(am.act(h, p)) == pytest.approx(am.b_density(p), rel=1e-12)
+
     def test_rotations_preserve_lebesgue(self):
-        report = check_invariance(plane_so2(), samples=100, seed=3)
-        assert report.passed, str(report)
-        assert report.witness is None
+        self.assert_b_invariant(plane_so2())
 
     def test_reflections_preserve_lebesgue(self):
-        report = check_invariance(plane_o2(), samples=100, seed=3)
-        assert report.passed, str(report)
+        self.assert_b_invariant(plane_o2())
 
-    def test_non_invariant_density_caught(self):
-        # r |cos theta| is the distance to the vertical axis, not rotation
-        # invariant; the report must carry a concrete witness
-        am = dataclasses.replace(plane_so2(),
-                                 b_density=lambda p: p[0] * abs(math.cos(p[1])))
-        report = check_invariance(am, samples=100, seed=3)
-        assert not report.passed
-        assert report.max_defect > 1e-3
-        assert report.witness is not None
-        h, p = report.witness
-        assert invariance_defect(am, h, p) == pytest.approx(report.max_defect)
-
-    @pytest.mark.parametrize("model", [plane_so2, plane_o2])
-    @pytest.mark.parametrize("R", [2.0, 1e4, 1e6])
-    def test_verdict_is_relative_to_b(self, model, R):
-        report = check_invariance(model(R=R), samples=100, seed=3)
-        assert report.passed, str(report)
-        scaled = dataclasses.replace(model(R=R), b_density=lambda p: 1e13 * p[0])
-        assert check_invariance(scaled, samples=100, seed=3).passed
-
-    def test_non_invariant_density_caught_at_large_radius(self):
-        am = dataclasses.replace(plane_so2(R=1e4),
-                                 b_density=lambda p: p[0] * abs(math.cos(p[1])))
-        report = check_invariance(am, samples=100, seed=3)
-        assert not report.passed
-        h, p = report.witness
-        assert invariance_defect(am, h, p) == pytest.approx(report.max_defect)
-
-    def test_rotation_of_cartesian_chart_preserves_lebesgue(self):
-        # the Jacobian is a rotation matrix, so its off-diagonal entries count
-        def act(phi, p):
-            x, y = p
-            return (x * math.cos(phi) - y * math.sin(phi), x * math.sin(phi) + y * math.cos(phi))
-
-        am = ActionModel(name="cartesian-so2", group=GroupModel("circle"),
-                         chart=BoxChart(bounds=((-1.0, 1.0), (-1.0, 1.0)), periods=(None, None)),
-                         act=act, a_density=lambda p: 1.0, b_density=lambda p: 1.0,
-                         a_constant=True)
-        assert check_invariance(am, samples=50, seed=2).passed
-        # det [[1, s], [s, 2]] = 2 - s^2 = 1.75 at s = 0.5, so the defect is 0.75
-        linear = dataclasses.replace(am, act=lambda s, p: (p[0] + s * p[1], s * p[0] + 2 * p[1]))
-        assert invariance_defect(linear, 0.5, (0.3, 0.2)) == pytest.approx(0.75, rel=1e-6)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_b_fails_with_its_witness(self, bad):
-        # b is finite on r < 1 only; a sample past it must fail and be the witness
-        am = dataclasses.replace(plane_so2(), b_density=lambda p: p[0] if p[0] < 1.0 else bad)
-        report = check_invariance(am, samples=20, seed=3)
-        assert not report.passed
-        assert report.max_defect == math.inf
-        h, p = report.witness
-        assert p[0] >= 1.0
-        assert not check_invariance(dataclasses.replace(plane_so2(), b_density=lambda p: bad),
-                                    samples=20).passed
-
-    def test_finite_orbit_constant_section(self):
-        s3 = FiniteGroup.symmetric(3)
-        unit = {x: 1 for x in range(3)}
-        am = finite_action_model(s3, range(3), lambda p, x: p[x], unit, unit)
-        assert check_invariance(am, samples=60, seed=1).passed
-
-    def test_finite_non_invariant_section(self):
-        s3 = FiniteGroup.symmetric(3)
-        unit = {x: 1 for x in range(3)}
-        skew = {0: 1.0, 1: 2.0, 2: 3.0}
-        am = finite_action_model(s3, range(3), lambda p, x: p[x], unit, skew)
-        assert not check_invariance(am, samples=60, seed=1).passed
-
-    def test_one_dimensional_chart(self):
-        # rotations of a periodic circle chart; the Jacobian is the 1x1 determinant
-        am = ActionModel(name="circle", group=GroupModel("circle"),
-                         chart=BoxChart(bounds=((0.0, TWO_PI),), periods=(TWO_PI,)),
-                         act=lambda phi, p: ((p[0] + phi) % TWO_PI,),
-                         a_density=lambda p: 1.0, b_density=lambda p: 1.0, a_constant=True)
-        assert check_invariance(am, samples=50, seed=2).passed
-        skew = dataclasses.replace(am, b_density=lambda p: 2.0 + math.sin(p[0]))
-        report = check_invariance(skew, samples=50, seed=2)
-        assert not report.passed and report.witness is not None
-        h, p = report.witness
-        assert invariance_defect(skew, h, p) == report.max_defect > 0
-        doubling = dataclasses.replace(am, act=lambda s, p: (2.0 * p[0],))
-        assert invariance_defect(doubling, 0.0, (1.0,)) == pytest.approx(1.0, rel=1e-9)
-
-    def test_report_formatting(self):
-        report = check_invariance(plane_so2(), samples=10)
-        assert "pass" in str(report)
+    def test_translations_preserve_lebesgue(self):
+        self.assert_b_invariant(torus_free())
 
 
 class TestPushforward:
@@ -749,46 +655,62 @@ class TestPushforward:
                        - pushforward_density(am, r)) < 1e-12
 
 
+def _two_routes(am, t0, t1):
+    """The chart volume of the window [t0, t1] and the orbit-space integral over it.
+
+    Returns both results and whether they agree within their error
+    estimates plus their common tolerance, 1e-6, times the larger value.
+    """
+    oc = am.orbit_chart
+    via_chart = stack_volume(_window(am, t0, t1))
+    # the raw ratio: the endpoints may touch the singular set, which carries no volume
+    via_orbit = integrate_1d(lambda t: oc.orbit_density(t) / oc.isotropy_volume(t), t0, t1)
+    scale = max(abs(via_chart.value), abs(via_orbit.value))
+    budget = via_chart.error_estimate + via_orbit.error_estimate + 1e-6 * scale
+    return via_chart, via_orbit, abs(via_chart.value - via_orbit.value) <= budget
+
+
 class TestTwoRouteComparison:
     def test_disk_full_range(self):
-        report = stack_volume_vs_pushforward(plane_so2(R=2.0), (0.0, 2.0))
-        assert report.passed, str(report)
-        assert report.stack_result.value == pytest.approx(2.0, abs=1e-6)
-        assert report.pushforward_result.value == pytest.approx(2.0, abs=1e-9)
+        via_chart, via_orbit, agree = _two_routes(plane_so2(R=2.0), 0.0, 2.0)
+        assert agree
+        assert via_chart.value == pytest.approx(2.0, abs=1e-6)
+        assert via_orbit.value == pytest.approx(2.0, abs=1e-9)
 
     def test_disk_annulus(self):
-        report = stack_volume_vs_pushforward(plane_so2(R=2.0), (1.0, 2.0))
-        assert report.passed
-        assert report.pushforward_result.value == pytest.approx(1.5, abs=1e-9)
+        _, via_orbit, agree = _two_routes(plane_so2(R=2.0), 1.0, 2.0)
+        assert agree
+        assert via_orbit.value == pytest.approx(1.5, abs=1e-9)
 
     def test_reflection_quotient(self):
-        report = stack_volume_vs_pushforward(plane_o2(R=2.0), (0.0, 2.0))
-        assert report.passed
-        assert report.pushforward_result.value == pytest.approx(1.0, abs=1e-9)
+        _, via_orbit, agree = _two_routes(plane_o2(R=2.0), 0.0, 2.0)
+        assert agree
+        assert via_orbit.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_torus_full_range(self):
+        _, via_orbit, agree = _two_routes(torus_free(), 0.0, TWO_PI)
+        assert agree
+        assert via_orbit.value == pytest.approx(TWO_PI, abs=1e-9)
 
     def test_torus_partial_transverse_window(self):
-        report = stack_volume_vs_pushforward(torus_free(), (0.0, math.pi))
-        assert report.passed
-        assert report.pushforward_result.value == pytest.approx(math.pi, abs=1e-9)
+        _, via_orbit, agree = _two_routes(torus_free(), 0.0, math.pi)
+        assert agree
+        assert via_orbit.value == pytest.approx(math.pi, abs=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_one_percent_mismatch_fails_at_every_scale(self, scale):
+        # the chart volume is accurate relative to its size, so the routes agree
+        # at every scale and a one-percent change of the orbit density shows
         base = plane_so2(R=2.0)
-        am = dataclasses.replace(
+        scaled = dataclasses.replace(
             base,
             b_density=lambda p: scale * p[0],
-            orbit_chart=base.orbit_chart._replace(orbit_density=lambda t: 1.01 * scale * t),
+            orbit_chart=base.orbit_chart._replace(orbit_density=lambda t: scale * t),
         )
-        assert not stack_volume_vs_pushforward(am, (0.0, 2.0)).passed
-
-    def test_region_outside_orbit_range(self):
-        with pytest.raises(ValueError):
-            stack_volume_vs_pushforward(plane_so2(R=2.0), (1.0, 3.0))
-
-    def test_report_formatting(self):
-        report = stack_volume_vs_pushforward(plane_so2(), (0.5, 1.0))
-        assert isinstance(report, ComparisonReport)
-        assert "stack" in str(report)
+        assert _two_routes(scaled, 0.0, 2.0)[2]
+        skew = dataclasses.replace(
+            scaled, orbit_chart=base.orbit_chart._replace(orbit_density=lambda t: 1.01 * scale * t))
+        assert not _two_routes(skew, 0.0, 2.0)[2]
 
 
 class TestFiniteBridge:
@@ -816,3 +738,62 @@ class TestFiniteBridge:
         v2 = stack_volume(scaled).value
         # scaling Haar measure rescales fibers but b is per-point mass
         assert v2 == pytest.approx(v1 / 7.0)
+
+
+def _coset_action(group, generators):
+    """Points and action of the group on the disjoint union of its G/<g>, g in generators.
+
+    A point is (i, coset), the coset a frozenset; the group acts by left
+    multiplication.
+    """
+    mult = group.mult
+    points = {}
+    for i, g in enumerate(generators):
+        sub, k = {group.identity}, g
+        while k not in sub:
+            sub.add(k)
+            k = mult(k, g)
+        points.update(dict.fromkeys((i, frozenset(mult(x, s) for s in sub))
+                                    for x in group.elements))
+    return list(points), lambda h, p: (p[0], frozenset(mult(h, y) for y in p[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_finite_and_smooth_engines_agree_on_coset_spaces(data):
+    # a differential oracle: the exact fiber sum and the smooth engine's point
+    # chart must give the same volume, or both refuse a cancelled fiber
+    group = data.draw(st.sampled_from(group_zoo(8)))
+    generators = data.draw(st.lists(st.sampled_from(group.elements), min_size=1, max_size=3))
+    points, act = _coset_action(group, generators)
+    g = action_groupoid(group, points, act)
+    low = -6 if data.draw(st.booleans()) else 1  # signed a in half the draws
+    a = {x: Fraction(data.draw(st.integers(low, 6).filter(bool)), data.draw(st.integers(1, 4)))
+         for x in points}
+    b = {}
+    for orb in orbits(g):
+        ratio = Fraction(data.draw(st.integers(-7, 7)), data.draw(st.integers(1, 4)))
+        b.update({x: a[x] * ratio for x in orb.objects})
+    try:
+        exact = fiber_volume(g, WeightData(a, b))
+    except DegenerateWeightError:
+        exact = None
+    try:
+        numeric = stack_volume(finite_action_model(group, points, act, a, b)).value
+    except DegenerateModelError:
+        numeric = None
+    assert (exact is None) == (numeric is None), (exact, numeric)
+    if exact is not None:
+        assert abs(numeric - float(exact)) <= 1e-12 * (abs(float(exact)) or 1.0)
+
+
+def test_both_engines_refuse_a_cancelled_fiber():
+    # Z2 swapping two points whose fiber weights cancel: every fiber sums to zero
+    z2 = FiniteGroup.cyclic(2)
+    points, act = _coset_action(z2, [z2.identity])
+    a = {points[0]: Fraction(1), points[1]: Fraction(-1)}
+    g = action_groupoid(z2, points, act)
+    with pytest.raises(DegenerateWeightError):
+        fiber_volume(g, WeightData(a, a))
+    with pytest.raises(DegenerateModelError):
+        stack_volume(finite_action_model(z2, points, act, a, a))
