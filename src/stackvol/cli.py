@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .errors import NumericalFailure, SchemaError, ValidationFailure
+from .errors import SUMMARY_LIMIT, NumericalFailure, SchemaError, ValidationFailure
 
 DEFAULT_SEED = 94720
 DEFAULT_TOL = 1e-6
@@ -46,18 +46,6 @@ def _load_valid_groupoid(path):
     g = load_groupoid(path)
     validate(g).require(InvalidGroupoidError, f"invalid groupoid {path}")
     return g
-
-
-def _quadrature_payload(res) -> dict:
-    return {
-        "value": res.value,
-        "errorEstimate": res.error_estimate,
-        "evaluations": res.evaluations,
-    }
-
-
-def _quadrature_line(res) -> str:
-    return f"{_fmt_real(res.value)} +/- {res.error_estimate:.3g} ({res.evaluations} evaluations)"
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +219,8 @@ def _cmd_smooth_example(args) -> int:
     ts = _parse_ts(kv.pop("ts")) if "ts" in kv else None
 
     # the engines load here, so the finite, morita and series commands skip them
-    from .catalog import build_model
-    from .families import (PoissonFamilyModel, SymplecticModel, natural_leaf_measure,
-                           poisson_stack_density, symplectic_bk_volume)
+    from .catalog import (PoissonFamilyModel, SymplecticModel, build_model, natural_leaf_measure,
+                          poisson_stack_density, symplectic_bk_volume)
     from .smooth import ActionModel, pushforward_density, stack_volume
 
     measure = kv.pop("measure", "stack")
@@ -262,7 +249,10 @@ def _cmd_smooth_example(args) -> int:
             return _emit_table(args, params, ts,
                                lambda t: {"density": pushforward_density(model, t)})
         res = stack_volume(model, tol=args.tol)
-        return _emit(args, [_quadrature_line(res)], _quadrature_payload(res), params)
+        line = (f"{_fmt_real(res.value)} +/- {res.error_estimate:.3g} "
+                f"({res.evaluations} evaluations)")
+        return _emit(args, [line], {"value": res.value, "errorEstimate": res.error_estimate,
+                                    "evaluations": res.evaluations}, params)
 
     # only the SU(2) model needs numpy, so su2 loads last
     from .su2 import CartanData, adjoint_orbit_density
@@ -274,7 +264,7 @@ def _cmd_smooth_example(args) -> int:
                 return {"density": od.value, "onWall": od.on_wall}
 
             return _emit_table(args, params, ts, wall_row)
-        payload = {"period": model.period, "rootValue": model.sigma[0],
+        payload = {"period": model.period, "rootValue": model.sigma,
                    "volumeNorm": model.volume_norm}
         return _emit(args, [f"{key} {_fmt_real(v)}" for key, v in payload.items()], payload, params)
 
@@ -445,7 +435,7 @@ def _fail(args, exc, code) -> int:
         report = getattr(exc, "report", None)
         if report is not None:
             obj["violations"] = [{"axiom": v.axiom, "witness": repr(v.witness), "detail": v.detail}
-                                 for v in report.violations[:5]]
+                                 for v in report.violations[:SUMMARY_LIMIT]]
         print(json.dumps(obj, sort_keys=True))
     return code
 
@@ -455,8 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    # the decode errors are ValueErrors, so this clause must come first
-    except (SchemaError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (SchemaError, OSError) as exc:
         return _fail(args, exc, 3)
     except (ValidationFailure, ValueError) as exc:
         return _fail(args, exc, 1)

@@ -16,6 +16,14 @@ class ValidationFailure(StackVolError):
     """
 
 
+class DegenerateWeightError(ValidationFailure):
+    """A fiber's total weight vanishes, so its reciprocal is undefined.
+
+    The finite engine raises it for an r-fiber sum of zero, the smooth
+    engine for a vanishing fiber integral.
+    """
+
+
 class NumericalFailure(StackVolError):
     """A numerical routine could not reach the requested quality.
 
@@ -29,6 +37,10 @@ class SchemaError(StackVolError):
     The command line maps this family, together with plain I/O errors,
     to exit code 3.
     """
+
+
+# the violations a summary, or a --json failure, spells out
+SUMMARY_LIMIT = 5
 
 
 class Violation(namedtuple("Violation", "axiom witness detail", defaults=("",))):
@@ -53,11 +65,6 @@ class ValidationReport:
     def __init__(self, violations: list[Violation] | None = None):
         self.violations = [] if violations is None else violations
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.violations == other.violations
-
     def __repr__(self) -> str:
         return f"ValidationReport(violations={self.violations!r})"
 
@@ -71,11 +78,11 @@ class ValidationReport:
     def axioms(self) -> set[str]:
         return {v.axiom for v in self.violations}
 
-    def summary(self, limit: int = 5) -> str:
+    def summary(self) -> str:
         if self.ok:
             return "ok"
-        lines = [str(v) for v in self.violations[:limit]]
-        extra = len(self.violations) - limit
+        lines = [str(v) for v in self.violations[:SUMMARY_LIMIT]]
+        extra = len(self.violations) - SUMMARY_LIMIT
         if extra > 0:
             lines.append(f"... and {extra} more")
         return "; ".join(lines)

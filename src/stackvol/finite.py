@@ -23,7 +23,7 @@ from itertools import chain, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .errors import ValidationFailure, ValidationReport
+from .errors import DegenerateWeightError, ValidationFailure, ValidationReport
 from .groups import FiniteGroup, finite_sets_cardinality, group_zoo
 
 
@@ -37,10 +37,6 @@ class InvalidGroupoidError(ValidationFailure):
 
 class InvalidActionError(ValidationFailure):
     """A claimed group action fails the identity or compatibility law."""
-
-
-class DegenerateWeightError(ValidationFailure):
-    """Some r-fiber has total weight zero, so its reciprocal is undefined."""
 
 
 class NonInvariantSectionError(ValidationFailure):

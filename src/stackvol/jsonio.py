@@ -204,10 +204,7 @@ def weights_from_dict(data: dict) -> WeightData:
         _require(isinstance(data[key], dict), f"weights.{key}", "must be an object")
     a = {k: _parse_weight(v, f"weights.a[{k!r}]") for k, v in data["a"].items()}
     b = {k: _parse_weight(v, f"weights.b[{k!r}]") for k, v in data["b"].items()}
-    try:
-        return WeightData(a, b)
-    except ValueError as exc:
-        raise SchemaError(f"weights: {exc}") from None
+    return WeightData(a, b)
 
 
 def weights_to_dict(w: WeightData, rename=None) -> dict:

@@ -20,11 +20,7 @@ from collections import namedtuple
 from .errors import NumericalFailure
 
 
-class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
-    __slots__ = ()
-
-    def __str__(self):
-        return f"{self.value:.12g} (est err {self.error_estimate:.3g}, {self.evaluations} evals)"
+QuadratureResult = namedtuple("QuadratureResult", "value error_estimate evaluations")
 
 
 class NonConvergenceError(NumericalFailure):
@@ -163,10 +159,11 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
     """Integral of f from a to b by the globally adaptive rule of :func:`integrate_box`.
 
     ``tol`` bounds the summed refinement changes relative to the integral
-    of |f|.  Reversed bounds flip the sign; an empty interval costs nothing.
+    of |f|.  Reversed bounds b < a raise ValueError; an empty interval
+    costs nothing.
     """
     if b < a:
-        return _gauss_panels(lambda x: -f(x), [(b, a)], tol)
+        raise ValueError("integration bounds must satisfy a <= b")
     return _gauss_panels(f, [(a, b)], tol)
 
 

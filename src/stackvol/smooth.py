@@ -24,7 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NumericalFailure, ValidationFailure
+from .errors import DegenerateWeightError, NumericalFailure, ValidationFailure
 from .quadrature import (
     EvalCounter,
     NonConvergenceError,
@@ -42,10 +42,6 @@ HAAR_MAX_NODES = 2 ** 16
 # offset of the aliasing check's grid, in steps: the golden ratio's fraction,
 # far from every rational with a small denominator
 HAAR_SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class DegenerateModelError(ValidationFailure):
-    """A fiber integral vanished, so the volume integrand is undefined."""
 
 
 class SingularOrbitError(ValidationFailure):
@@ -167,29 +163,20 @@ class GroupModel:
 
 
 class BoxChart:
-    """A bounded box of dimension 1 or 2, the dimensions ``integrate_box`` covers.
+    """A bounded box of dimension 1 or 2, the dimensions ``integrate_box`` covers."""
 
-    ``periods[i]`` is the period of axis i or None.
-    """
+    __slots__ = ("bounds",)
 
-    __slots__ = ("bounds", "periods")
-
-    def __init__(self, bounds, periods):
-        if len(bounds) != len(periods):
-            raise ValueError("bounds and periods must have equal length")
+    def __init__(self, bounds):
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if len(bounds) not in (1, 2):
             raise ValueError(f"a chart has dimension 1 or 2, not {len(bounds)}")
         if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds):
             raise ValueError(f"chart bounds {bounds} are not finite intervals lo < hi")
-        self.bounds, self.periods = bounds, tuple(periods)
+        self.bounds = bounds
 
     def __repr__(self):
-        return f"BoxChart({self.bounds}, {self.periods})"
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
+        return f"BoxChart({self.bounds})"
 
 
 class PointChart:
@@ -243,20 +230,20 @@ class ActionModel:
 # volume computations
 
 
-def _fiber(am: ActionModel, y, tol: float = 1e-9):
+def _fiber(am: ActionModel, y):
     """The fiber integral at y and the evaluations its Haar rule made."""
     if am.a_constant:
         return float(am.a_density(y)) * am.group.volume, 0
-    return am.group.integrate(lambda h: float(am.a_density(am.act(h, y))), tol=tol)
+    return am.group.integrate(lambda h: float(am.a_density(am.act(h, y))))
 
 
-def fiber_integral(am: ActionModel, y, tol: float = 1e-9) -> float:
+def fiber_integral(am: ActionModel, y) -> float:
     """Haar integral of a_density along the orbit through y.
 
     For a constant a this is a(y) times the group volume, the direct
     analog of the finite fiber sum.
     """
-    return _fiber(am, y, tol)[0]
+    return _fiber(am, y)[0]
 
 
 def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
@@ -293,7 +280,7 @@ def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     def b_over_fiber(p):
         fib = fiber(p)
         if abs(fib) <= 1e-12 * abs(float(am.a_density(p))) * am.group.volume:
-            raise DegenerateModelError(f"fiber integral vanishes at {p!r}")
+            raise DegenerateWeightError(f"fiber integral vanishes at {p!r}")
         return float(am.b_density(p)) / fib
 
     if isinstance(am.chart, PointChart):
@@ -320,7 +307,7 @@ def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     a0 = float(am.a_density(am.chart.points[0] if point_chart
                             else tuple(lo for lo, _ in am.chart.bounds)))
     if a0 == 0.0:
-        raise DegenerateModelError("group volume weighted by a vanishes")
+        raise DegenerateWeightError("group volume weighted by a vanishes")
     denom = a0 * am.group.volume
 
     if point_chart:

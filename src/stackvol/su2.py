@@ -28,14 +28,9 @@ from .quadrature import (
 )
 
 
-class CartanData(namedtuple("CartanData", "period sigma volume_norm basis")):
-    """Computed normalization data for the rank-one compact group."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigma)
+# computed normalization data for the rank-one compact group: the period of
+# the Cartan line, the one root value sigma and the group volume
+CartanData = namedtuple("CartanData", "period sigma volume_norm")
 
 
 def _basis():
@@ -98,8 +93,8 @@ def su2_cartan() -> CartanData:
     rotations on coordinates and the exponential Jacobian only depends
     on the radius.
     """
-    h, x, y = _basis()
-    basis = (h, x, y)
+    basis = _basis()
+    h = basis[0]
 
     period = _find_period(h)
 
@@ -110,7 +105,7 @@ def su2_cartan() -> CartanData:
     if speed <= 0:
         raise ArithmeticError("adjoint representation has no rotation component")
     # lattice basis vector is period*h, so the root evaluates to speed*period
-    sigma1 = speed * period
+    sigma = speed * period
 
     # group volume in basis-Lebesgue coordinates: exp is injective on the
     # ball of radius period/2 (its boundary collapses to a point)
@@ -119,7 +114,7 @@ def su2_cartan() -> CartanData:
 
     vol = integrate_1d(shell, 0.0, period / 2.0, tol=1e-12)
 
-    return CartanData(period=period, sigma=(sigma1,), volume_norm=vol.value, basis=basis)
+    return CartanData(period=period, sigma=sigma, volume_norm=vol.value)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +128,15 @@ def adjoint_orbit_density(t: float, cartan: CartanData = None) -> OrbitDensity:
     """Density of orbit volumes at chamber parameter t, lattice-normalized.
 
     The parameter measures the chamber in units of the lattice basis
-    vector; the density is the product over roots of the squared root
-    values there.  On a chamber wall the density vanishes and the result
-    is flagged.
+    vector; the density is the squared root value there.  On the chamber
+    wall the density vanishes and the result is flagged.
     """
     if t < 0:
         raise ValueError("chamber parameter must be nonnegative")
     if cartan is None:
         cartan = su2_cartan()
-    value = 1.0
-    wall = False
-    for s in cartan.sigma:
-        factor = t * s
-        if factor == 0.0:
-            wall = True
-        value *= factor * factor
-    return OrbitDensity(value if not wall else 0.0, wall)
+    factor = t * cartan.sigma
+    return OrbitDensity(factor * factor, factor == 0.0)
 
 
 def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndarray:
@@ -200,24 +188,21 @@ class WeylReport(namedtuple("WeylReport", "lhs rhs relative_error mc_stderr eval
 
 
 def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
-                           tol: float = 0.02, s_max: float = None,
-                           cartan: CartanData = None,
-                           require_convergence: bool = True) -> WeylReport:
+                           tol: float = 0.02, cartan: CartanData = None) -> WeylReport:
     """Cross-check the chamber density against direct algebra integration.
 
     The left side averages phi of the chamber projection over the Lie
     algebra, with coordinates normalized by the computed group volume;
     the right side integrates the orbit density times phi over the
     chamber.  Agreement validates the period, root, and volume
-    normalizations simultaneously.  ``tol`` must be positive and finite.
+    normalizations simultaneously.  Both sides stop at chamber parameter
+    ``5 * phi.width``.  ``tol`` must be positive and finite, and a Monte
+    Carlo standard error above a third of it raises NonConvergenceError.
     """
     require_positive_finite("tol", tol)
     if cartan is None:
         cartan = su2_cartan()
-    if s_max is None:
-        s_max = 5.0 * getattr(phi, "width", 0.25)
-    if s_max <= 0:
-        raise ValueError("s_max must be positive")
+    s_max = 5.0 * phi.width
 
     half = s_max * cartan.period
     bounds = [(-half, half)] * 3
@@ -237,7 +222,7 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
 
     scale = max(abs(lhs), abs(rhs.value), 1e-300)
     rel_se = lhs_se / scale
-    if require_convergence and rel_se > tol / 3.0:
+    if rel_se > tol / 3.0:
         raise NonConvergenceError(
             f"Monte Carlo standard error {rel_se:.3%} exceeds a third of tol {tol:.3%}",
             QuadratureResult(lhs, lhs_se, mc.evaluations),

@@ -9,13 +9,15 @@ import random
 import time
 from fractions import Fraction
 
-from stackvol.catalog import plane_o2, plane_so2, torus_free
-from stackvol.families import (
+from stackvol.catalog import (
     PoissonFamilyModel,
     SymplecticModel,
     natural_leaf_measure,
+    plane_o2,
+    plane_so2,
     poisson_stack_density,
     symplectic_bk_volume,
+    torus_free,
 )
 from stackvol.finite import (
     WeightData,

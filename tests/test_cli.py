@@ -123,6 +123,25 @@ class TestFiniteCommands:
         assert obj["fiber"] == "3/8"
         assert "orbit" not in obj
 
+    def test_volume_orbit_method(self, capsys, half_point, tmp_path):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({"a": {"pt": "2"}, "b": {"pt": "3/2"}}))
+        argv = ["finite", "volume", "--groupoid", half_point, "--weights", str(wpath),
+                "--method", "orbit"]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0, "3/8\n")
+        code, out, _ = run(capsys, argv + ["--json"])
+        obj = json.loads(out)
+        assert code == 0 and obj["orbit"] == "3/8" and "fiber" not in obj
+        assert obj["params"]["method"] == "orbit"
+
+    def test_measure_without_representatives_exits_one(self, capsys, half_point, tmp_path):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({"a": {"pt": "1"}, "b": {"pt": "1"}}))
+        code, out, err = run(capsys, ["finite", "measure", "--groupoid", half_point,
+                                      "--weights", str(wpath), "--orbits", ","])
+        assert (code, out, err) == (1, "", "error: no orbit representatives given\n")
+
     def test_non_invariant_section_exits_one(self, capsys, tmp_path):
         g = pair_groupoid(["u", "v"])
         gpath = tmp_path / "pair.json"
@@ -861,7 +880,8 @@ def test_only_su2_commands_load_numpy(tmp_path, argv, loads_numpy):
     ["series", "finite-sets"],
 ])
 def test_finite_commands_load_no_morita_or_families(tmp_path, argv):
-    assert _loaded_by(tmp_path, argv, ["stackvol.morita", "stackvol.families"]) == "[]"
+    # the symplectic and Poisson families live in the smooth model catalog
+    assert _loaded_by(tmp_path, argv, ["stackvol.morita", "stackvol.catalog"]) == "[]"
 
 
 def test_smooth_commands_load_no_finite_or_jsonio(tmp_path):

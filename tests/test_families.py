@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from stackvol.catalog import poisson_sphere_bundle, su2_dual
-from stackvol.families import (
+from stackvol.catalog import (
     CriticalPointError,
     PoissonFamilyModel,
     SymplecticModel,
     natural_leaf_measure,
+    poisson_sphere_bundle,
     poisson_stack_density,
+    su2_dual,
     symplectic_bk_volume,
 )
 

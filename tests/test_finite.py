@@ -664,6 +664,51 @@ class TestGenerators:
         assert set(theta) == set(g.objects)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("elements, table, message", [
+        ((0, 0), {}, "duplicate group elements"),
+        ((0,), {(0, 0): 1}, r"table entry \(0, 0\) -> 1 leaves the element set"),
+        ((0, 1), {(0, 0): 0}, "multiplication table is not total"),
+        ((0, 1), {(a, b): 1 for a in (0, 1) for b in (0, 1)}, "no two-sided identity"),
+        ((0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, "element 1 has no inverse"),
+    ], ids=["duplicate", "outside", "partial", "no-identity", "no-inverse"])
+    def test_finite_group_table_checks(self, elements, table, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup("bad", elements, table)
+
+    @pytest.mark.parametrize("build, n", [
+        (FiniteGroup.cyclic, 0), (FiniteGroup.symmetric, 0), (FiniteGroup.symmetric, 6),
+        (FiniteGroup.dihedral, 0), (group_zoo, 0),
+    ], ids=["cyclic-0", "symmetric-0", "symmetric-6", "dihedral-0", "zoo-0"])
+    def test_group_size_bounds(self, build, n):
+        with pytest.raises(ValueError):
+            build(n)
+
+    @pytest.mark.parametrize("points, act, error, message", [
+        ([0, 0], lambda h, x: x, ValueError, "duplicate points"),
+        ([0, 1], lambda h, x: 1 - x, InvalidActionError,
+         "identity must act trivially, fails at 0"),
+        ([0, 1], lambda h, x: x + 2 * h, InvalidActionError,
+         r"action leaves the point set at \(1, 0\)"),
+    ], ids=["duplicate-points", "identity", "leaves-set"])
+    def test_action_groupoid_refusals(self, points, act, error, message):
+        with pytest.raises(error, match=message):
+            action_groupoid(FiniteGroup.cyclic(2), points, act)
+
+    def test_restriction_to_unknown_objects(self):
+        with pytest.raises(ValueError, match="unknown objects"):
+            restrict_to_objects(pair_groupoid([1, 2]), [1, 3])
+
+    def test_float_weight_refused(self):
+        with pytest.raises(TypeError, match="weights must be rational, got float"):
+            WeightData({1: 0.5}, {1: 1})
+
+    @pytest.mark.parametrize("bound", ["max_objects", "max_group_order", "max_blocks"])
+    def test_random_groupoid_bound_of_zero(self, bound):
+        with pytest.raises(ValueError, match="size bounds must be >= 1"):
+            random_groupoid(1, **{bound: 0})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_fiber_equals_orbit_for_any_seed(seed):

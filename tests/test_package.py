@@ -93,5 +93,5 @@ def test_smooth_example_loads_no_numpy():
     # the chart rule and the Haar rule are plain Python; numpy is for su2 and Monte Carlo
     loaded = _modules_after(["smooth", "example", "plane-so2", "R=2"])
     expected = ["stackvol"] + [f"stackvol.{m}" for m in
-                               ("catalog", "cli", "errors", "families", "quadrature", "smooth")]
+                               ("catalog", "cli", "errors", "quadrature", "smooth")]
     assert [m for m in loaded if m.split(".")[0] in ("stackvol", "numpy")] == expected

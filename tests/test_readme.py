@@ -1,7 +1,8 @@
 """The README's command examples print exactly the output shown under them,
-and its Python examples run."""
+its Python examples run, and its module map names every module."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -79,3 +80,11 @@ def test_readme_python_blocks_run():
     for i, source in enumerate(blocks, 1):
         # each block in a fresh namespace, as if run on its own
         exec(compile(source, f"<README python block {i}>", "exec"), {"__name__": "__main__"})
+
+
+def test_module_map_names_exactly_the_modules():
+    text = (ROOT / "README.md").read_text()
+    paragraph = text[text.index("Module map:"):].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+)`\s+\(", paragraph))
+    modules = {p.stem for p in (ROOT / "src" / "stackvol").glob("*.py")} - {"__init__"}
+    assert named == modules
