@@ -10,7 +10,6 @@ check their input in the constructor.
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
 import sys
@@ -143,7 +142,7 @@ def _disk(name: str, R: float, group: str, act, isotropy: float) -> ActionModel:
     )
 
 
-def plane_so2(R: float = 2.0) -> ActionModel:
+def plane_so2(*, R: float = 2.0) -> ActionModel:
     """Rotations of the radius-R disk, polar chart, Lebesgue b.
 
     The orbit space is the radius interval with density r; the origin is
@@ -157,7 +156,7 @@ def plane_so2(R: float = 2.0) -> ActionModel:
     return _disk("plane-so2", R, "circle", act, 1.0)
 
 
-def plane_o2(R: float = 2.0) -> ActionModel:
+def plane_o2(*, R: float = 2.0) -> ActionModel:
     """Rotations and reflections of the disk; reflections halve the density."""
 
     def act(h, p):
@@ -201,7 +200,7 @@ def adjoint_su2():
     return su2_cartan()
 
 
-def symplectic_bk(c: Fraction = Fraction(1), k: int = 1, m: int = 1) -> SymplecticModel:
+def symplectic_bk(*, c: Fraction = Fraction(1), k: int = 1, m: int = 1) -> SymplecticModel:
     """Exact-volume symplectic quotient with finite kernel of order k."""
     return SymplecticModel(c=Fraction(c), k_order=int(k), m=int(m))
 
@@ -231,7 +230,7 @@ def _poisson_coeff(mode: str, d_area):
     raise UnknownModelError(f"mode must be one of {_POISSON_MODES}, got {mode!r}")
 
 
-def poisson_sphere_bundle(c1: float = 3.0, c2: float = 1.0,
+def poisson_sphere_bundle(*, c1: float = 3.0, c2: float = 1.0,
                           mode: str = "dv2") -> PoissonFamilyModel:
     """Leaves with area V(t) = c1 t + c2 t^2 over t in (0.05, 5).
 
@@ -254,7 +253,7 @@ def poisson_sphere_bundle(c1: float = 3.0, c2: float = 1.0,
     )
 
 
-def su2_dual(mode: str = "dv2") -> PoissonFamilyModel:
+def su2_dual(*, mode: str = "dv2") -> PoissonFamilyModel:
     """The coadjoint leaf family with linear area growth.
 
     The sphere through parameter t has symplectic area equal to the
@@ -308,18 +307,18 @@ def _bounded_fraction(raw) -> Fraction:
 
 
 def build_model(name: str, **params):
-    """Instantiate a catalog model, coercing parameters by declared type."""
+    """Instantiate a catalog model, coercing each parameter to the type of its default."""
     try:
         builder = CATALOG[name]
     except KeyError:
         known = ", ".join(sorted(CATALOG))
         raise UnknownModelError(f"unknown model {name!r}; catalog: {known}") from None
-    sig = inspect.signature(builder)
+    defaults = builder.__kwdefaults__ or {}  # every builder parameter is keyword-only
     kwargs = {}
     for key, raw in params.items():
-        if key not in sig.parameters:
+        if key not in defaults:
             raise UnknownModelError(f"model {name!r} takes no parameter {key!r}")
-        default = sig.parameters[key].default
+        default = defaults[key]
         try:
             if isinstance(default, int):
                 kwargs[key] = int(raw)

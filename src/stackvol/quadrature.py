@@ -189,15 +189,15 @@ def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
     return _gauss_panels(f, bounds, tol)
 
 
-def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
-    """Plain Monte Carlo over a box with a seeded generator, in bounded memory.
+def integrate_mc(f, lo: float, hi: float, dim: int, samples: int, seed: int) -> QuadratureResult:
+    """Plain Monte Carlo over the cube [lo, hi]^dim with a seeded generator, in bounded memory.
 
-    f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lows,
-    highs, (samples, d))``, and returns a value per row: an infinite one
+    f gets MC_CHUNK rows at a time, together bit for bit ``rng.uniform(lo,
+    hi, (samples, dim))``, and returns a value per row: an infinite one
     raises NumericalFailure, a NaN ValueError.  The rows are one buffer
     that every chunk refills, so f may overwrite them (to square them in
     place, say) but must not keep them.  Memory stays at that buffer of
-    MC_CHUNK * d floats, plus what f allocates, whatever the sample
+    MC_CHUNK * dim floats, plus what f allocates, whatever the sample
     count.  Chunk statistics about the first chunk's mean merge
     as in Chan, Golub & LeVeque (1983); the error estimate is the standard
     error times the volume.  The statistics are kept in units of a power of
@@ -209,29 +209,28 @@ def integrate_mc(f, bounds, samples: int, seed: int) -> QuadratureResult:
 
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if any(not lo < hi for lo, hi in bounds):
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
         raise ValueError("box bounds must satisfy lo < hi")
-    volume = math.prod(hi - lo for lo, hi in bounds)
+    width = hi - lo
+    volume = math.prod([width] * dim)  # from the left: width ** dim can round otherwise
     require_positive_finite("box volume", volume)  # refuses infinite bounds
     rng = np.random.default_rng(seed)
-    box = [(lo, hi - lo) for lo, hi in bounds]
-    buf = np.empty((min(MC_CHUNK, samples), len(bounds)))
+    buf = np.empty((min(MC_CHUNK, samples), dim))
     mean = m2 = 0.0
     for count in range(0, samples, MC_CHUNK):
         k = min(MC_CHUNK, samples - count)
         points = rng.random(out=buf[:k])
-        # one column at a time: broadcasting a row of d entries is slower
-        for col, (lo, width) in zip(points.T, box):
-            col *= width
-            col += lo
+        points *= width
+        points += lo
         values = np.asarray(f(points), dtype=float)
         if values.shape != (k,):
             raise ValueError("integrand must return one value per sample")
-        if not np.all(np.isfinite(values)):  # a NaN, if any, else an infinity
-            refuse_non_finite(float(values[~np.isfinite(values)].max()), "in a sample chunk")
+        top = float(np.abs(values).max())  # NaN if a value is NaN, else inf if one is infinite
+        if not math.isfinite(top):
+            refuse_non_finite(top, "in a sample chunk")
         # 1/unit: the power of two just above the chunk's largest |value|
-        unit = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(values).max()))[1]))
+        unit = math.ldexp(1.0, min(1023, -math.frexp(top)[1]))
         if count == 0:
             scale = unit
         elif unit < scale and values.any():  # a larger value (frexp puts 0 at unit 1)

@@ -32,13 +32,13 @@ from .quadrature import (
     integrate_box,
     left_sum,
     refuse_non_finite,
-    require_positive_finite,
 )
 
 TWO_PI = 2.0 * math.pi
 # trapezoid Haar rule: first grid per angle, cap on one grid over all angles
 HAAR_START_NODES = 16
 HAAR_MAX_NODES = 2 ** 16
+HAAR_TOL = 1e-9  # the agreement asked of two grids, relative to the integral of |fn|
 # offset of the aliasing check's grid, in steps: the golden ratio's fraction,
 # far from every rational with a small denominator
 HAAR_SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,13 +86,13 @@ class GroupModel:
     def volume(self) -> float:
         return self.haar_scale * len(self.components) * TWO_PI ** self.rank
 
-    def integrate(self, fn: Callable, tol: float = 1e-9):
+    def integrate(self, fn: Callable):
         """Haar integral of fn over the group; returns (value, evaluations).
 
         Sums over the components and applies the periodic trapezoid rule
         to the angles, which converges exponentially for smooth periodic
         integrands.  The grid starts at HAAR_START_NODES per angle and
-        doubles, reusing its nodes, until two estimates agree to ``tol``
+        doubles, reusing its nodes, until two estimates agree to HAAR_TOL
         relative to the integral of |fn|, the policy of the chart rule in
         :mod:`quadrature`, so scaling fn never changes the number of
         evaluations.  Nested grids alias the same frequencies, so once the
@@ -105,7 +105,6 @@ class GroupModel:
         NonConvergenceError with the last estimate; it never returns
         silently.
         """
-        require_positive_finite("tol", tol)
         n = HAAR_START_NODES
         total = size = 0.0
         prev = None
@@ -138,17 +137,18 @@ class GroupModel:
             if self.rank == 0:
                 return value, evals
             gap = math.inf if prev is None else abs(value - prev)
-            if gap <= tol * weight * size:
+            if gap <= HAAR_TOL * weight * size:
                 half = n // 2
                 grid = itertools.product(range(half), repeat=self.rank)
                 shifted, _ = sample([tuple(TWO_PI * (i + HAAR_SHIFT) / half for i in idx)
                                      for idx in grid])
                 gap = abs(2 ** self.rank * weight * shifted - value)
-                if gap <= tol * weight * size:
+                if gap <= HAAR_TOL * weight * size:
                     return value, evals
             if (2 * n) ** self.rank > HAAR_MAX_NODES:
                 raise NonConvergenceError(
-                    f"trapezoid Haar rule hit {n ** self.rank} nodes before reaching tol={tol}",
+                    f"trapezoid Haar rule hit {n ** self.rank} nodes before reaching "
+                    f"tol={HAAR_TOL}",
                     QuadratureResult(value, gap, evals),
                 )
             prev = value

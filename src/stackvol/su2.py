@@ -203,15 +203,13 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     if cartan is None:
         cartan = su2_cartan()
     s_max = 5.0 * phi.width
-
     half = s_max * cartan.period
-    bounds = [(-half, half)] * 3
 
     def integrand(points):
         # integrate_mc's chunk buffer, squared in place
         return phi(_chamber_from_squares(np.square(points, out=points), cartan.period))
 
-    mc = integrate_mc(integrand, bounds, mc_samples, seed)
+    mc = integrate_mc(integrand, -half, half, 3, mc_samples, seed)
     lhs = mc.value / cartan.volume_norm
     lhs_se = mc.error_estimate / cartan.volume_norm
 

@@ -236,7 +236,7 @@ class TestRelativeTolerance:
 
 class TestIntegrateMC:
     def test_constant_is_exact(self):
-        res = integrate_mc(lambda pts: np.ones(len(pts)), [(0, 1)] * 3, 1000, seed=5)
+        res = integrate_mc(lambda pts: np.ones(len(pts)), 0, 1, 3, 1000, seed=5)
         assert res.value == 1.0
         assert res.error_estimate == 0.0
 
@@ -244,7 +244,7 @@ class TestIntegrateMC:
         def indicator(points):
             return (np.linalg.norm(points, axis=1) <= 1.0).astype(float)
 
-        res = integrate_mc(indicator, [(-1, 1)] * 3, 1_000_000, seed=11)
+        res = integrate_mc(indicator, -1, 1, 3, 1_000_000, seed=11)
         target = 4.0 * math.pi / 3.0
         assert abs(res.value - target) <= 3.0 * res.error_estimate
         assert abs(res.value - target) <= 0.05
@@ -253,33 +253,32 @@ class TestIntegrateMC:
         def f(points):
             return np.sin(points).sum(axis=1)
 
-        a = integrate_mc(f, [(0, 2)] * 3, 5000, seed=42)
-        b = integrate_mc(f, [(0, 2)] * 3, 5000, seed=42)
+        a = integrate_mc(f, 0, 2, 3, 5000, seed=42)
+        b = integrate_mc(f, 0, 2, 3, 5000, seed=42)
         assert a.value == b.value
         assert a.error_estimate == b.error_estimate
 
     def test_different_seed_differs(self):
         f = lambda pts: pts.sum(axis=1)
-        a = integrate_mc(f, [(0, 1)] * 3, 2000, seed=1)
-        b = integrate_mc(f, [(0, 1)] * 3, 2000, seed=2)
+        a = integrate_mc(f, 0, 1, 3, 2000, seed=1)
+        b = integrate_mc(f, 0, 1, 3, 2000, seed=2)
         assert a.value != b.value
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
-            integrate_mc(lambda x: x, [(0, 1)], 1, seed=0)
+            integrate_mc(lambda x: x, 0, 1, 1, 1, seed=0)
 
     def test_vectorized_shape_check(self):
         with pytest.raises(ValueError):
-            integrate_mc(lambda pts: np.zeros((3, 2)), [(0, 1)] * 2, 3, seed=0)
+            integrate_mc(lambda pts: np.zeros((3, 2)), 0, 1, 2, 3, seed=0)
 
 
-MIXED_BOUNDS = [(0, 1), (-1, 3), (2, 2.5)]
-MIXED_VOLUME = 2.0
+CUBE = (-1.0, 3.0, 3)  # lo, hi, dim: lo away from 0 and a width away from 1
+CUBE_VOLUME = 64.0
 
 
-def _one_shot_uniform(bounds, n, seed):
-    lows, highs = np.array(bounds, dtype=float).T
-    return np.random.default_rng(seed).uniform(lows, highs, size=(n, len(bounds)))
+def _one_shot_uniform(lo, hi, dim, n, seed):
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n, dim))
 
 
 class TestStreamedMC:
@@ -291,8 +290,8 @@ class TestStreamedMC:
             seen.append(points.copy())
             return points[:, 0]
 
-        integrate_mc(f, MIXED_BOUNDS, n, seed=2024)
-        assert np.array_equal(np.concatenate(seen), _one_shot_uniform(MIXED_BOUNDS, n, 2024))
+        integrate_mc(f, *CUBE, n, seed=2024)
+        assert np.array_equal(np.concatenate(seen), _one_shot_uniform(*CUBE, n, 2024))
 
     def test_f_never_sees_more_than_a_chunk(self):
         sizes = []
@@ -301,16 +300,16 @@ class TestStreamedMC:
             sizes.append(len(points))
             return points[:, 0]
 
-        integrate_mc(f, MIXED_BOUNDS, 3 * MC_CHUNK + 7, seed=1)
+        integrate_mc(f, *CUBE, 3 * MC_CHUNK + 7, seed=1)
         assert sizes == [MC_CHUNK] * 3 + [7]
 
     def test_statistics_over_real_chunks_match_one_shot(self):
         n = 2 * MC_CHUNK + 5
-        res = integrate_mc(lambda p: 1e6 + p[:, 0], MIXED_BOUNDS, n, seed=8)
-        values = 1e6 + _one_shot_uniform(MIXED_BOUNDS, n, 8)[:, 0]
-        assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
+        res = integrate_mc(lambda p: 1e6 + p[:, 0], *CUBE, n, seed=8)
+        values = 1e6 + _one_shot_uniform(*CUBE, n, 8)[:, 0]
+        assert res.value == pytest.approx(values.mean() * CUBE_VOLUME, rel=1e-12)
         assert res.error_estimate == pytest.approx(
-            values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME, rel=1e-12)
+            values.std(ddof=1) / math.sqrt(n) * CUBE_VOLUME, rel=1e-12)
 
     def test_f_may_overwrite_its_chunk(self):
         n = 2 * MC_CHUNK + 5
@@ -322,13 +321,13 @@ class TestStreamedMC:
             points.fill(np.nan)
             return values
 
-        res = integrate_mc(f, MIXED_BOUNDS, n, seed=8)
-        one_shot = _one_shot_uniform(MIXED_BOUNDS, n, 8)
+        res = integrate_mc(f, *CUBE, n, seed=8)
+        one_shot = _one_shot_uniform(*CUBE, n, 8)
         assert np.array_equal(np.concatenate(seen), one_shot)
         values = 1e6 + one_shot[:, 0]
-        assert res.value == pytest.approx(values.mean() * MIXED_VOLUME, rel=1e-12)
+        assert res.value == pytest.approx(values.mean() * CUBE_VOLUME, rel=1e-12)
         assert res.error_estimate == pytest.approx(
-            values.std(ddof=1) / math.sqrt(n) * MIXED_VOLUME, rel=1e-12)
+            values.std(ddof=1) / math.sqrt(n) * CUBE_VOLUME, rel=1e-12)
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot product splits its sum between threads: summing squares
@@ -338,7 +337,7 @@ class TestStreamedMC:
             "from stackvol.quadrature import integrate_mc\n"
             "f = lambda p: np.sin(p[:, 0]) * p[:, 1] + p[:, 2]\n"
             "for seed in range(12):\n"
-            f"    r = integrate_mc(f, {MIXED_BOUNDS}, 200_003, seed)\n"
+            f"    r = integrate_mc(f, *{CUBE}, 200_003, seed)\n"
             "    print(r.value.hex(), r.error_estimate.hex())\n")
         outputs = []
         for threads in ("1", "2"):
@@ -353,6 +352,10 @@ class TestStreamedMC:
     @pytest.mark.parametrize("bad, message", [
         (lambda p: np.zeros(len(p) + 1), "one value per sample"),
         (lambda p: np.where(np.arange(len(p)) == len(p) - 1, np.nan, p[:, 0]), "non-finite"),
+        # a NaN anywhere in the chunk outranks an infinity
+        pytest.param(lambda p: np.select([np.arange(len(p)) == 0, np.arange(len(p)) == len(p) - 1],
+                                         [-np.inf, np.nan], p[:, 0]),
+                     "non-finite", id="nan-and--inf"),
     ])
     def test_contract_holds_in_every_chunk(self, bad_call, bad, message):
         calls = []
@@ -362,24 +365,27 @@ class TestStreamedMC:
             return bad(points) if len(calls) - 1 == bad_call else points[:, 0]
 
         with pytest.raises(ValueError, match=message):
-            integrate_mc(f, MIXED_BOUNDS, MC_CHUNK + 10, seed=4)
+            integrate_mc(f, *CUBE, MC_CHUNK + 10, seed=4)
         assert len(calls) == bad_call + 1
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf])
-    def test_an_infinite_value_is_a_numerical_failure(self, value):
-        # an overflow exits 2 as in the chart rule; a NaN stays invalid input
-        def f(points):
-            return np.where(points[:, 0] < 0.5, value, 1.0)
-
-        with pytest.raises(NumericalFailure, match="overflowed"):
-            integrate_mc(f, [(0, 1)], 100, seed=0)
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda p: np.where(p[:, 0] < 0.5, math.inf, 1.0), id="inf"),
+        pytest.param(lambda p: np.where(p[:, 0] < 0.5, -math.inf, 1.0), id="-inf"),
+        pytest.param(lambda p: np.where(np.arange(len(p)) == len(p) - 1, -math.inf, -p[:, 0]),
+                     id="one--inf-among-negative-values"),
+    ])
+    def test_an_infinite_value_is_a_numerical_failure(self, f):
+        # an overflow exits 2 as in the chart rule; a NaN stays invalid input.
+        # The screen reads the largest |value|, so it names -inf as inf
+        with pytest.raises(NumericalFailure, match="overflowed to inf "):
+            integrate_mc(f, 0, 1, 1, 100, seed=0)
 
     @pytest.mark.parametrize("size", [1e200, 1e-300])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_error_estimate_survives_extreme_magnitudes(self, size):
         # squared deviations of 1e200 overflow and those of 1e-300 vanish
-        base = integrate_mc(lambda p: 1 + p[:, 0], [(0, 1)], 200_000, seed=3)
-        res = integrate_mc(lambda p: size * (1 + p[:, 0]), [(0, 1)], 200_000, seed=3)
+        base = integrate_mc(lambda p: 1 + p[:, 0], 0, 1, 1, 200_000, seed=3)
+        res = integrate_mc(lambda p: size * (1 + p[:, 0]), 0, 1, 1, 200_000, seed=3)
         assert res.value == pytest.approx(size * base.value, rel=1e-12, abs=0)
         assert res.error_estimate == pytest.approx(size * base.error_estimate, rel=1e-12, abs=0)
 
@@ -393,9 +399,9 @@ class TestStreamedMC:
             return (1 + points[:, 0]) * (1.0 if len(calls) == 1 else 1e200)
 
         n = 2 * MC_CHUNK
-        res = integrate_mc(f, [(0, 1)], n, seed=5)
+        res = integrate_mc(f, 0, 1, 1, n, seed=5)
         assert calls == [MC_CHUNK, MC_CHUNK]
-        scaled = 1 + _one_shot_uniform([(0, 1)], n, 5)[:, 0]
+        scaled = 1 + _one_shot_uniform(0, 1, 1, n, 5)[:, 0]
         scaled[:MC_CHUNK] *= 1e-200  # the values over 1e200, which square without overflow
         assert math.isfinite(res.error_estimate) and res.error_estimate > 0
         assert res.value == pytest.approx(1e200 * scaled.mean(), rel=1e-12, abs=0)
@@ -412,22 +418,22 @@ class TestStreamedMC:
             return (1 + points[:, 0]) * (0.0 if len(calls) == 2 else 1e-300)
 
         n = 3 * MC_CHUNK
-        res = integrate_mc(f, [(0, 1)], n, seed=6)
-        scaled = 1 + _one_shot_uniform([(0, 1)], n, 6)[:, 0]
+        res = integrate_mc(f, 0, 1, 1, n, seed=6)
+        scaled = 1 + _one_shot_uniform(0, 1, 1, n, 6)[:, 0]
         scaled[MC_CHUNK:2 * MC_CHUNK] = 0.0
         assert res.value == pytest.approx(1e-300 * scaled.mean(), rel=1e-12, abs=0)
         assert res.error_estimate == pytest.approx(
             1e-300 * scaled.std(ddof=1) / math.sqrt(n), rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("bounds", [
-        [(0, math.inf)], [(-math.inf, 1)], [(0, 1), (math.nan, 1)], [(1, math.nan)],
-        [(-1e308, 1e308)], [(0, 1e200)] * 2])
+    @pytest.mark.parametrize("bounds", [  # lo, hi, dim
+        (0, math.inf, 1), (-math.inf, 1, 1), (math.nan, 1, 2), (1, math.nan, 1),
+        (-1e308, 1e308, 1), (0, 1e200, 2)])
     def test_box_without_finite_volume_is_refused_before_sampling(self, bounds):
         def f(points):
             raise AssertionError("sampled")
 
         with pytest.raises(ValueError, match="box"):
-            integrate_mc(f, bounds, 10, seed=0)
+            integrate_mc(f, *bounds, 10, seed=0)
 
     def test_peak_memory_does_not_grow_with_samples(self):
         def f(points):
@@ -437,7 +443,7 @@ class TestStreamedMC:
         for n in (10 ** 5, 10 ** 6):
             tracemalloc.start()
             try:
-                integrate_mc(f, MIXED_BOUNDS, n, seed=3)
+                integrate_mc(f, *CUBE, n, seed=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -457,15 +463,15 @@ def test_streamed_statistics_match_one_shot(chunk, n, seed, ratio, scale):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MC_CHUNK", chunk)
-        res = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
-    values = [Fraction(v) for v in f(_one_shot_uniform(MIXED_BOUNDS, n, seed)).tolist()]
+        res = integrate_mc(f, *CUBE, n, seed=seed)
+    values = [Fraction(v) for v in f(_one_shot_uniform(*CUBE, n, seed)).tolist()]
     mean = sum(values) / n
     stderr = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1) / n)
     # a mean that nearly cancels is held to the size of the values
     size = float(max(map(abs, values)))
-    assert res.value == pytest.approx(float(mean) * MIXED_VOLUME, rel=1e-12,
-                                      abs=1e-12 * size * MIXED_VOLUME)
-    assert res.error_estimate == pytest.approx(stderr * MIXED_VOLUME, rel=1e-12)
+    assert res.value == pytest.approx(float(mean) * CUBE_VOLUME, rel=1e-12,
+                                      abs=1e-12 * size * CUBE_VOLUME)
+    assert res.error_estimate == pytest.approx(stderr * CUBE_VOLUME, rel=1e-12)
 
 
 def _unscaled_statistics(values, chunk, volume):
@@ -493,9 +499,9 @@ def test_rescaling_changes_no_output_bit(chunk, n, seed, ratio, scale):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MC_CHUNK", chunk)
-        res = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
-    values = f(_one_shot_uniform(MIXED_BOUNDS, n, seed))
-    assert (res.value, res.error_estimate) == _unscaled_statistics(values, chunk, MIXED_VOLUME)
+        res = integrate_mc(f, *CUBE, n, seed=seed)
+    values = f(_one_shot_uniform(*CUBE, n, seed))
+    assert (res.value, res.error_estimate) == _unscaled_statistics(values, chunk, CUBE_VOLUME)
 
 
 @settings(max_examples=40, deadline=2000)
@@ -509,8 +515,8 @@ def test_power_of_two_scales_every_output_bit(chunk, n, seed, exponent):
     factor = math.ldexp(1.0, exponent)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "MC_CHUNK", chunk)
-        base = integrate_mc(f, MIXED_BOUNDS, n, seed=seed)
-        res = integrate_mc(lambda p: factor * f(p), MIXED_BOUNDS, n, seed=seed)
+        base = integrate_mc(f, *CUBE, n, seed=seed)
+        res = integrate_mc(lambda p: factor * f(p), *CUBE, n, seed=seed)
     assert res.value == factor * base.value
     assert res.error_estimate == factor * base.error_estimate
 
@@ -519,8 +525,8 @@ def test_power_of_two_scales_every_output_bit(chunk, n, seed, exponent):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_mc_reproducible_for_any_seed(seed):
     f = lambda pts: pts[:, 0] * pts[:, 1] + pts[:, 2]
-    a = integrate_mc(f, [(0, 1)] * 3, 500, seed=seed)
-    b = integrate_mc(f, [(0, 1)] * 3, 500, seed=seed)
+    a = integrate_mc(f, 0, 1, 3, 500, seed=seed)
+    b = integrate_mc(f, 0, 1, 3, 500, seed=seed)
     assert a.value == b.value
 
 

@@ -16,7 +16,9 @@ from stackvol.errors import DegenerateWeightError, NumericalFailure
 from stackvol.finite import WeightData, action_groupoid, fiber_volume, orbits
 from stackvol.groups import FiniteGroup, group_zoo
 from stackvol.quadrature import MAX_EVALUATIONS, NonConvergenceError, integrate_1d
+import stackvol.smooth as smooth_module
 from stackvol.smooth import (
+    HAAR_TOL,
     TWO_PI,
     BoxChart,
     GroupModel,
@@ -84,13 +86,6 @@ class TestGroupModels:
 
     def test_scale_multiplies(self):
         assert GroupModel("circle", haar_scale=0.5).volume == pytest.approx(math.pi)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_integrate_refuses_tol_not_positive_and_finite(self, tol):
-        calls = []
-        with pytest.raises(ValueError, match="positive and finite"):
-            GroupModel("circle").integrate(lambda h: calls.append(h) or 1.0, tol=tol)
-        assert calls == []
 
     @pytest.mark.parametrize("fn, largest", [
         (lambda h: 1e308, "1e+308 at 0.0"),
@@ -164,11 +159,13 @@ class TestGroupModels:
         _, evals = gm.integrate(counted)
         assert evals == calls
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
-    def test_kinked_integrand_meets_tol_or_raises(self, tol):
+    @pytest.mark.parametrize("tol", [1e-4, HAAR_TOL])
+    def test_kinked_integrand_meets_tol_or_raises(self, monkeypatch, tol):
+        # the kink raises at HAAR_TOL; a looser setting keeps the converging branch tested
+        monkeypatch.setattr(smooth_module, "HAAR_TOL", tol)
         gm = GroupModel("circle")
         try:
-            value, _ = gm.integrate(lambda t: abs(math.sin(t)), tol=tol)
+            value, _ = gm.integrate(lambda t: abs(math.sin(t)))
         except NonConvergenceError as exc:
             assert exc.result.evaluations > 0
         else:
