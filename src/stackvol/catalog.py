@@ -11,12 +11,11 @@ check their input in the constructor.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import NumericalFailure, ValidationFailure
+from .errors import NumericalFailure, ValidationFailure, bounded_exponent
 from .smooth import ActionModel, BoxChart, GroupModel, OrbitChart
 
 TWO_PI = 2.0 * math.pi
@@ -288,24 +287,6 @@ CATALOG = {
 }
 
 
-# the decimal exponent of a string Fraction() accepts
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _bounded_fraction(raw) -> Fraction:
-    """Fraction(raw), refusing a decimal exponent past the integer-digit limit.
-
-    Fraction expands the exponent of a string into a power of ten, so an
-    unbounded one buys unbounded work from a short string.
-    """
-    match = isinstance(raw, str) and _EXPONENT.search(raw)
-    if match:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        if abs(int(match.group(1))) > limit:
-            raise ValueError(f"decimal exponent past the {limit}-digit integer limit")
-    return Fraction(raw)
-
-
 def build_model(name: str, **params):
     """Instantiate a catalog model, coercing each parameter to the type of its default."""
     try:
@@ -327,7 +308,7 @@ def build_model(name: str, **params):
                 if not math.isfinite(kwargs[key]):
                     raise ValueError("not a finite number")
             elif isinstance(default, Fraction):
-                kwargs[key] = _bounded_fraction(raw)
+                kwargs[key] = Fraction(bounded_exponent(raw))
             else:
                 kwargs[key] = raw
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,7 +1,9 @@
-"""Shared exception hierarchy and validation report types."""
+"""Shared exception hierarchy, validation report types and the bound on rational strings."""
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 
 
@@ -39,6 +41,24 @@ class SchemaError(StackVolError):
     """
 
 
+def bounded_exponent(raw):
+    """``raw`` for ``Fraction``, refusing a decimal exponent past the integer-digit limit.
+
+    Fraction expands the exponent of a string into a power of ten, so an
+    unbounded one buys unbounded work from a short string.  The model
+    parameters and both weight loaders pass strings through here.  It
+    returns ``raw``, not a Fraction, so that this module, which every
+    command loads, does not load ``fractions`` into ``weyl-check``.
+    """
+    # the decimal exponent of a string Fraction() accepts, compiled on first use
+    match = isinstance(raw, str) and re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", raw)
+    if match:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if abs(int(match.group(1))) > limit:
+            raise ValueError(f"decimal exponent past the {limit}-digit integer limit")
+    return raw
+
+
 # the violations a summary, or a --json failure, spells out
 SUMMARY_LIMIT = 5
 
@@ -74,9 +94,6 @@ class ValidationReport:
 
     def add(self, axiom: str, witness: tuple, detail: str = "") -> None:
         self.violations.append(Violation(axiom, witness, detail))
-
-    def axioms(self) -> set[str]:
-        return {v.axiom for v in self.violations}
 
     def summary(self) -> str:
         if self.ok:

@@ -23,7 +23,7 @@ from itertools import chain, product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .errors import DegenerateWeightError, ValidationFailure, ValidationReport
+from .errors import DegenerateWeightError, ValidationFailure, ValidationReport, bounded_exponent
 from .groups import FiniteGroup, finite_sets_cardinality, group_zoo
 
 
@@ -224,10 +224,6 @@ class FiniteGroupoid:
 # constructors
 
 
-def empty_groupoid() -> FiniteGroupoid:
-    return FiniteGroupoid((), {}, {}, {}, {})
-
-
 def _block_tables(pts, objs, group: FiniteGroup):
     """Keys, endpoints, identity and inverse positions of the block pts x pts x group.
 
@@ -291,11 +287,6 @@ def block_union(specs) -> FiniteGroupoid:
     return FiniteGroupoid(objects, None, None, None,
                           lambda a, b: (a[0], (a[1][0], b[1][1], mults[a[0]](a[1][2], b[1][2]))),
                           deferred=(tables, MappingProxyType(Counter(pairs)), sum(pairs.values())))
-
-
-def pair_groupoid(points) -> FiniteGroupoid:
-    """Exactly one arrow between any two objects."""
-    return block_groupoid(points, FiniteGroup.trivial())
 
 
 def classifying_groupoid(group: FiniteGroup) -> FiniteGroupoid:
@@ -577,7 +568,7 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, str)):
-        return Fraction(v)
+        return Fraction(bounded_exponent(v))
     raise TypeError(f"weights must be rational, got {type(v).__name__}")
 
 
@@ -654,7 +645,7 @@ def fiber_volume(g: FiniteGroupoid, w: WeightData) -> Fraction:
     return _fraction_sum(terms)
 
 
-def invariant_section(g: FiniteGroupoid, w: WeightData, dec: OrbitDecomposition | None = None) -> dict:
+def invariant_section(g: FiniteGroupoid, w: WeightData) -> dict:
     """The orbit-wise value of b/a; raises when the section is not constant.
 
     Inside an orbit, b/a is compared with its value at the representative,
@@ -663,11 +654,9 @@ def invariant_section(g: FiniteGroupoid, w: WeightData, dec: OrbitDecomposition 
     ordered by ``repr``, so that the error names the first one that differs.
     """
     _require_coverage(g, w)
-    if dec is None:
-        dec = orbits(g)
     a, b = w.a, w.b
     values = {}
-    for orb in dec:
+    for orb in orbits(g):
         rep = orb.representative
         a0, b0 = a[rep], b[rep]
         top, bottom = b0.numerator * a0.denominator, b0.denominator * a0.numerator
@@ -700,7 +689,7 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
     :func:`_fraction_sum`.
     """
     dec = orbits(g)
-    section = invariant_section(g, w, dec)
+    section = invariant_section(g, w)
     terms = []
     for rep in set(orbit_reps):
         orb = dec.by_representative.get(rep)
@@ -715,21 +704,23 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
 
 
 MAX_RANDOM_ARROWS = 150_000  # over ten times the 12,800 arrows of 40 points x order 8
+MAX_RANDOM_BLOCKS = 4
 
 
-def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6,
-                    max_blocks: int = 4) -> FiniteGroupoid:
+def random_groupoid(seed, max_objects: int = 8, max_group_order: int = 6) -> FiniteGroupoid:
     """Seed-deterministic :func:`block_union` of blocks ``(range(n), group)``.
 
-    Every isomorphism class of finite groupoid arises this way, and the
-    output always satisfies the axioms by construction.  A draw of more
-    than :data:`MAX_RANDOM_ARROWS` arrows raises ValueError at once.
+    It draws 1 to :data:`MAX_RANDOM_BLOCKS` blocks, and no more blocks
+    than ``max_objects``, which they share out evenly.  Every finite
+    groupoid is isomorphic to a union of blocks, and the output always
+    satisfies the axioms by construction.  A draw of more than
+    :data:`MAX_RANDOM_ARROWS` arrows raises ValueError at once.
     """
-    if max_objects < 1 or max_group_order < 1 or max_blocks < 1:
+    if max_objects < 1 or max_group_order < 1:
         raise ValueError("size bounds must be >= 1")
     rng = random.Random(seed)
     zoo = group_zoo(max_group_order)
-    n_blocks = rng.randint(1, max(1, min(max_blocks, max_objects)))
+    n_blocks = rng.randint(1, min(MAX_RANDOM_BLOCKS, max_objects))
     per_block = max(1, max_objects // n_blocks)
     sizes = [(rng.randint(1, per_block), rng.choice(zoo)) for _ in range(n_blocks)]
     if (arrows := sum(n * n * group.order for n, group in sizes)) > MAX_RANDOM_ARROWS:

@@ -110,10 +110,6 @@ class FiniteGroup:
         }
         return cls(f"{g.name}x{h.name}", els, table)
 
-    @classmethod
-    def trivial(cls) -> "FiniteGroup":
-        return cls.cyclic(1)
-
 
 def group_zoo(max_order: int) -> list[FiniteGroup]:
     """A spread of isomorphism types with order bounded by ``max_order``."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-from .errors import SchemaError
+from .errors import SchemaError, bounded_exponent
 from .finite import FiniteGroupoid, WeightData
 
 _COMPOSE_DUMP_CAP = 2_000_000
@@ -189,7 +189,7 @@ def _parse_weight(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return Fraction(bounded_exponent(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: not a rational: {value!r} ({exc})") from None
     raise SchemaError(

@@ -69,6 +69,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 
 from .errors import ValidationFailure, ValidationReport
 from .finite import (
@@ -400,8 +401,8 @@ class MoritaVolumeReport(namedtuple("MoritaVolumeReport", "equal volume_left vol
 
 def _object_section(g: FiniteGroupoid, w: WeightData) -> dict:
     """b/a at every object, read from its orbit's value in :func:`invariant_section`."""
+    values = invariant_section(g, w)
     dec = orbits(g)
-    values = invariant_section(g, w, dec)
     return {x: values[dec.find(x).representative] for x in g.objects}
 
 
@@ -428,66 +429,41 @@ def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,
 
 
 # ---------------------------------------------------------------------------
-# canonical bibundles
+# generators
 
 
-def _write_block_actions(tables, pts1, pts2, group, tag):
-    """Add the canonical block bibundle to ``tables``.
-
-    ``tables`` holds the elements list, both anchor dicts and both action
-    dicts.  Every id z is written as ``tag(z)``, so that the blocks of a
-    union get the tags of :func:`finite.block_union` in the same pass.
-    """
-    elements, left_anchor, right_anchor, left, right = tables
-    els, mult = group.elements, group.mult
-    for x in pts1:
-        for y in pts2:
-            for gam in els:
-                b = tag((x, y, gam))
-                elements.append(b)
-                left_anchor[b], right_anchor[b] = tag(x), tag(y)
-                for x2 in pts1:
-                    for g in els:
-                        left[(tag((x2, x, g)), b)] = tag((x2, y, mult(g, gam)))
-                for y2 in pts2:
-                    for h in els:
-                        right[(b, tag((y, y2, h)))] = tag((x, y2, mult(gam, h)))
-
-
-def block_bibundle(points1, points2, group) -> Bibundle:
-    """Canonical equivalence between two blocks sharing the same group.
-
-    Elements are (x, y, gamma); the left block acts through its pair part
-    and group part on the left, the right block symmetrically:
-    (x2, x, g)·(x, y, gamma) = (x2, y, g gamma) and
-    (x, y, gamma)·(y, y2, h) = (x, y2, gamma h).  Matches the arrow layout
-    of :func:`stackvol.finite.block_groupoid`.
-    """
-    tables = [], {}, {}, {}, {}
-    _write_block_actions(tables, tuple(points1), tuple(points2), group, lambda z: z)
-    return Bibundle(*tables)
-
-
-def random_morita_triple(seed, max_blocks: int = 2, max_points: int = 3,
-                         max_group_order: int = 4):
+def random_morita_triple(seed):
     """A seed-deterministic Morita-equivalent pair with its bibundle.
 
-    Both groupoids are :func:`finite.block_union` of blocks over the same
-    groups but with independently chosen point counts.  The bibundle is the
-    union of the canonical block bibundles, its ids tagged (i, .) by block
-    like the groupoids'.  Returns (g1, g2, bibundle).
+    Both groupoids are :func:`finite.block_union` of one or two blocks over
+    the same groups, of order at most 4, but with independently chosen
+    point counts from 1 to 3.  The bibundle is the union of the canonical
+    block bibundles, its ids tagged (i, .) by block like the groupoids'.
+    Over a block with group G its elements are the (x, y, gamma), acted on
+    by (x2, x, g)·(x, y, gamma) = (x2, y, g gamma) on the left and
+    (x, y, gamma)·(y, y2, h) = (x, y2, gamma h) on the right, the arrow
+    layout of :func:`finite.block_groupoid`.  Returns (g1, g2, bibundle).
     """
     rng = random.Random(seed)
-    zoo = group_zoo(max_group_order)
-    specs1, specs2, tables = [], [], ([], {}, {}, {}, {})
-    for i in range(rng.randint(1, max_blocks)):
+    zoo = group_zoo(4)
+    specs1, specs2 = [], []
+    elements, left_anchor, right_anchor, left, right = [], {}, {}, {}, {}
+    for i in range(rng.randint(1, 2)):
         group = rng.choice(zoo)
-        n = rng.randint(1, max_points)
-        m = rng.randint(1, max_points)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
         specs1.append((range(n), group))
         specs2.append((range(m), group))
-        _write_block_actions(tables, range(n), range(m), group, lambda z, i=i: (i, z))
-    return block_union(specs1), block_union(specs2), Bibundle(*tables)
+        els, mult = group.elements, group.mult
+        for x, y, gam in product(range(n), range(m), els):
+            b = (i, (x, y, gam))
+            elements.append(b)
+            left_anchor[b], right_anchor[b] = (i, x), (i, y)
+            for x2, g in product(range(n), els):
+                left[((i, (x2, x, g)), b)] = (i, (x2, y, mult(g, gam)))
+            for y2, h in product(range(m), els):
+                right[(b, (i, (y, y2, h)))] = (i, (x, y2, mult(gam, h)))
+    bib = Bibundle(elements, left_anchor, right_anchor, left, right)
+    return block_union(specs1), block_union(specs2), bib
 
 
 def random_morita_weights(g1, g2, bib, seed):

@@ -1,7 +1,7 @@
 """Numerical stack volumes for transformation-groupoid models.
 
 A model packages a compact group (finitely many components times
-circle angles, with scaled Haar measure), a coordinate chart for the
+circle angles, with Haar measure), a coordinate chart for the
 space acted on, the action in those coordinates, and a pair of
 densities: ``a_density`` along the group directions and ``b_density``
 on the chart.  The stack volume integrates b against the reciprocal of
@@ -58,8 +58,7 @@ class GroupModel:
     "finite" is the table's elements with rank 0, "circle" one component
     with rank 1, and "o2" the components (0, 1), 1 for reflections, with
     rank 1.  ``element`` maps (component, angles) to what ``act``
-    receives: a table element, an angle or a pair (flag, angle).  The
-    scale multiplies the Haar measure of this parametrization.
+    receives: a table element, an angle or a pair (flag, angle).
     """
 
     ELEMENT_MAPS = {
@@ -68,13 +67,10 @@ class GroupModel:
         "o2": lambda c, angles: (c, angles[0]),
     }
 
-    def __init__(self, kind: str, haar_scale: float = 1.0, group=None):
+    def __init__(self, kind: str, group=None):
         if kind not in self.ELEMENT_MAPS:
             raise ValueError(f"unknown group kind {kind!r}")
-        if haar_scale <= 0:
-            raise ValueError("haar_scale must be positive")
         self.kind = kind
-        self.haar_scale = float(haar_scale)
         self.element = self.ELEMENT_MAPS[kind]
         self.components, self.rank = ((0, 1) if kind == "o2" else (0,)), 1
         if kind == "finite":
@@ -84,7 +80,7 @@ class GroupModel:
 
     @property
     def volume(self) -> float:
-        return self.haar_scale * len(self.components) * TWO_PI ** self.rank
+        return len(self.components) * TWO_PI ** self.rank
 
     def integrate(self, fn: Callable):
         """Haar integral of fn over the group; returns (value, evaluations).
@@ -132,7 +128,7 @@ class GroupModel:
                                       if prev is None or any(i % 2 for i in idx)])
             total += part
             size += part_size
-            weight = self.haar_scale * (TWO_PI / n) ** self.rank
+            weight = (TWO_PI / n) ** self.rank
             value = weight * total
             if self.rank == 0:
                 return value, evals
@@ -155,7 +151,7 @@ class GroupModel:
             n *= 2
 
     def __repr__(self):
-        return f"GroupModel({self.kind}, scale={self.haar_scale})"
+        return f"GroupModel({self.kind})"
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +246,20 @@ def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     """Volume of the quotient stack: integral of b over the reciprocal fibers.
 
     A fiber counts as vanishing when it is negligible against the fiber
-    a constant a = a(p) would give, so rescaling the Haar measure or the
-    densities never changes whether a model is degenerate.  Haar measure is invariant, so the
-    fiber integral is constant along each orbit: on a box chart with an
-    orbit chart and a non-constant a, each value of the orbit parameter
-    gets one fiber rule, whose integral serves every node with that
-    parameter.  This requires each level set of the orbit chart's
-    ``param_axis`` to be a single orbit.  The evaluations count the
+    a constant a = a(p) would give, so rescaling the densities never
+    changes whether a model is degenerate.  Haar measure is invariant, so
+    the fiber integral is constant along each orbit: on a box chart with
+    an orbit chart, each value of the orbit parameter gets one fiber
+    integral, which serves every node with that parameter.  This requires
+    each level set of the orbit chart's ``param_axis`` to be a single
+    orbit.  The evaluations count the
     integrand calls plus the evaluations of every fiber rule run, and the
     chart rule charges both to one budget, ``quadrature.MAX_EVALUATIONS``:
     past it the rule raises NonConvergenceError, whose partial result
     counts both as well.
     """
     # orbit parameter -> fiber integral, for this call only
-    fibers = ({} if am.orbit_chart is not None and not am.a_constant
-              and not isinstance(am.chart, PointChart) else None)
+    fibers = {} if am.orbit_chart is not None and not isinstance(am.chart, PointChart) else None
 
     def fiber(p):
         if fibers is not None:
@@ -294,27 +289,22 @@ def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
     return integrate_box(counter, am.chart.bounds, tol=tol)
 
 
-def homogeneous_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
-    """Total b mass divided by the group volume, for constant a.
+def homogeneous_volume(am: ActionModel) -> QuadratureResult:
+    """Total b mass divided by the group volume, for constant a on a box chart.
 
     Valid when the action is transitive with trivial isotropy up to a
     group of measure zero, where the stack volume collapses to the ratio
-    of total volumes.
+    of total volumes.  The b mass is integrated to tolerance 1e-6.
     """
     if not am.a_constant:
         raise ValueError("homogeneous_volume requires a constant a_density")
-    point_chart = isinstance(am.chart, PointChart)
-    a0 = float(am.a_density(am.chart.points[0] if point_chart
-                            else tuple(lo for lo, _ in am.chart.bounds)))
+    if not isinstance(am.chart, BoxChart):
+        raise ValueError("homogeneous_volume takes a box chart only")
+    a0 = float(am.a_density(tuple(lo for lo, _ in am.chart.bounds)))
     if a0 == 0.0:
         raise DegenerateWeightError("group volume weighted by a vanishes")
     denom = a0 * am.group.volume
-
-    if point_chart:
-        total = left_sum(float(am.b_density(p)) for p in am.chart.points)
-        res = QuadratureResult(total, 0.0, len(am.chart.points))
-    else:
-        res = integrate_box(lambda *p: float(am.b_density(p)), am.chart.bounds, tol=tol)
+    res = integrate_box(lambda *p: float(am.b_density(p)), am.chart.bounds, tol=1e-6)
     if not math.isfinite(value := res.value / denom):
         refuse_non_finite(value, "in the b mass over the group volume")
     return QuadratureResult(value, res.error_estimate / abs(denom), res.evaluations)
@@ -343,8 +333,7 @@ def pushforward_density(am: ActionModel, t: float) -> float:
 # finite bridge
 
 
-def finite_action_model(group, points, act, a, b, haar_scale: float = 1.0,
-                        name: str = "finite-action") -> ActionModel:
+def finite_action_model(group, points, act, a, b) -> ActionModel:
     """Wrap a finite group action as a smooth-engine model.
 
     ``a`` and ``b`` map points to weights (rationals welcome); they are
@@ -354,11 +343,10 @@ def finite_action_model(group, points, act, a, b, haar_scale: float = 1.0,
     pts = tuple(points)
     a_map = {p: float(a[p]) for p in pts}
     b_map = {p: float(b[p]) for p in pts}
-    gm = GroupModel("finite", haar_scale=haar_scale, group=group)
     values = set(a_map.values())
     return ActionModel(
-        name=name,
-        group=gm,
+        name="finite-action",
+        group=GroupModel("finite", group=group),
         chart=PointChart(pts),
         act=act,
         a_density=lambda p: a_map[p],

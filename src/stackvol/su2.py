@@ -124,7 +124,7 @@ def su2_cartan() -> CartanData:
 OrbitDensity = namedtuple("OrbitDensity", "value on_wall")
 
 
-def adjoint_orbit_density(t: float, cartan: CartanData = None) -> OrbitDensity:
+def adjoint_orbit_density(t: float, cartan: CartanData) -> OrbitDensity:
     """Density of orbit volumes at chamber parameter t, lattice-normalized.
 
     The parameter measures the chamber in units of the lattice basis
@@ -133,8 +133,6 @@ def adjoint_orbit_density(t: float, cartan: CartanData = None) -> OrbitDensity:
     """
     if t < 0:
         raise ValueError("chamber parameter must be nonnegative")
-    if cartan is None:
-        cartan = su2_cartan()
     factor = t * cartan.sigma
     return OrbitDensity(factor * factor, factor == 0.0)
 

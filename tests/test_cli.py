@@ -28,7 +28,6 @@ from stackvol.finite import (
     block_groupoid,
     block_union,
     finite_sets_cardinality,
-    pair_groupoid,
     random_groupoid,
     random_invariant_weights,
     unit_weights,
@@ -36,12 +35,12 @@ from stackvol.finite import (
 )
 from stackvol.groups import FiniteGroup
 from stackvol.morita import (
-    block_bibundle,
     random_morita_triple,
     random_morita_weights,
     validate_bibundle,
 )
-from test_morita import identity_bibundle
+from test_finite import random_block_specs
+from test_morita import block_bibundle, identity_bibundle, random_triple_parts
 
 ONE_OBJECT_ORDER_TWO = {
     "objects": ["pt"],
@@ -143,7 +142,7 @@ class TestFiniteCommands:
         assert (code, out, err) == (1, "", "error: no orbit representatives given\n")
 
     def test_non_invariant_section_exits_one(self, capsys, tmp_path):
-        g = pair_groupoid(["u", "v"])
+        g = block_groupoid(["u", "v"], FiniteGroup.cyclic(1))
         gpath = tmp_path / "pair.json"
         jsonio.dump_groupoid(g, gpath)
         # dumps rename the tuple arrow ids, relabeling objects o0, o1
@@ -837,6 +836,30 @@ class TestErrorPaths:
         assert code == 3
         assert "rational" in err
 
+    @pytest.mark.parametrize("value", ["1e100000000", "1E-100000000"])
+    def test_a_weight_with_a_huge_exponent_is_refused_at_once(self, capsys, tmp_path, value):
+        # Fraction would expand the exponent into a power of ten of 1e8 digits
+        gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
+        run(capsys, ["finite", "generate", "--seed", "1", "-o", str(gpath),
+                     "--weights-out", str(wpath)])
+        weights = json.loads(wpath.read_text())
+        weights["b"][min(weights["b"])] = value
+        wpath.write_text(json.dumps(weights))
+        paths = morita_fixture(tmp_path)
+        right = json.loads(paths["w2"].read_text())
+        right["a"][min(right["a"])] = value
+        paths["w2"].write_text(json.dumps(right))
+        for argv in (["finite", "volume", "--groupoid", str(gpath), "--weights", str(wpath)],
+                     ["morita", "check", "--left", str(paths["left"]),
+                      "--right", str(paths["right"]), "--bibundle", str(paths["bib"]),
+                      "--left-weights", str(paths["w1"]), "--right-weights", str(paths["w2"])]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and "exponent" in err
+
 
 def test_cli_import_loads_no_scipy():
     proc = subprocess.run(
@@ -1068,8 +1091,7 @@ def _mutate(draw, docs, kinds, targets=()):
 @st.composite
 def _mutated_documents(draw):
     """A generated groupoid and matching weights, with 1 to 3 mutations."""
-    g = random_groupoid(draw(st.integers(0, 10_000)), max_objects=3, max_group_order=3,
-                        max_blocks=2)
+    g = block_union(random_block_specs(draw(st.integers(0, 10_000)), 3, 3, max_blocks=2))
     docs = {"groupoid": jsonio.groupoid_to_dict(g),
             "weights": jsonio.weights_to_dict(random_invariant_weights(g, 1),
                                               jsonio._renaming(g)[0])}
@@ -1079,8 +1101,9 @@ def _mutated_documents(draw):
 @st.composite
 def _mutated_morita_documents(draw):
     """A generated Morita triple and corresponding weights, with 1 to 3 mutations."""
-    g1, g2, bib = random_morita_triple(draw(st.integers(0, 10_000)), max_points=2,
-                                       max_group_order=3)
+    specs1, specs2, bib = random_triple_parts(draw(st.integers(0, 10_000)), max_points=2,
+                                              max_group_order=3)
+    g1, g2 = block_union(specs1), block_union(specs2)
     w1, w2 = random_morita_weights(g1, g2, bib, 1)
     docs = {"left": jsonio.groupoid_to_dict(g1), "right": jsonio.groupoid_to_dict(g2),
             "bibundle": jsonio.bibundle_to_dict(g1, g2, bib),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,6 @@ from stackvol.finite import (
     classifying_groupoid,
     fiber_volume,
     orbits,
-    pair_groupoid,
     random_invariant_weights,
     unit_weights,
     validate,
@@ -37,7 +37,6 @@ from stackvol.morita import (
     InvalidBibundleError,
     NotFullError,
     SectionMismatchError,
-    block_bibundle,
     extend_invariant_section,
     left_object_ids,
     linking_groupoid,
@@ -49,7 +48,7 @@ from stackvol.morita import (
     validate_bibundle,
 )
 
-from test_finite import disjoint_union  # the reference union of separately built parts
+from test_finite import axioms_of, disjoint_union  # disjoint_union: the reference union of parts
 
 # frozen oracles:
 #   one-object groupoid with order-2 symmetry, equivalent to itself through
@@ -79,6 +78,23 @@ def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
                   for y in g.objects for p in g.arrows_into(y) for q in g.arrows_from(y)}
     return Bibundle(elements, {a: g.l(a) for a in elements}, {a: g.r(a) for a in elements},
                     composites, composites)
+
+
+def block_bibundle(points1, points2, group) -> Bibundle:
+    """The canonical equivalence between two blocks over one group.
+
+    Elements are (x, y, gamma), acted on by (x2, x, g)·(x, y, gamma) =
+    (x2, y, g gamma) and (x, y, gamma)·(y, y2, h) = (x, y2, gamma h), in
+    the arrow layout of block_groupoid.
+    """
+    pts1, pts2, els, mult = tuple(points1), tuple(points2), group.elements, group.mult
+    elements = list(product(pts1, pts2, els))
+    left = {((x2, x, g), (x, y, gam)): (x2, y, mult(g, gam))
+            for x, y, gam in elements for x2 in pts1 for g in els}
+    right = {((x, y, gam), (y, y2, h)): (x, y2, mult(gam, h))
+             for x, y, gam in elements for y2 in pts2 for h in els}
+    return Bibundle(elements, {b: b[0] for b in elements}, {b: b[1] for b in elements},
+                    left, right)
 
 
 def _arrow(k):
@@ -138,7 +154,7 @@ class TestValidateBibundle:
         wide = block_groupoid(("pt", "qt"), FiniteGroup.cyclic(2))
         report = validate_bibundle(g1, wide, bib)
         assert not report.ok
-        assert "anchor not surjective" in report.axioms()
+        assert "anchor not surjective" in axioms_of(report)
 
     def test_spurious_table_entry_flagged(self):
         g1, g2, _ = z2_self_equivalence()
@@ -148,14 +164,14 @@ class TestValidateBibundle:
         bib = Bibundle((0, 1), {0: "pt", 1: "pt"}, {0: "pt", 1: "pt"}, left, right)
         report = validate_bibundle(g1, g2, bib)
         assert not report.ok
-        assert "left action domain" in report.axioms()
+        assert "left action domain" in axioms_of(report)
 
     def test_anchor_outside_objects_flagged(self):
         g1, g2, _ = z2_self_equivalence()
         bib = Bibundle((0,), {0: "elsewhere"}, {0: "pt"}, {}, {})
         report = validate_bibundle(g1, g2, bib)
         assert not report.ok
-        assert "anchor range" in report.axioms()
+        assert "anchor range" in axioms_of(report)
 
     def test_refused_factor_composite_is_a_violation(self):
         g, _, bib = z2_self_equivalence()
@@ -214,9 +230,9 @@ class TestLinkingGroupoid:
         assert report.ok, report.summary()
 
     def test_point_presentation_linking(self):
-        g1 = pair_groupoid([1, 2])
-        g2 = classifying_groupoid(FiniteGroup.trivial())
-        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.trivial())
+        g1 = block_groupoid([1, 2], FiniteGroup.cyclic(1))
+        g2 = classifying_groupoid(FiniteGroup.cyclic(1))
+        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.cyclic(1))
         link = linking_groupoid(g1, g2, bib)
         assert len(link.objects) == 3
         assert link.arrow_count == 9
@@ -252,7 +268,7 @@ class TestLinkingGroupoid:
 
     def test_restriction_to_left_factor_is_isomorphic(self):
         g = disjoint_union(classifying_groupoid(FiniteGroup.cyclic(2)),
-                           pair_groupoid([1, 2]))
+                           block_groupoid([1, 2], FiniteGroup.cyclic(1)))
         bib = identity_bibundle(g)
         assert validate_bibundle(g, g, bib).ok
         link = linking_groupoid(g, g, bib)
@@ -269,7 +285,7 @@ class TestLinkingGroupoid:
 
 class TestSectionTransfer:
     def test_extension_from_one_point_per_orbit(self):
-        g = pair_groupoid([1, 2, 3])
+        g = block_groupoid([1, 2, 3], FiniteGroup.cyclic(1))
         section = extend_invariant_section(g, [2], {2: Fraction(5)})
         assert section == {1: Fraction(5), 2: Fraction(5), 3: Fraction(5)}
 
@@ -280,7 +296,7 @@ class TestSectionTransfer:
             extend_invariant_section(g, [(0, "pt")], {(0, "pt"): Fraction(1)})
 
     def test_inconsistent_partial_section_rejected(self):
-        g = pair_groupoid([1, 2])
+        g = block_groupoid([1, 2], FiniteGroup.cyclic(1))
         with pytest.raises(InconsistentSectionError):
             extend_invariant_section(g, [1, 2], {1: Fraction(1), 2: Fraction(2)})
 
@@ -290,7 +306,7 @@ class TestSectionTransfer:
         assert out == {"pt": Fraction(7, 3)}
 
     def test_transfer_multi_block(self):
-        g1, g2, bib = random_morita_triple(42, max_blocks=2, max_points=3)
+        g1, g2, bib = random_morita_triple(42)
         section = {}
         for i, val in enumerate((Fraction(2), Fraction(5, 2), Fraction(9))):
             section.update({x: val for x in g1.objects if x[0] == i})
@@ -302,9 +318,9 @@ class TestSectionTransfer:
             assert val == section[sample]
 
     def test_non_invariant_input_section_rejected(self):
-        g1 = pair_groupoid([1, 2])
-        g2 = classifying_groupoid(FiniteGroup.trivial())
-        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.trivial())
+        g1 = block_groupoid([1, 2], FiniteGroup.cyclic(1))
+        g2 = classifying_groupoid(FiniteGroup.cyclic(1))
+        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.cyclic(1))
         with pytest.raises(InconsistentSectionError):
             transfer_section(g1, g2, bib, {1: Fraction(1), 2: Fraction(2)})
 
@@ -325,9 +341,9 @@ def test_transfer_refuses_exactly_the_sections_not_constant_on_orbits(seed, data
 
 class TestMoritaVolume:
     def test_point_presentation_frozen_volume(self):
-        g1 = pair_groupoid([1, 2])
-        g2 = classifying_groupoid(FiniteGroup.trivial())
-        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.trivial())
+        g1 = block_groupoid([1, 2], FiniteGroup.cyclic(1))
+        g2 = classifying_groupoid(FiniteGroup.cyclic(1))
+        bib = block_bibundle([1, 2], ["pt"], FiniteGroup.cyclic(1))
         w1 = WeightData({1: 1, 2: 1}, {1: 3, 2: 3})
         w2 = WeightData({"pt": 1}, {"pt": 3})
         report = morita_volume_check(g1, g2, bib, w1, w2)
@@ -475,19 +491,29 @@ def test_retargeting_one_action_entry_is_refused(group, n, m, data):
         linking_groupoid(g1, g2, mutated)
 
 
-def _union_of_blocks_triple(seed, max_blocks=2, max_points=3, max_group_order=4):
-    """random_morita_triple's groupoids as disjoint unions of separately built
-    blocks, drawing from the generator in the same order."""
+def random_triple_parts(seed, max_points=3, max_group_order=4):
+    """The block specs of both sides of random_morita_triple(seed), and its
+    bibundle as the union of block bibundles with ids tagged (i, .) by block,
+    drawn in the same order; the bounds replace its fixed 3 and 4."""
     rng = random.Random(seed)
     zoo = group_zoo(max_group_order)
-    blocks1, blocks2 = [], []
-    for _ in range(rng.randint(1, max_blocks)):
+    specs1, specs2, bibs = [], [], []
+    for _ in range(rng.randint(1, 2)):
         group = rng.choice(zoo)
         n = rng.randint(1, max_points)
         m = rng.randint(1, max_points)
-        blocks1.append(block_groupoid(range(n), group))
-        blocks2.append(block_groupoid(range(m), group))
-    return disjoint_union(*blocks1), disjoint_union(*blocks2)
+        specs1.append((range(n), group))
+        specs2.append((range(m), group))
+        bibs.append(block_bibundle(range(n), range(m), group))
+    tagged = list(enumerate(bibs))
+    bib = Bibundle([(i, b) for i, part in tagged for b in part.elements],
+                   {(i, b): (i, x) for i, part in tagged for b, x in part.left_anchor.items()},
+                   {(i, b): (i, y) for i, part in tagged for b, y in part.right_anchor.items()},
+                   {((i, g), (i, b)): (i, c)
+                    for i, part in tagged for (g, b), c in part.left_action.items()},
+                   {((i, b), (i, h)): (i, c)
+                    for i, part in tagged for (b, h), c in part.right_action.items()})
+    return specs1, specs2, bib
 
 
 def _ordered_tables(g):
@@ -496,13 +522,21 @@ def _ordered_tables(g):
             [(a, b, g.compose(a, b)) for a in g.arrow_ids for b in g.arrows_from(g.r(a))])
 
 
-@pytest.mark.parametrize("bounds", [(2, 3, 4), (3, 2, 8)])
-def test_random_triple_sides_are_unions_of_blocks(bounds):
-    for seed in range(50):
-        g1, g2, bib = random_morita_triple(seed, *bounds)
-        ref1, ref2 = _union_of_blocks_triple(seed, *bounds)
+def _ordered_bibundle(bib):
+    return (bib.elements, list(bib.left_anchor.items()), list(bib.right_anchor.items()),
+            list(bib.left_action.items()), list(bib.right_action.items()))
+
+
+def test_random_triple_sides_are_unions_of_blocks():
+    for seed in range(100):
+        g1, g2, bib = random_morita_triple(seed)
+        specs1, specs2, ref_bib = random_triple_parts(seed)
+        # disjoint unions of separately built blocks
+        ref1 = disjoint_union(*(block_groupoid(*spec) for spec in specs1))
+        ref2 = disjoint_union(*(block_groupoid(*spec) for spec in specs2))
         assert _ordered_tables(g1) == _ordered_tables(ref1)
         assert _ordered_tables(g2) == _ordered_tables(ref2)
+        assert _ordered_bibundle(bib) == _ordered_bibundle(ref_bib)
         # the bibundle's tags name objects of both sides
         assert set(bib.left_anchor.values()) == set(g1.objects)
         assert set(bib.right_anchor.values()) == set(g2.objects)
@@ -603,7 +637,7 @@ def _agreeing_report(g1, g2, bib):
     report = validate_bibundle(g1, g2, bib)
     link = morita_module._checked_link(g1, g2, bib)[1]
     if link is None:  # an anchor leaves its groupoid, and no link is built
-        assert report.axioms() == {"anchor range"}
+        assert axioms_of(report) == {"anchor range"}
     else:
         own = [v for v in report.violations if v.axiom in _BIBUNDLE_AXIOMS]
         assert report.violations == own + _check_axioms(link).violations
@@ -614,7 +648,7 @@ def _agreeing_report(g1, g2, bib):
 def test_an_action_that_is_not_transitive_is_refused(trivial_side):
     # Z2 acts on itself from one side, the trivial group from the other: both
     # actions are total, free and lawful, but the trivial one cannot move 0 to 1
-    one = classifying_groupoid(FiniteGroup.trivial())
+    one = classifying_groupoid(FiniteGroup.cyclic(1))
     g1, g2, bib = z2_self_equivalence()
     fixed = {0: 0, 1: 1}
     if trivial_side == "left":

@@ -1,7 +1,11 @@
-"""The package namespace: it holds no aliases, and which imports and commands load what."""
+"""The package namespace: it holds no aliases, every public name has a caller
+outside the tests, and which imports and commands load what."""
 
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,36 @@ def test_the_package_holds_no_aliases():
 
     assert smooth.stack_volume.__module__ == "stackvol.smooth"
     assert (finite.__name__, su2.__name__) == ("stackvol.finite", "stackvol.su2")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # the package, the acceptance gate, README and the benchmark, whose tracer
+    # names the functions it wraps in strings
+    package = sorted((ROOT / "src" / "stackvol").glob("*.py"))
+    texts = {path: path.read_text() for path in [
+        *package, ROOT / "tests" / "test_acceptance.py", ROOT / "README.md",
+        *sorted((ROOT / "perfbench").glob("*.py"))]}
+    unused = []
+    for path in package:
+        lines = texts[path].splitlines()
+        for node in ast.parse(texts[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defs = [(node.name, node, rf"\b{node.name}\b")]
+            if isinstance(node, ast.ClassDef):  # a method is used as an attribute
+                defs += [(f"{node.name}.{item.name}", item, rf"\.{item.name}\b")
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name[0] != "_"]
+            for name, item, pattern in defs:
+                start = min(d.lineno for d in [item, *item.decorator_list]) - 1
+                rest = "\n".join(lines[:start] + lines[item.end_lineno:])
+                if not any(re.search(pattern, text) for text in
+                           [rest, *(t for p, t in texts.items() if p != path)]):
+                    unused.append(f"{path.stem}.{name}")
+    assert not unused, f"public names that only tests use: {', '.join(unused)}"
 
 
 @pytest.mark.parametrize("module, loads_numpy", [

@@ -84,9 +84,6 @@ class TestGroupModels:
         s3 = GroupModel("finite", group=FiniteGroup.symmetric(3))
         assert s3.volume == 6.0
 
-    def test_scale_multiplies(self):
-        assert GroupModel("circle", haar_scale=0.5).volume == pytest.approx(math.pi)
-
     @pytest.mark.parametrize("fn, largest", [
         (lambda h: 1e308, "1e+308 at 0.0"),
         (lambda h: -math.inf if h > 3.0 else 1.0, "-inf at 3.14159"),  # node pi, of 16
@@ -104,8 +101,6 @@ class TestGroupModels:
         for kind in ("quaternionic", "su2", "torus"):
             with pytest.raises(ValueError):
                 GroupModel(kind)
-        with pytest.raises(ValueError):
-            GroupModel("circle", haar_scale=0.0)
         with pytest.raises(ValueError):
             GroupModel("finite")
 
@@ -137,9 +132,6 @@ class TestGroupModels:
         assert value == pytest.approx(POLE_INTEGRAL, rel=1e-9)
         assert base > 2 * 16  # the first two grids do not settle this integrand
         for scale in (1e-13, 1.0, 1e13):
-            value, evals = GroupModel("circle", haar_scale=scale).integrate(f)
-            assert evals == base
-            assert value == pytest.approx(scale * POLE_INTEGRAL, rel=1e-9)
             _, evals = GroupModel("circle").integrate(lambda t: scale * f(t))
             assert evals == base
 
@@ -421,26 +413,25 @@ class TestStackVolume:
 
     @pytest.mark.parametrize("scale", [1e-13, 1e13])
     def test_haar_rescale_scales_volume_inversely(self, scale):
+        # a times s scales every fiber integral by s, as Haar measure times s would
         z3 = FiniteGroup.cyclic(3)
         weights = {0: 1, 1: 2, 2: 4}
 
-        def finite(haar_scale):
+        def finite(s):
             return finite_action_model(z3, range(3), lambda h, x: (x + h) % 3,
-                                       weights, weights, haar_scale=haar_scale)
+                                       {x: s * v for x, v in weights.items()}, weights)
 
         expect = stack_volume(finite(1.0)).value / scale
         assert stack_volume(finite(scale)).value == pytest.approx(expect, rel=1e-12)
-        disk = dataclasses.replace(plane_so2(R=2.0),
-                                   group=GroupModel("circle", haar_scale=scale))
+        disk = dataclasses.replace(plane_so2(R=2.0), a_density=lambda p: scale)
         assert stack_volume(disk).value == pytest.approx(2.0 / scale, rel=1e-6)
 
         # a vanishing on one orbit stays degenerate at every scale
         fixed = finite_action_model(z3, range(4), lambda h, x: (x + h) % 3 if x < 3 else x,
-                                    {0: 0, 1: 0, 2: 0, 3: 1}, {x: 1 for x in range(4)},
-                                    haar_scale=scale)
+                                    {0: 0, 1: 0, 2: 0, 3: scale}, {x: 1 for x in range(4)})
         with pytest.raises(DegenerateWeightError):
             stack_volume(fixed)
-        inner_zero = dataclasses.replace(disk, a_density=lambda p: float(p[0] > 1.0),
+        inner_zero = dataclasses.replace(disk, a_density=lambda p: scale * float(p[0] > 1.0),
                                          a_constant=False)
         with pytest.raises(DegenerateWeightError):
             stack_volume(inner_zero)
@@ -523,11 +514,13 @@ class TestHomogeneousVolume:
         assert abs(homog.value - stack.value) <= 1e-8
 
     def test_point_chart_ratio(self):
+        # on a point chart the ratio is the stack volume; homogeneous_volume takes boxes only
         z4 = FiniteGroup.cyclic(4)
         unit = {x: 1 for x in range(3)}
         am = finite_action_model(z4, range(3), lambda h, x: x, unit, unit)
-        res = homogeneous_volume(am)
-        assert res.value == pytest.approx(3 / 4)
+        with pytest.raises(ValueError, match="box chart"):
+            homogeneous_volume(am)
+        assert stack_volume(am).value == pytest.approx(3 / 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -543,32 +536,26 @@ class TestHomogeneousVolume:
         else:
             a = {p: data.draw(weight) for p in points}
         b = {p: data.draw(weight) for p in points}
-        scale = data.draw(st.sampled_from([1e-13, 1.0, 7.0, 1e13]))
         am = finite_action_model(FiniteGroup.cyclic(n), points,
-                                 lambda h, p: (p[0], (p[1] + h) % sizes[p[0]]),
-                                 a, b, haar_scale=scale)
-        try:
-            homog = homogeneous_volume(am).value
-        except ValueError:
-            assert not am.a_constant
-            return
-        assert homog == pytest.approx(stack_volume(am).value, rel=1e-12)
+                                 lambda h, p: (p[0], (p[1] + h) % sizes[p[0]]), a, b)
+        with pytest.raises(ValueError):
+            homogeneous_volume(am)  # a point chart
+        if am.a_constant:  # the stack volume is the total b mass over a times |G|
+            homog = sum(b.values()) / (a[points[0]] * n)
+            assert stack_volume(am).value == pytest.approx(homog, rel=1e-12)
 
-    @pytest.mark.parametrize("volume", [stack_volume, homogeneous_volume])
     @pytest.mark.parametrize("b, error", [(1e308, NumericalFailure), (math.nan, ValueError)])
-    def test_a_point_chart_sum_that_is_not_finite_is_refused(self, volume, b, error):
+    def test_a_point_chart_sum_that_is_not_finite_is_refused(self, b, error):
         # two finite terms of 1e308 overflow; a NaN term is invalid input
         am = finite_action_model(FiniteGroup.cyclic(1), [0, 1], lambda h, p: p,
                                  {0: 1, 1: 1}, {0: b, 1: b})
         with pytest.raises(error):
-            volume(am)
+            stack_volume(am)
 
     def test_point_chart_with_zero_a_is_degenerate(self):
         z2 = FiniteGroup.cyclic(2)
         am = finite_action_model(z2, [0, 1], lambda h, x: (x + h) % 2,
                                  {0: 0, 1: 0}, {0: 1, 1: 1})
-        with pytest.raises(DegenerateWeightError):
-            homogeneous_volume(am)
         with pytest.raises(DegenerateWeightError):
             stack_volume(am)
 
@@ -724,10 +711,10 @@ class TestFiniteBridge:
         unit = {x: 1 for x in range(3)}
         plain = finite_action_model(s3, range(3), lambda p, x: p[x], unit, unit)
         scaled = finite_action_model(s3, range(3), lambda p, x: p[x],
-                                     unit, unit, haar_scale=7.0)
+                                     {x: 7 for x in range(3)}, unit)
         v1 = stack_volume(plain).value
         v2 = stack_volume(scaled).value
-        # scaling Haar measure rescales fibers but b is per-point mass
+        # a times 7 rescales the fibers as Haar measure times 7 would, but b is per-point mass
         assert v2 == pytest.approx(v1 / 7.0)
 
 

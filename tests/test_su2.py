@@ -114,14 +114,14 @@ def test_chamber_parameters_match_numpy_norm_bit_for_bit(points):
 
 
 class TestOrbitDensity:
-    def test_wall_is_flagged(self):
-        d = adjoint_orbit_density(0.0)
+    def test_wall_is_flagged(self, cartan):
+        d = adjoint_orbit_density(0.0, cartan)
         assert d.on_wall
         assert d.value == 0.0
 
-    def test_negative_parameter_rejected(self):
+    def test_negative_parameter_rejected(self, cartan):
         with pytest.raises(ValueError):
-            adjoint_orbit_density(-0.1)
+            adjoint_orbit_density(-0.1, cartan)
 
     def test_value_is_squared_root(self, cartan):
         for t in (0.1, 0.5, 1.0):
