@@ -327,7 +327,12 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
 
 
 def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
-    """Full subgroupoid on the given objects (no fullness requirement here)."""
+    """Full subgroupoid on the given objects (no fullness requirement here).
+
+    A full subgroupoid of a groupoid is a groupoid, so when g's memoized
+    report is empty the subgroupoid's is memoized empty too, and
+    :func:`validate` never scans it; otherwise nothing is memoized.
+    """
     keep_set = set(keep)
     unknown = keep_set - set(g.objects)
     if unknown:
@@ -336,7 +341,10 @@ def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
     identity = {x: g.identity(x) for x in keep_set}
     inverse = {aid: g.inverse(aid) for aid in arrows}
     ordered = tuple(x for x in g.objects if x in keep_set)
-    return FiniteGroupoid(ordered, arrows, identity, inverse, g._product)
+    sub = FiniteGroupoid(ordered, arrows, identity, inverse, g._product)
+    if g._validation is not None and g._validation.ok:
+        sub._validation = ValidationReport()
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +369,10 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     after construction; each call returns a fresh copy of it.  The
     generating set is memoized next to it, as ``_gens``: on a valid
     groupoid every arrow is a left-bracketed product of its members,
-    which lets :func:`morita.validate_bibundle` check action laws at
-    generators only.
+    which lets :func:`check_strict_isomorphism` compare composites at
+    generators only.  A report memoized without a scan, as
+    :func:`morita.validate_bibundle` and :func:`restrict_to_objects`
+    set it, leaves ``_gens`` None.
     """
     if g._validation is None:
         g._validation = _check_axioms(g)
@@ -755,7 +765,20 @@ def random_positive_rescaling(g: FiniteGroupoid, seed) -> dict:
 
 def check_strict_isomorphism(g1: FiniteGroupoid, g2: FiniteGroupoid,
                              object_map, arrow_map) -> bool:
-    """Whether the given bijections carry every table of g1 onto g2."""
+    """Whether the given bijections carry every table of g1 onto g2.
+
+    Both groupoids must pass :func:`validate`; an invalid one is strictly
+    isomorphic to nothing here.  Composition is compared only at the
+    generating set that :func:`validate` memoizes (every arrow, when the
+    report was memoized without a scan): F(a s) = F(a) F(s) for each
+    generator s and arrow a into l(s).  Every arrow is a left-bracketed
+    product of generators, so induction with associativity on both
+    sides carries the law to every product:
+    F(a (p s)) = F((a p) s) = F(a p) F(s) = (F(a) F(p)) F(s)
+    = F(a) (F(p) F(s)) = F(a) F(p s).
+    """
+    if not (validate(g1).ok and validate(g2).ok):
+        return False
     if set(object_map) != set(g1.objects) or set(arrow_map) != set(g1.arrow_ids):
         return False
     if set(object_map.values()) != set(g2.objects):
@@ -771,13 +794,11 @@ def check_strict_isomorphism(g1: FiniteGroupoid, g2: FiniteGroupoid,
     for x in g1.objects:
         if arrow_map[g1.identity(x)] != g2.identity(object_map[x]):
             return False
-    for a in g1.arrow_ids:
-        for b in g1.arrows_from(g1.r(a)):
-            try:
-                expected = arrow_map[g1.compose(a, b)]
-                got = g2.compose(arrow_map[a], arrow_map[b])
-            except UndefinedComposition:
-                return False
-            if expected != got:
+    # the endpoints carry over, so every pair composed below is composable
+    # on both sides, and valid groupoids define its composites
+    for s in g1.arrow_ids if g1._gens is None else g1._gens:
+        fs = arrow_map[s]
+        for a in g1.arrows_into(g1.l(s)):
+            if arrow_map[g1.compose(a, s)] != g2.compose(arrow_map[a], fs):
                 return False
     return True

@@ -24,23 +24,26 @@ with l, r the ends of an arrow and la, ra the anchors:
                    ra(g·b) = ra(b), la(b·h) = la(b), ra(b·h) = r(h)
     transitivity   the left transports (b, g·b) number the sum of
                    |ra-fiber|^2, the right ones the sum of |la-fiber|^2
-    left law       (a s)·b = a·(s·b) for s a generator of the left factor
-    right law      b·(h t) = (b·h)·t for t a generator of the right factor
-    commuting      (s·b)·t = s·(b·t) for generators s and t
+    left law       (g t)·b0 = g·(t·b0) for each left entry (g, b), b = t·b0
+    right law      b0·(t h) = (b0·t)·h for each right entry (b, h), b = b0·t
+    commuting      (s·b1)·h = s·(b1·h) for each right entry (b, h), b = s·b1
 
+Here b0 is the first element anchored where b is, at ra(b) for the left
+law and at la(b) for the right one, and b1 is the first at ra(b).
 Freeness makes the transports distinct, and closure keeps each in one
 anchor fiber, so the counts say that every ordered pair of a fiber has
-one.  The generators are those :func:`finite.validate` memoizes: every
-arrow is a left-bracketed product (..(s1 s2)..) sk of them.  A law at s
-and t' gives it at t' s, by associativity of the factor:
-((a t') s)·b = (a t')·(s·b) = a·(t'·(s·b)) = a·((t' s)·b); so induction
-on k extends the left law to all arrows, and the right and commuting
-laws likewise, one side at a time.  The unit law follows: with
-k·(e·b) = b by transitivity, e·b = e·(k·(e·b)) = (e k)·(e·b) = b, and
-likewise on the right.  Every composable triple of link arrows then
-associates: LLL and RRR in the factors, LLB and BRR by the two laws,
-LBR by commuting, and every other pattern by these plus freeness, which
-makes each transport unique.  For instance ((B b)(Bi b'))(L g) is k g,
+one.  So t ↦ t·b0 is a bijection from the arrows into la(b0) onto the
+ra-fiber of b0, and each check is its law.  By the check at a s, at a
+and at s, with associativity of the factor between them,
+(a s)·(t·b0) = ((a s) t)·b0 = (a (s t))·b0 = a·((s t)·b0) = a·(s·(t·b0));
+the right law likewise.  With both, commuting follows from its check:
+(s·(s'·b1))·h = ((s s')·b1)·h = (s s')·(b1·h) = s·(s'·(b1·h))
+= s·((s'·b1)·h).  The unit law follows: with k·(e·b) = b by
+transitivity, e·b = e·(k·(e·b)) = (e k)·(e·b) = b, and likewise on the
+right.  Every composable triple of link arrows then associates: LLL
+and RRR in the factors, LLB and BRR by the two laws, LBR by commuting,
+and every other pattern by these plus freeness, which makes each
+transport unique.  For instance ((B b)(Bi b'))(L g) is k g,
 k the transport with k·b' = b, and (B b)((Bi b')(L g)) is the transport
 carrying g⁻¹·b' to b, which k g is as well.  Totality, closure and
 transitivity give the missing composites, endpoints and inverses.  So
@@ -151,9 +154,9 @@ def validate_bibundle(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> 
     both factors are full; the action tables may hold no entry outside
     the defined pairs; and no two arrows may carry an element to the
     same one.  When all of that holds and both factors are valid, the
-    link is decided by the bibundle laws at generators, and
-    :func:`finite.validate` runs on it only if a law fails; otherwise,
-    or for an invalid factor, it runs at once (see the module
+    link is decided by the bibundle laws, one check per action-table
+    entry, and :func:`finite.validate` runs on it only if a law fails;
+    otherwise, or for an invalid factor, it runs at once (see the module
     docstring).  Either way the report is that of the link's groupoid
     axioms.  The report and the link are memoized on the bibundle for
     the last pair of groupoids, compared by identity, so the transfer
@@ -170,10 +173,9 @@ def linking_groupoid(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> F
     formal inverses.  The arrow count is therefore
     ``|g1| + |g2| + 2 * |bibundle|``.  The link is built once per
     bibundle and pair of groupoids and checked by
-    :func:`validate_bibundle`: by the bibundle laws at generators, which
-    leave its memoized report empty, or by :func:`finite.validate`
-    when a law fails.  An invalid bibundle raises
-    :class:`InvalidBibundleError`.
+    :func:`validate_bibundle`: by the bibundle laws, which leave its
+    memoized report empty, or by :func:`finite.validate` when a law
+    fails.  An invalid bibundle raises :class:`InvalidBibundleError`.
     """
     validate_bibundle(g1, g2, bib).require(InvalidBibundleError, "invalid bibundle")
     return _checked_link(g1, g2, bib)[1]
@@ -290,20 +292,17 @@ def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
 
     Assumes valid factors, anchors in range and free actions whose
     entries all lie in the defined domain, as :func:`_build_link` has
-    checked.  The checks run in that docstring's order, so every table
-    lookup of a law is defined by totality and closure.  A factor whose
-    generating set is not memoized (a link checked by these laws) gives
-    False, and the link goes to :func:`finite.validate`.
+    checked.  The checks run in that docstring's order, so every table,
+    transport and factor lookup of a law is defined by totality, closure
+    and transitivity.  Each law is one check per action-table entry,
+    against the first element of the entry's anchor fiber.
     """
-    gens1, gens2 = g1._gens, g2._gens
-    if gens1 is None or gens2 is None:
-        return False
     la, ra, left, right = bib.left_anchor, bib.right_anchor, bib.left_action, bib.right_action
     over_l, over_r = {}, {}  # object -> the elements anchored at it
     for b in bib.elements:
         over_l.setdefault(la[b], []).append(b)
         over_r.setdefault(ra[b], []).append(b)
-    l1, r1, l2, r2 = g1.l, g1.r, g2.l, g2.r
+    l1, r2 = g1.l, g2.r
     if not (len(left) == sum(len(g1.arrows_into(x)) * len(bs) for x, bs in over_l.items())
             and len(right) == sum(len(g2.arrows_from(y)) * len(bs) for y, bs in over_r.items())
             # a dict is never an element, so each table is its own marker
@@ -313,26 +312,16 @@ def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
             and len(right_transport) == sum(len(bs) ** 2 for bs in over_l.values())):
         return False
     compose1, compose2 = g1.compose, g2.compose
-    for s in gens1:  # (a s)·b = a·(s·b)
-        bs = over_l.get(r1(s), ())
-        s_bs = [left[(s, b)] for b in bs]
-        for a in g1.arrows_into(l1(s)):
-            a_s = compose1(a, s)
-            if [left[(a_s, b)] for b in bs] != [left[(a, sb)] for sb in s_bs]:
-                return False
-    for t in gens2:  # b·(h t) = (b·h)·t
-        for h in g2.arrows_into(l2(t)):
-            h_t, bs = compose2(h, t), over_r.get(l2(h), ())
-            if [right[(b, h_t)] for b in bs] != [right[(right[(b, h)], t)] for b in bs]:
-                return False
-    gens2_from = {}
-    for t in gens2:
-        gens2_from.setdefault(l2(t), []).append(t)
-    for s in gens1:  # (s·b)·t = s·(b·t)
-        for b in over_l.get(r1(s), ()):
-            s_b, ts = left[(s, b)], gens2_from.get(ra[b], ())
-            if [right[(s_b, t)] for t in ts] != [left[(s, right[(b, t)])] for t in ts]:
-                return False
+    for (g, b), c in left.items():  # (g t)·b0 = g·(t·b0) with b = t·b0
+        b0 = over_r[ra[b]][0]
+        if left_transport[(b0, c)] != compose1(g, left_transport[(b0, b)]):
+            return False
+    for (b, h), c in right.items():  # b0·(t h) = (b0·t)·h with b = b0·t
+        b0, b1 = over_l[la[b]][0], over_r[ra[b]][0]
+        if (right_transport[(b0, c)] != compose2(right_transport[(b0, b)], h)
+                # (s·b1)·h = s·(b1·h) with b = s·b1
+                or left[(left_transport[(b1, b)], right[(b1, h)])] != c):
+            return False
     return True
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stackvol.finite as finite_module
 from stackvol.errors import ValidationFailure, Violation
 from stackvol.finite import (
     MAX_RANDOM_ARROWS,
@@ -635,6 +636,71 @@ class TestConstructors:
         else:
             tables[table][key] = value
         assert not holds()
+
+
+def _isomorphic_by_all_pairs(g1, g2, object_map, arrow_map):
+    """Reference for check_strict_isomorphism: every table, every composable pair."""
+    if (set(object_map) != set(g1.objects) or set(arrow_map) != set(g1.arrow_ids)
+            or set(object_map.values()) != set(g2.objects)
+            or set(arrow_map.values()) != set(g2.arrow_ids)):
+        return False
+    if any(arrow_map[g1.identity(x)] != g2.identity(object_map[x]) for x in g1.objects):
+        return False
+    for a in g1.arrow_ids:
+        fa = arrow_map[a]
+        if ((g2.l(fa), g2.r(fa)) != (object_map[g1.l(a)], object_map[g1.r(a)])
+                or arrow_map[g1.inverse(a)] != g2.inverse(fa)):
+            return False
+        for b in g1.arrows_from(g1.r(a)):
+            if arrow_map[g1.compose(a, b)] != g2.compose(fa, arrow_map[b]):
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000), st.randoms(use_true_random=False))
+def test_isomorphism_at_generators_agrees_with_all_pairs(seed, rng):
+    # a relabelled copy, and a map that permutes the arrows of one hom-set:
+    # most such maps break a composite, some are automorphisms of a group
+    g = random_groupoid(seed, max_objects=4, max_group_order=6)
+    tag = {a: ("c", a) for a in g.arrow_ids}
+    h = FiniteGroupoid([("c", x) for x in g.objects],
+                       {tag[a]: (("c", g.l(a)), ("c", g.r(a))) for a in g.arrow_ids},
+                       {("c", x): tag[g.identity(x)] for x in g.objects},
+                       {tag[a]: tag[g.inverse(a)] for a in g.arrow_ids},
+                       {(tag[p], tag[q]): tag[g.compose(p, q)]
+                        for p in g.arrow_ids for q in g.arrows_from(g.r(p))})
+    object_map = {x: ("c", x) for x in g.objects}
+    assert check_strict_isomorphism(g, h, object_map, tag)
+    a = rng.choice(sorted(g.arrow_ids, key=repr))
+    hom = [c for c in g.arrow_ids if (g.l(c), g.r(c)) == (g.l(a), g.r(a))]
+    permuted = dict(tag)
+    permuted.update(zip(hom, rng.sample([tag[c] for c in hom], len(hom))))
+    assert (check_strict_isomorphism(g, h, object_map, permuted)
+            == _isomorphic_by_all_pairs(g, h, object_map, permuted))
+
+
+def test_restriction_inherits_only_an_empty_report(monkeypatch):
+    calls = []
+    check = finite_module._check_axioms
+    g = z_n(5)
+    assert validate(g).ok
+    monkeypatch.setattr(finite_module, "_check_axioms", lambda h: calls.append(h) or check(h))
+    sub = restrict_to_objects(g, ["pt"])
+    assert validate(sub).ok and sub._gens is None
+    # no memoized generators: composites are compared at every arrow; the
+    # swaps 1 <-> 2 and 3 <-> 4 keep identity and inverses but not sums
+    same = {x: x for x in sub.objects}
+    assert check_strict_isomorphism(sub, g, same, {a: a for a in sub.arrow_ids})
+    swapped = {a: ("pt", "pt", (0, 2, 1, 4, 3)[a[2]]) for a in sub.arrow_ids}
+    assert not check_strict_isomorphism(sub, g, same, swapped)
+    assert calls == []
+    fresh = z_n(5)
+    assert restrict_to_objects(fresh, ["pt"])._validation is None
+    broken = FiniteGroupoid([0, 1], {"e0": (0, 0), "e1": (1, 1)}, {0: "e0", 1: "e1"},
+                            {"e0": "e0", "e1": "e1"}, {("e0", "e0"): "e0"})
+    assert not validate(broken).ok
+    assert restrict_to_objects(broken, [0])._validation is None
 
 
 class TestSeries:

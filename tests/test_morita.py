@@ -16,6 +16,7 @@ from stackvol.finite import (
     UndefinedComposition,
     WeightData,
     _check_axioms,
+    action_groupoid,
     block_groupoid,
     cardinality,
     check_strict_isomorphism,
@@ -49,6 +50,7 @@ from stackvol.morita import (
 )
 
 from test_finite import axioms_of, disjoint_union  # disjoint_union: the reference union of parts
+from test_smooth import _coset_action
 
 # frozen oracles:
 #   one-object groupoid with order-2 symmetry, equivalent to itself through
@@ -676,9 +678,9 @@ def test_a_passing_law_check_leaves_nothing_for_validate(monkeypatch):
 
 
 @pytest.mark.parametrize("retarget", [False, True])
-def test_a_factor_without_generators_goes_to_the_axiom_scan(retarget, monkeypatch):
-    # a link decided by the law check memoizes no generators, so as a factor
-    # of another bibundle it leaves that bibundle's link to the axiom scan
+def test_a_link_as_a_factor_is_decided_by_the_law_check(retarget, monkeypatch):
+    # a link decided by the law check memoizes no generators; as a factor of
+    # another bibundle it is decided by the same law check, which needs none
     g1, g2, bib = z2_self_equivalence()
     link = linking_groupoid(g1, g2, bib)
     assert link._gens is None
@@ -692,5 +694,32 @@ def test_a_factor_without_generators_goes_to_the_axiom_scan(retarget, monkeypatc
     monkeypatch.setattr(morita_module, "_laws_hold",
                         lambda *args: verdicts.append(laws(*args)) or verdicts[-1])
     report = _agreeing_report(link, link, outer)
-    assert verdicts == [False]
+    assert verdicts == [not retarget]
     assert report.ok != retarget
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(group_zoo(8)), st.data())
+def test_an_action_groupoid_and_its_point_presentation_are_equivalent(group, data):
+    # G acting on G/H by left multiplication and one point with isotropy
+    # H = <g> present one stack; G itself is a bibundle between them, with
+    # (h, C)·k = hk on the left and k·gamma = k gamma on the right
+    points, act = _coset_action(group, [data.draw(st.sampled_from(group.elements))])
+    coset = {k: p for p in points for k in p[1]}  # k -> the point kH
+    sub = [k for k in group.elements if k in coset[group.identity][1]]
+    mult = group.mult
+    g1 = action_groupoid(group, points, act)
+    g2 = classifying_groupoid(FiniteGroup("H", sub, {(a, b): mult(a, b) for a in sub for b in sub}))
+    left = {((h, coset[k]), k): mult(h, k) for h in group.elements for k in group.elements}
+    right = {(k, ("pt", "pt", gam)): mult(k, gam) for k in group.elements for gam in sub}
+    right_anchor = dict.fromkeys(group.elements, "pt")
+    bib = Bibundle(group.elements, coset, right_anchor, left, right)
+    assert _agreeing_report(g1, g2, bib).ok
+    w1, w2 = random_morita_weights(g1, g2, bib, data.draw(st.integers(0, 100_000)))
+    assert morita_volume_check(g1, g2, bib, w1, w2).equal
+    if group.order > 1:
+        table = data.draw(st.sampled_from([left, right]))
+        key = data.draw(st.sampled_from(sorted(table, key=repr)))
+        table[key] = data.draw(st.sampled_from([k for k in group.elements if k != table[key]]))
+        assert not _agreeing_report(g1, g2, Bibundle(group.elements, coset, right_anchor,
+                                                     left, right)).ok
