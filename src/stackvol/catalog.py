@@ -63,7 +63,8 @@ class PoissonFamilyModel:
     domain; this is probed on an interior grid at construction.  |V'|
     counts as critical at or below 1e-8 times the largest |V| on that
     grid over the domain width, so rescaling V never changes the verdict,
-    and a NaN slope or area counts as critical.
+    and a NaN slope or area counts as critical, as does a sign change of
+    V' between nodes; an overflowing |V| raises :class:`NumericalFailure`.
     """
 
     __slots__ = ("area", "coeff", "t_domain", "d_area", "name", "critical_slope")
@@ -79,12 +80,16 @@ class PoissonFamilyModel:
         span = hi - lo
         grid = [lo + span * k / 65.0 for k in range(1, 65)]
         size = max(abs(float(area(t))) for t in grid)
+        if size == math.inf:
+            raise NumericalFailure(f"leaf area of {self.name} overflows on its probe grid")
         self.critical_slope = 1e-8 * size / span
-        for t in grid:
-            if not abs(self._derivative(t)) > self.critical_slope:  # NaN too
-                raise CriticalPointError(
-                    f"leaf area of {self.name} is critical near t={t:.6g}"
-                )
+        slopes = [self._derivative(t) for t in grid]
+        for k, (t, d) in enumerate(zip(grid, slopes)):
+            if not abs(d) > self.critical_slope:  # NaN too
+                raise CriticalPointError(f"leaf area of {self.name} is critical near t={t:.6g}")
+            if k and (d > 0) != (slopes[k - 1] > 0):
+                raise CriticalPointError(f"leaf area of {self.name} is critical between t="
+                                         f"{grid[k - 1]:.6g} and t={t:.6g}, where V' changes sign")
 
     def __repr__(self):
         return f"PoissonFamilyModel({self.name}, t_domain={self.t_domain})"

@@ -145,9 +145,6 @@ class FiniteGroupoid:
     def arrow_count(self) -> int:
         return self._arrow_count
 
-    def has_object(self, x) -> bool:
-        return x in self._object_set
-
     def l(self, g):
         return (self._arrows or self._built()[0])[g][0]
 
@@ -329,17 +326,17 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
 def restrict_to_objects(g: FiniteGroupoid, keep) -> FiniteGroupoid:
     """Full subgroupoid on the given objects (no fullness requirement here).
 
-    A full subgroupoid of a groupoid is a groupoid, so when g's memoized
-    report is empty the subgroupoid's is memoized empty too, and
-    :func:`validate` never scans it; otherwise nothing is memoized.
+    Its tables are read from g's ``_built()`` ones.  A full subgroupoid
+    of a groupoid is a groupoid, so an empty memoized report of g is
+    memoized for it too, and :func:`validate` never scans it.
     """
     keep_set = set(keep)
-    unknown = keep_set - set(g.objects)
-    if unknown:
+    if unknown := keep_set - g._object_set:
         raise ValueError(f"unknown objects {sorted(map(repr, unknown))}")
-    arrows = {aid: ends for aid, ends in g._built()[0].items() if keep_set.issuperset(ends)}
-    identity = {x: g.identity(x) for x in keep_set}
-    inverse = {aid: g.inverse(aid) for aid in arrows}
+    ends, ident, inv = g._built()
+    arrows = {aid: e for aid, e in ends.items() if keep_set.issuperset(e)}
+    identity = {x: ident[x] for x in keep_set}
+    inverse = {aid: inv[aid] for aid in arrows}
     ordered = tuple(x for x in g.objects if x in keep_set)
     sub = FiniteGroupoid(ordered, arrows, identity, inverse, g._product)
     if g._validation is not None and g._validation.ok:
@@ -768,37 +765,34 @@ def check_strict_isomorphism(g1: FiniteGroupoid, g2: FiniteGroupoid,
     """Whether the given bijections carry every table of g1 onto g2.
 
     Both groupoids must pass :func:`validate`; an invalid one is strictly
-    isomorphic to nothing here.  Composition is compared only at the
-    generating set that :func:`validate` memoizes (every arrow, when the
-    report was memoized without a scan): F(a s) = F(a) F(s) for each
-    generator s and arrow a into l(s).  Every arrow is a left-bracketed
-    product of generators, so induction with associativity on both
-    sides carries the law to every product:
+    isomorphic to nothing here.  Their ``_built()`` tables are read
+    directly, endpoints component by component.  Composition is compared
+    only at the generating set that :func:`validate` memoizes (every
+    arrow, when the report was memoized without a scan), through both
+    product rules: F(a s) = F(a) F(s) for each generator s and arrow a
+    into l(s), composable on both sides as the endpoints carry over.
+    Every arrow is a left-bracketed product of generators, so induction
+    with associativity on both sides carries the law to every product:
     F(a (p s)) = F((a p) s) = F(a p) F(s) = (F(a) F(p)) F(s)
     = F(a) (F(p) F(s)) = F(a) F(p s).
     """
     if not (validate(g1).ok and validate(g2).ok):
         return False
-    if set(object_map) != set(g1.objects) or set(arrow_map) != set(g1.arrow_ids):
+    (ends1, ident1, inv1), (ends2, ident2, inv2) = g1._built(), g2._built()
+    if (set(object_map) != set(g1.objects) or set(arrow_map) != ends1.keys()
+            or set(object_map.values()) != set(g2.objects)
+            or set(arrow_map.values()) != ends2.keys()
+            or any(arrow_map[e] != ident2[object_map[x]] for x, e in ident1.items())):
         return False
-    if set(object_map.values()) != set(g2.objects):
-        return False
-    if set(arrow_map.values()) != set(g2.arrow_ids):
-        return False
-    for aid in g1.arrow_ids:
-        img = arrow_map[aid]
-        if g2.l(img) != object_map[g1.l(aid)] or g2.r(img) != object_map[g1.r(aid)]:
+    for a, (lo, ro) in ends1.items():
+        fa = arrow_map[a]
+        flo, fro = ends2[fa]
+        if flo != object_map[lo] or fro != object_map[ro] or arrow_map[inv1[a]] != inv2[fa]:
             return False
-        if arrow_map[g1.inverse(aid)] != g2.inverse(img):
-            return False
-    for x in g1.objects:
-        if arrow_map[g1.identity(x)] != g2.identity(object_map[x]):
-            return False
-    # the endpoints carry over, so every pair composed below is composable
-    # on both sides, and valid groupoids define its composites
-    for s in g1.arrow_ids if g1._gens is None else g1._gens:
+    product1, product2 = g1._product, g2._product
+    for s in ends1 if g1._gens is None else g1._gens:
         fs = arrow_map[s]
-        for a in g1.arrows_into(g1.l(s)):
-            if arrow_map[g1.compose(a, s)] != g2.compose(arrow_map[a], fs):
+        for a in g1.arrows_into(ends1[s][0]):
+            if arrow_map[product1(a, s)] != product2(arrow_map[a], fs):
                 return False
     return True

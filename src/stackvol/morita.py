@@ -191,18 +191,18 @@ def _checked_link(g1, g2, bib):
 def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     """The bibundle's report and its link, or None when an anchor leaves its groupoid.
 
-    The link composes by the case rules below, a product rule that reads
-    the factors, the action tables and the transports.  A pair whose
-    factor composite, action or transport is undefined raises
-    ``KeyError``, so :func:`finite.validate`, which composes each pair
-    once, reports it as a missing composition.  The link is validated
-    only when :func:`_laws_hold` cannot vouch for it.
+    The domain checks and the link's factor tables read the factors'
+    ``_built()`` tables.  The link's product rule reads the factors' rules,
+    the action tables and the transports; a pair whose factor composite,
+    action or transport is undefined raises ``KeyError``, which
+    :func:`finite.validate` reports as a missing composition.  The link is
+    validated only when :func:`_laws_hold` cannot vouch for it.
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
     for side, anchor, g in sides:
         for b in bib.elements:
-            if not g.has_object(anchor[b]):
+            if anchor[b] not in g._object_set:
                 report.add("anchor range", (b,), f"{side} anchor leaves the {side} object set")
     if not report.ok:
         return report, None
@@ -212,13 +212,13 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
             if x not in hit:
                 report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
-    left, right = bib.left_action, bib.right_action
-    els, ids1, ids2, r1, l2 = bib.element_set, g1.arrow_ids, g2.arrow_ids, g1.r, g2.l
+    left, right, els = bib.left_action, bib.right_action, bib.element_set
+    ends1, ends2 = g1._built()[0], g2._built()[0]
     for (g, b) in left:
-        if not (b in els and g in ids1 and r1(g) == bib.left_anchor[b]):
+        if not (b in els and g in ends1 and ends1[g][1] == bib.left_anchor[b]):
             report.add("left action domain", (g, b), "entry outside the defined domain")
     for (b, h) in right:
-        if not (b in els and h in ids2 and bib.right_anchor[b] == l2(h)):
+        if not (b in els and h in ends2 and bib.right_anchor[b] == ends2[h][0]):
             report.add("right action domain", (b, h), "entry outside the defined domain")
 
     # the transports invert the actions and are well defined exactly when
@@ -241,11 +241,11 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
 
     objects, identity, inverse, parts = [], {}, {}, {}
     for tag, g in ((LEFT, g1), (RIGHT, g2)):
-        for x in g.objects:
-            objects.append((tag, x))
-            identity[(tag, x)] = (tag, g.identity(x))
-        parts[tag] = {(tag, a): ((tag, g.l(a)), (tag, g.r(a))) for a in g.arrow_ids}
-        inverse.update(((tag, a), (tag, g.inverse(a))) for a in g.arrow_ids)
+        ends, ident, inv = g._built()
+        objects += [(tag, x) for x in g.objects]
+        identity.update(((tag, x), (tag, ident[x])) for x in g.objects)
+        parts[tag] = {(tag, a): ((tag, lo), (tag, ro)) for a, (lo, ro) in ends.items()}
+        inverse.update(((tag, a), (tag, inv[a])) for a in ends)
     bridges = {}
     for b in bib.elements:
         ends = ((LEFT, bib.left_anchor[b]), (RIGHT, bib.right_anchor[b]))
@@ -259,9 +259,9 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
         tp, vp = p
         tq, vq = q
         if tp == LEFT and tq == LEFT:
-            return (LEFT, g1.compose(vp, vq))
+            return (LEFT, g1._product(vp, vq))
         if tp == RIGHT and tq == RIGHT:
-            return (RIGHT, g2.compose(vp, vq))
+            return (RIGHT, g2._product(vp, vq))
         if tp == LEFT and tq == BRIDGE:
             return (BRIDGE, left[(vp, vq)])
         if tp == BRIDGE and tq == RIGHT:
@@ -295,23 +295,24 @@ def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
     checked.  The checks run in that docstring's order, so every table,
     transport and factor lookup of a law is defined by totality, closure
     and transitivity.  Each law is one check per action-table entry,
-    against the first element of the entry's anchor fiber.
+    against the first element of the entry's anchor fiber.  It reads the
+    factors' endpoint tables and composes through their product rules.
     """
     la, ra, left, right = bib.left_anchor, bib.right_anchor, bib.left_action, bib.right_action
     over_l, over_r = {}, {}  # object -> the elements anchored at it
     for b in bib.elements:
         over_l.setdefault(la[b], []).append(b)
         over_r.setdefault(ra[b], []).append(b)
-    l1, r2 = g1.l, g2.r
+    e1, e2 = g1._built()[0], g2._built()[0]  # arrow -> (l, r) in each factor
     if not (len(left) == sum(len(g1.arrows_into(x)) * len(bs) for x, bs in over_l.items())
             and len(right) == sum(len(g2.arrows_from(y)) * len(bs) for y, bs in over_r.items())
             # a dict is never an element, so each table is its own marker
-            and all(la.get(c, left) == l1(g) and ra[c] == ra[b] for (g, b), c in left.items())
-            and all(ra.get(c, right) == r2(h) and la[c] == la[b] for (b, h), c in right.items())
+            and all(la.get(c, left) == e1[g][0] and ra[c] == ra[b] for (g, b), c in left.items())
+            and all(ra.get(c, right) == e2[h][1] and la[c] == la[b] for (b, h), c in right.items())
             and len(left_transport) == sum(len(bs) ** 2 for bs in over_r.values())
             and len(right_transport) == sum(len(bs) ** 2 for bs in over_l.values())):
         return False
-    compose1, compose2 = g1.compose, g2.compose
+    compose1, compose2 = g1._product, g2._product
     for (g, b), c in left.items():  # (g t)·b0 = g·(t·b0) with b = t·b0
         b0 = over_r[ra[b]][0]
         if left_transport[(b0, c)] != compose1(g, left_transport[(b0, b)]):

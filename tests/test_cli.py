@@ -685,6 +685,24 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_critical_point_between_grid_nodes_exits_one(self, capsys, fmt):
+        # V'(t) = 2t - 3 vanishes at t = 1.5, between two nodes of the probe grid
+        argv = ["smooth", "example", "poisson-sphere-bundle", "c1=-3", "c2=1", *fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert_failure_stdout(fmt, code, out, err, "CriticalPointError")
+        assert err == ("error: leaf area of poisson-sphere-bundle is critical between "
+                       "t=1.49692 and t=1.57308, where V' changes sign\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_leaf_area_that_overflows_exits_two(self, capsys, fmt):
+        code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
+                                      "c1=1e308", "c2=1e308", *fmt])
+        assert code == 2
+        assert_failure_stdout(fmt, code, out, err, "NumericalFailure")
+        assert err == "error: leaf area of poisson-sphere-bundle overflows on its probe grid\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
     def test_density_whose_square_overflows_names_it(self, capsys, fmt):
         code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
                                       "c1=1e300", "c2=1e300", "ts=4.9", *fmt])

@@ -138,13 +138,20 @@ class TestPoissonDensity:
                                t_domain=(0.0, 1.0))
 
     def test_interior_critical_point_caught_at_evaluation(self):
-        # the construction grid has no node at exactly t = 1, so the
-        # parabola with vertex there slips through; evaluation must not
-        pm = PoissonFamilyModel(area=lambda t: (t - 1.0) ** 2,
+        # V' = 3 (t - 1)^2 touches zero at t = 1 without changing sign, and
+        # the construction grid has no node there, so the cubic slips
+        # through; evaluation must not
+        pm = PoissonFamilyModel(area=lambda t: (t - 1.0) ** 3,
                                 coeff=lambda t: 1.0,
                                 t_domain=(0.9638, 1.04))
         with pytest.raises(CriticalPointError):
             poisson_stack_density(pm, 1.0)
+
+    def test_sign_change_between_grid_nodes_rejected_at_construction(self):
+        # the parabola's vertex at t = 1 falls between two nodes, where V' changes sign
+        with pytest.raises(CriticalPointError, match="changes sign"):
+            PoissonFamilyModel(area=lambda t: (t - 1.0) ** 2, coeff=lambda t: 1.0,
+                               t_domain=(0.9638, 1.04))
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -209,11 +216,10 @@ class TestCatalogFamilies:
             natural_leaf_measure(pm, 1.0)
 
     def test_sphere_bundle_critical_vertex_caught(self):
-        # c1 < 0 puts the vertex of the area parabola inside the domain;
-        # it sits between construction grid nodes, so evaluation catches it
-        pm = poisson_sphere_bundle(c1=-2.0, c2=1.0)
-        with pytest.raises(CriticalPointError):
-            poisson_stack_density(pm, 1.0)
+        # c1 < 0 puts the vertex of the area parabola inside the domain,
+        # between two construction grid nodes, where V' changes sign
+        with pytest.raises(CriticalPointError, match="changes sign"):
+            poisson_sphere_bundle(c1=-2.0, c2=1.0)
         # a grid-aligned critical point dies at construction instead
         # (the probe grid for (0, 1.3) steps by 0.02 and lands on 0.5)
         with pytest.raises(CriticalPointError):

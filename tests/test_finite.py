@@ -664,12 +664,13 @@ def test_isomorphism_at_generators_agrees_with_all_pairs(seed, rng):
     # most such maps break a composite, some are automorphisms of a group
     g = random_groupoid(seed, max_objects=4, max_group_order=6)
     tag = {a: ("c", a) for a in g.arrow_ids}
-    h = FiniteGroupoid([("c", x) for x in g.objects],
-                       {tag[a]: (("c", g.l(a)), ("c", g.r(a))) for a in g.arrow_ids},
-                       {("c", x): tag[g.identity(x)] for x in g.objects},
-                       {tag[a]: tag[g.inverse(a)] for a in g.arrow_ids},
-                       {(tag[p], tag[q]): tag[g.compose(p, q)]
-                        for p in g.arrow_ids for q in g.arrows_from(g.r(p))})
+    objects = [("c", x) for x in g.objects]
+    ends = {tag[a]: (("c", g.l(a)), ("c", g.r(a))) for a in g.arrow_ids}
+    identity = {("c", x): tag[g.identity(x)] for x in g.objects}
+    inverse = {tag[a]: tag[g.inverse(a)] for a in g.arrow_ids}
+    table = {(tag[p], tag[q]): tag[g.compose(p, q)]
+             for p in g.arrow_ids for q in g.arrows_from(g.r(p))}
+    h = FiniteGroupoid(objects, ends, identity, inverse, table)
     object_map = {x: ("c", x) for x in g.objects}
     assert check_strict_isomorphism(g, h, object_map, tag)
     a = rng.choice(sorted(g.arrow_ids, key=repr))
@@ -678,6 +679,22 @@ def test_isomorphism_at_generators_agrees_with_all_pairs(seed, rng):
     permuted.update(zip(hom, rng.sample([tag[c] for c in hom], len(hom))))
     assert (check_strict_isomorphism(g, h, object_map, permuted)
             == _isomorphic_by_all_pairs(g, h, object_map, permuted))
+    # one edit to the copy's endpoints, inverse or identity table; the same
+    # ends as a list, which the constructor accepts, change nothing
+    ends, identity, inverse, fa = dict(ends), dict(identity), dict(inverse), tag[a]
+    arrows = sorted(ends, key=repr)
+    kind = rng.choice(["retarget", "list", "inverse", "identity"])
+    if kind == "retarget":
+        ends[fa] = (ends[fa][0], rng.choice(objects))
+    elif kind == "list":
+        ends[fa] = list(ends[fa])
+    elif kind == "inverse":
+        inverse[fa] = rng.choice(arrows)
+    else:
+        identity[ends[fa][0]] = rng.choice(arrows)
+    edited = FiniteGroupoid(objects, ends, identity, inverse, table)
+    assert (check_strict_isomorphism(g, edited, object_map, tag)
+            == _isomorphic_by_all_pairs(g, edited, object_map, tag))
 
 
 def test_restriction_inherits_only_an_empty_report(monkeypatch):

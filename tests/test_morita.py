@@ -151,6 +151,21 @@ class TestValidateBibundle:
                    and v.witness == ((BRIDGE_INV, 0), (BRIDGE, 1))
                    for v in report.violations)
 
+    def test_non_free_left_action_flagged(self):
+        g1, g2, _ = z2_self_equivalence()
+        frozen_left = {(_arrow(k), b): b for k in (0, 1) for b in (0, 1)}
+        right = {(b, _arrow(k)): (b + k) % 2 for k in (0, 1) for b in (0, 1)}
+        bib = Bibundle((0, 1), {0: "pt", 1: "pt"}, {0: "pt", 1: "pt"},
+                       frozen_left, right)
+        report = validate_bibundle(g1, g2, bib)
+        assert not report.ok
+        assert any(v.axiom == "left action not free" and v.witness == (_arrow(0), _arrow(1), b)
+                   for v in report.violations for b in (0, 1))
+        # no left arrow carries 1 to 0, so the left action is not transitive
+        assert any(v.axiom == "missing composition"
+                   and v.witness == ((BRIDGE, 0), (BRIDGE_INV, 1))
+                   for v in report.violations)
+
     def test_missed_object_flagged(self):
         g1, _, bib = z2_self_equivalence()
         wide = block_groupoid(("pt", "qt"), FiniteGroup.cyclic(2))
@@ -167,6 +182,15 @@ class TestValidateBibundle:
         report = validate_bibundle(g1, g2, bib)
         assert not report.ok
         assert "left action domain" in axioms_of(report)
+
+    def test_right_entry_with_a_foreign_arrow_flagged(self):
+        g1, g2, bib = z2_self_equivalence()
+        right = {**bib.right_action, (0, "no-such-arrow"): 1}
+        junk = Bibundle(bib.elements, bib.left_anchor, bib.right_anchor, bib.left_action, right)
+        report = validate_bibundle(g1, g2, junk)
+        assert not report.ok
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("right action domain", (0, "no-such-arrow"))]
 
     def test_anchor_outside_objects_flagged(self):
         g1, g2, _ = z2_self_equivalence()

@@ -411,6 +411,16 @@ class TestStackVolume:
         with pytest.raises(DegenerateWeightError):
             stack_volume(am)
 
+    def test_fiber_that_cancels_to_rounding_noise_is_degenerate(self):
+        # 0.1 + 0.2 - 0.3 sums to a few 1e-17 in floats, not to 0.0: only the
+        # threshold relative to |a(p)| vol(G) stops b / fiber reading about 1e16
+        z3 = FiniteGroup.cyclic(3)
+        am = finite_action_model(z3, range(3), lambda h, x: (x + h) % 3,
+                                 {0: 0.1, 1: 0.2, 2: -0.3}, {x: 1.0 for x in range(3)})
+        assert all(0.0 < abs(fiber_integral(am, x)) < 1e-16 for x in range(3))
+        with pytest.raises(DegenerateWeightError):
+            stack_volume(am)
+
     @pytest.mark.parametrize("scale", [1e-13, 1e13])
     def test_haar_rescale_scales_volume_inversely(self, scale):
         # a times s scales every fiber integral by s, as Haar measure times s would
