@@ -65,9 +65,12 @@ class PoissonFamilyModel:
     grid over the domain width, so rescaling V never changes the verdict,
     and a NaN slope or area counts as critical, as does a sign change of
     V' between nodes; an overflowing |V| raises :class:`NumericalFailure`.
+    ``rising`` records the sign of V' on the grid, and evaluation refuses
+    the other sign: the grid then missed a critical point, either one of
+    two between neighbouring nodes or one beyond the first or last node.
     """
 
-    __slots__ = ("area", "coeff", "t_domain", "d_area", "name", "critical_slope")
+    __slots__ = ("area", "coeff", "t_domain", "d_area", "name", "critical_slope", "rising")
 
     def __init__(self, area: Callable[[float], float], coeff: Callable[[float], float],
                  t_domain: tuple, d_area: Optional[Callable[[float], float]] = None,
@@ -90,6 +93,7 @@ class PoissonFamilyModel:
             if k and (d > 0) != (slopes[k - 1] > 0):
                 raise CriticalPointError(f"leaf area of {self.name} is critical between t="
                                          f"{grid[k - 1]:.6g} and t={t:.6g}, where V' changes sign")
+        self.rising = slopes[0] > 0
 
     def __repr__(self):
         return f"PoissonFamilyModel({self.name}, t_domain={self.t_domain})"
@@ -111,6 +115,9 @@ def _checked_derivative(pm: PoissonFamilyModel, t: float) -> float:
     d = pm._derivative(t)
     if not abs(d) > pm.critical_slope:  # NaN too
         raise CriticalPointError(f"leaf area of {pm.name} is critical at t={t:.6g}")
+    if (d > 0) != pm.rising:
+        raise CriticalPointError(f"leaf area of {pm.name} is critical near t={t:.6g}, "
+                                 f"where V' has the opposite sign to V' on the probe grid")
     return d
 
 

@@ -7,7 +7,8 @@ line can distinguish malformed files (exit 3) from invalid mathematics
 (exit 1).  Dumps are deterministic, one line of JSON with sorted keys:
 ids are emitted in sorted order, a groupoid with any non-string id has
 all its objects and arrows renamed o0, o1, ... / a0, a1, ... by sorted
-repr, and bibundle elements are renamed b0, b1, ... likewise.
+repr, and bibundle elements are renamed b0, b1, ... likewise.  Compose
+rows are emitted in name order as they are made, never sorted as a list.
 """
 
 from __future__ import annotations
@@ -130,9 +131,7 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
 
 def _renaming(g: FiniteGroupoid):
     """Deterministic string names for objects and arrows."""
-    if all(isinstance(x, str) for x in g.objects) and all(
-        isinstance(a, str) for a in g.arrow_ids
-    ):
+    if all(isinstance(x, str) for x in chain(g.objects, g.arrow_ids)):
         return {x: x for x in g.objects}, {a: a for a in g.arrow_ids}
     obj_map = {x: f"o{i}" for i, x in enumerate(sorted(g.objects, key=repr))}
     arrow_map = {a: f"a{i}" for i, a in enumerate(sorted(g.arrow_ids, key=repr))}
@@ -140,6 +139,8 @@ def _renaming(g: FiniteGroupoid):
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    """The wire form of g.  Each arrow p, in name order, meets the arrows out of r(p) in
+    name order, so the compose rows come out sorted with no sort of the whole list."""
     # the composable pairs through y number in(y) * out(y), known before any arrow table
     into, out = Counter(), Counter()
     for (x, y), m in g.pair_counts().items():
@@ -148,25 +149,20 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     if (pair_count := sum(into[y] * out[y] for y in into)) > _COMPOSE_DUMP_CAP:
         raise SchemaError(f"compose table with {pair_count} entries exceeds the dump cap")
     obj_map, arrow_map = _renaming(g)
-    compose = []
-    for y in g.objects:
-        for p in g.arrows_into(y):
-            for q in g.arrows_from(y):
-                compose.append([arrow_map[p], arrow_map[q], arrow_map[g.compose(p, q)]])
-    compose.sort()
-
+    ends, identity, inverse = g._built()
+    named = sorted(arrow_map.items(), key=itemgetter(1))
+    out_of = {x: [] for x in g.objects}
+    for a, name in named:
+        out_of[ends[a][0]].append((a, name))
+    product = g._product
     return {
-        "objects": sorted(obj_map[x] for x in g.objects),
-        "arrows": sorted(
-            (
-                {"id": arrow_map[a], "l": obj_map[g.l(a)], "r": obj_map[g.r(a)]}
-                for a in g.arrow_ids
-            ),
-            key=lambda e: e["id"],
-        ),
-        "identity": {obj_map[x]: arrow_map[g.identity(x)] for x in sorted(g.objects, key=repr)},
-        "inverse": {arrow_map[a]: arrow_map[g.inverse(a)] for a in sorted(g.arrow_ids, key=repr)},
-        "compose": compose,
+        "objects": sorted(obj_map.values()),
+        "arrows": [{"id": name, "l": obj_map[ends[a][0]], "r": obj_map[ends[a][1]]}
+                   for a, name in named],
+        "identity": {obj_map[x]: arrow_map[a] for x, a in identity.items()},
+        "inverse": {arrow_map[a]: arrow_map[b] for a, b in inverse.items()},
+        "compose": [[pn, qn, arrow_map[product(p, q)]]
+                    for p, pn in named for q, qn in out_of[ends[p][1]]],
     }
 
 
@@ -212,10 +208,8 @@ def weights_to_dict(w: WeightData, rename=None) -> dict:
     for x in w.a:
         if not isinstance(obj_map[x], str):
             raise SchemaError("weight keys must rename to strings for dumping")
-    return {
-        "a": {obj_map[x]: str(w.a[x]) for x in sorted(w.a, key=repr)},
-        "b": {obj_map[x]: str(w.b[x]) for x in sorted(w.b, key=repr)},
-    }
+    return {"a": {obj_map[x]: str(v) for x, v in w.a.items()},
+            "b": {obj_map[x]: str(v) for x, v in w.b.items()}}
 
 
 def load_weights(path) -> WeightData:
@@ -269,14 +263,12 @@ def bibundle_to_dict(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle) -> d
             raise SchemaError(f"bibundle: {side} anchor {bad[0]!r} -> {bad[1]!r} names a non-object")
         if bad := next((e for e in table.items() if e[0][i] not in arrows), None):
             raise SchemaError(f"bibundle: {side} action entry {bad[0]!r} -> {bad[1]!r} names a non-arrow")
-    if all(isinstance(e, str) for e in bib.elements):
-        elem_map = {e: e for e in bib.elements}
-    else:
-        elem_map = {e: f"b{i}" for i, e in enumerate(sorted(bib.elements, key=repr))}
+    elem_map = ({e: e for e in bib.elements} if all(isinstance(e, str) for e in bib.elements)
+                else {e: f"b{i}" for i, e in enumerate(sorted(bib.elements, key=repr))})
     return {
-        "elements": sorted(elem_map[e] for e in bib.elements),
-        "leftAnchor": {elem_map[e]: obj1[bib.left_anchor[e]] for e in sorted(bib.elements, key=repr)},
-        "rightAnchor": {elem_map[e]: obj2[bib.right_anchor[e]] for e in sorted(bib.elements, key=repr)},
+        "elements": sorted(elem_map.values()),
+        "leftAnchor": {elem_map[e]: obj1[x] for e, x in bib.left_anchor.items()},
+        "rightAnchor": {elem_map[e]: obj2[y] for e, y in bib.right_anchor.items()},
         "leftAction": sorted([a1_map[g], elem_map[b], elem_map[c]]
                              for (g, b), c in bib.left_action.items()),
         "rightAction": sorted([elem_map[b], a2_map[h], elem_map[c]]

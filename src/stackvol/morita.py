@@ -72,7 +72,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from .errors import ValidationFailure, ValidationReport
 from .finite import (
@@ -432,7 +432,9 @@ def random_morita_triple(seed):
     Over a block with group G its elements are the (x, y, gamma), acted on
     by (x2, x, g)·(x, y, gamma) = (x2, y, g gamma) on the left and
     (x, y, gamma)·(y, y2, h) = (x, y2, gamma h) on the right, the arrow
-    layout of :func:`finite.block_groupoid`.  Returns (g1, g2, bibundle).
+    layout of :func:`finite.block_groupoid`.  Elements and arrow ids are
+    shared objects, built once per block and reused as action-table keys
+    and values.  Returns (g1, g2, bibundle).
     """
     rng = random.Random(seed)
     zoo = group_zoo(4)
@@ -444,14 +446,19 @@ def random_morita_triple(seed):
         specs1.append((range(n), group))
         specs2.append((range(m), group))
         els, mult = group.elements, group.mult
-        for x, y, gam in product(range(n), range(m), els):
-            b = (i, (x, y, gam))
+        block = {k: (i, k) for k in product(range(n), range(m), els)}
+        into = [[(i, (x2, x, g)) for x2, g in product(range(n), els)] for x in range(n)]
+        out = [[(i, (y, y2, h)) for y2, h in product(range(m), els)] for y in range(m)]
+        # g·(x, y, gam) over all g does not depend on x, nor (x, y, gam)·h over all h on y
+        g_gam = {(y, gam): [block[x2, y, mult(g, gam)] for x2, g in product(range(n), els)]
+                 for y, gam in product(range(m), els)}
+        gam_h = {(x, gam): [block[x, y2, mult(gam, h)] for y2, h in product(range(m), els)]
+                 for x, gam in product(range(n), els)}
+        for (x, y, gam), b in block.items():
             elements.append(b)
             left_anchor[b], right_anchor[b] = (i, x), (i, y)
-            for x2, g in product(range(n), els):
-                left[((i, (x2, x, g)), b)] = (i, (x2, y, mult(g, gam)))
-            for y2, h in product(range(m), els):
-                right[(b, (i, (y, y2, h)))] = (i, (x, y2, mult(gam, h)))
+            left.update(zip(zip(into[x], repeat(b)), g_gam[y, gam]))
+            right.update(zip(zip(repeat(b), out[y]), gam_h[x, gam]))
     bib = Bibundle(elements, left_anchor, right_anchor, left, right)
     return block_union(specs1), block_union(specs2), bib
 

@@ -695,6 +695,17 @@ class TestErrorPaths:
                        "t=1.49692 and t=1.57308, where V' changes sign\n")
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_slope_of_the_other_sign_before_the_first_node_exits_one(self, capsys, fmt):
+        # V'(t) = 2t - 0.2 vanishes at t = 0.1, before the first probe node at 0.126,
+        # so the grid sees V' > 0 only; at t = 0.07 the density would read -0.06
+        argv = ["smooth", "example", "poisson-sphere-bundle", "c1=-0.2", "c2=1", "ts=0.07", *fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert_failure_stdout(fmt, code, out, err, "CriticalPointError")
+        assert err == ("error: leaf area of poisson-sphere-bundle is critical near t=0.07, "
+                       "where V' has the opposite sign to V' on the probe grid\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
     def test_leaf_area_that_overflows_exits_two(self, capsys, fmt):
         code, out, err = run(capsys, ["smooth", "example", "poisson-sphere-bundle",
                                       "c1=1e308", "c2=1e308", *fmt])

@@ -153,6 +153,19 @@ class TestPoissonDensity:
             PoissonFamilyModel(area=lambda t: (t - 1.0) ** 2, coeff=lambda t: 1.0,
                                t_domain=(0.9638, 1.04))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("density", [natural_leaf_measure, poisson_stack_density])
+    def test_two_critical_points_between_grid_nodes_caught_at_evaluation(self, sign, density):
+        # V' = (t - 0.501)(t - 0.509) has one sign at every probe node, so construction
+        # passes; between its roots, both between the nodes 0.50 and 0.52, it has the other
+        pm = PoissonFamilyModel(
+            area=lambda t: sign * (t ** 3 / 3.0 - 0.505 * t * t + 0.501 * 0.509 * t),
+            coeff=lambda t: 1.0, t_domain=(0.0, 1.3),
+            d_area=lambda t: sign * (t - 0.501) * (t - 0.509))
+        with pytest.raises(CriticalPointError, match="opposite sign"):
+            density(pm, 0.505)
+        assert density(pm, 0.6) * sign > 0  # away from the roots, V' keeps the grid's sign
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             PoissonFamilyModel(area=lambda t: t, coeff=lambda t: 1.0,

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -567,6 +567,42 @@ def test_random_triple_sides_are_unions_of_blocks():
         assert set(bib.left_anchor.values()) == set(g1.objects)
         assert set(bib.right_anchor.values()) == set(g2.objects)
         assert validate_bibundle(g1, g2, bib).ok
+
+
+def _per_element_tables(seed):
+    """The bibundle tables of random_morita_triple(seed), one element at a time."""
+    rng = random.Random(seed)
+    zoo = group_zoo(4)
+    elements, left_anchor, right_anchor, left, right = [], {}, {}, {}, {}
+    for i in range(rng.randint(1, 2)):
+        group = rng.choice(zoo)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        els, mult = group.elements, group.mult
+        for x, y, gam in product(range(n), range(m), els):
+            b = (i, (x, y, gam))
+            elements.append(b)
+            left_anchor[b], right_anchor[b] = (i, x), (i, y)
+            for x2, g in product(range(n), els):
+                left[((i, (x2, x, g)), b)] = (i, (x2, y, mult(g, gam)))
+            for y2, h in product(range(m), els):
+                right[(b, (i, (y, y2, h)))] = (i, (x, y2, mult(gam, h)))
+    return elements, left_anchor, right_anchor, left, right
+
+
+def test_random_triple_tables_match_the_per_element_loop():
+    for seed in range(0, 3000, 11):
+        _, _, bib = random_morita_triple(seed)
+        elements, left_anchor, right_anchor, left, right = _per_element_tables(seed)
+        assert bib.elements == tuple(elements)
+        # items() in insertion order, as the writer and the link walk them
+        assert list(bib.left_anchor.items()) == list(left_anchor.items())
+        assert list(bib.right_anchor.items()) == list(right_anchor.items())
+        assert list(bib.left_action.items()) == list(left.items())
+        assert list(bib.right_action.items()) == list(right.items())
+        # action results are the element objects themselves
+        same = {id(b) for b in bib.elements}
+        assert all(id(c) in same for c in chain(bib.left_action.values(),
+                                                bib.right_action.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import stackvol.quadrature as quadrature
 from stackvol.errors import NumericalFailure
@@ -565,19 +565,46 @@ _FACTOR = st.tuples(st.sampled_from(sorted(_FACTORS)), st.sampled_from([0, 1, 3,
                     st.floats(-2.0, 1.75), st.floats(0.25, 2.0))
 
 
-@settings(max_examples=150, deadline=None)
-@given(factors=st.lists(_FACTOR, min_size=1, max_size=2), scale=st.integers(-160, 150),
-       amplitude=st.integers(-160, 150), tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+def _log_abs_integral(w):
+    """The integral of |log t| over [0, w]."""
+    return w - w * math.log(w) if w <= 1.0 else w * math.log(w) - w + 2.0
+
+
+# factors singular at the left end of [0, b]: t^(-alpha) for alpha in (0, 1), and log t;
+# the rule sees them only in one dimension, where halving shrinks the error by 2^(alpha - 1)
+_SINGULAR_FACTORS = {
+    "pole": lambda alpha, a, b: (lambda t: t ** -alpha, b ** (1.0 - alpha) / (1.0 - alpha),
+                                 b ** (1.0 - alpha) / (1.0 - alpha)),
+    "log": lambda alpha, a, b: (math.log, b * math.log(b) - b, _log_abs_integral(b)),
+}
+
+_SINGULAR = st.tuples(st.sampled_from(sorted(_SINGULAR_FACTORS)), st.floats(0.05, 0.95),
+                      st.just(0.0), st.floats(0.25, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=st.lists(_FACTOR, min_size=1, max_size=2) | st.tuples(_SINGULAR).map(list),
+       scale=st.integers(-160, 150), amplitude=st.integers(-160, 150),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
 @example(factors=[("power", 1, 0.0, 1.0)], scale=-160, amplitude=-160, tol=1e-6)
 @example(factors=[("power", 1, 0.0, 1.0)] * 2, scale=-160, amplitude=0, tol=1e-6)
 @example(factors=[("exp", 3, -1.0, 2.0)] * 2, scale=150, amplitude=10, tol=1e-6)
+@example(factors=[("pole", 0.5, 0.0, 1.0)], scale=0, amplitude=0, tol=1e-3)
+@example(factors=[("pole", 0.95, 0.0, 1.0)], scale=-160, amplitude=150, tol=1e-6)
+@example(factors=[("log", 0.5, 0.0, 2.0)], scale=150, amplitude=-160, tol=1e-9)
 def test_closed_forms_at_every_magnitude(factors, scale, amplitude, tol):
     # f(x) = 10^amplitude * prod g(x_i / L) on the box L * [a_i, a_i + w_i],
     # L = 10^scale: the rule lands within tol * int|f| + error_estimate of
     # the exact value, or refuses; it refuses only when int|f| is near or
     # outside the normal floats
+    singular = factors[0][0] in _SINGULAR_FACTORS
+    # the rule resolves t = x / L only down to about 5e-324 / L, and the pole's integral
+    # below that, (5e-324 / L)^(1 - alpha) of the whole, exceeds tol = 1e-9 for alpha
+    # near 0.95 and L below about 1e-140
+    assume(not (singular and factors[0][1] > 0.9 and tol < 1e-6))
     L, amp = 10.0 ** scale, 10.0 ** amplitude
-    parts = [_FACTORS[name](p, a, a + w) for name, p, a, w in factors]
+    parts = [(_SINGULAR_FACTORS if singular else _FACTORS)[name](p, a, a + w)
+             for name, p, a, w in factors]
     bounds = [(L * a, L * (a + w)) for _, _, a, w in factors]
     factor = Fraction(amp) * Fraction(L) ** len(parts)
     exact = factor * math.prod(Fraction(integral) for _, integral, _ in parts)
