@@ -68,6 +68,9 @@ class FiniteGroupoid:
     :func:`block_union` gives it, is ``(build, pair_counts, arrow_count)``: the
     arrow, identity and inverse tables stay ``None`` until a reader calls
     :meth:`_built`, which fills them from ``build()`` and checks them once.
+    Readers take endpoints, identities and inverses from those tables,
+    ``arrows[g] == (l(g), r(g))``; :meth:`compose` is the one checked
+    composition.
     """
 
     def __init__(self, objects, arrows, identity, inverse, compose, *, deferred=None):
@@ -89,6 +92,7 @@ class FiniteGroupoid:
             self._product = compose
         self._by_l = self._by_r = None
         self._orbit_cache = self._fiber_index = self._validation = self._gens = None
+        self._names = None  # the string names of jsonio's dumps
 
     def _built(self):
         """The arrow, identity and inverse tables, built and checked on first use."""
@@ -144,18 +148,6 @@ class FiniteGroupoid:
     @property
     def arrow_count(self) -> int:
         return self._arrow_count
-
-    def l(self, g):
-        return (self._arrows or self._built()[0])[g][0]
-
-    def r(self, g):
-        return (self._arrows or self._built()[0])[g][1]
-
-    def identity(self, x):
-        return (self._identity or self._built()[1])[x]
-
-    def inverse(self, g):
-        return (self._inverse or self._built()[2])[g]
 
     def compose(self, g, h):
         """The composite gh; :class:`UndefinedComposition` unless r(g) == l(h) for arrows g, h."""
@@ -493,34 +485,14 @@ def _generators(g: FiniteGroupoid, rows: dict) -> list:
 Orbit = namedtuple("Orbit", "representative objects isotropy_order")
 
 
-class OrbitDecomposition:
-    """Orbits of a groupoid, each tagged by a deterministic representative."""
+def orbits(g: FiniteGroupoid) -> tuple:
+    """Connected components of the object set under arrows, as a tuple of :class:`Orbit`.
 
-    def __init__(self, orbits):
-        self.orbits = tuple(orbits)
-        self._of_object = {}
-        self.by_representative = {}
-        for orb in self.orbits:
-            self.by_representative[orb.representative] = orb
-            for x in orb.objects:
-                self._of_object[x] = orb
-
-    def find(self, x) -> Orbit:
-        return self._of_object[x]
-
-    def __iter__(self):
-        return iter(self.orbits)
-
-    def __len__(self):
-        return len(self.orbits)
-
-
-def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
-    """Connected components of the object set under arrows.
-
-    Union-find runs over the distinct pairs of :meth:`FiniteGroupoid.pair_counts`,
-    and an orbit's isotropy order is |Hom(x, x)| at its representative x.
-    The decomposition is memoized on the groupoid, whose tables never change.
+    Union-find runs over the distinct pairs of :meth:`FiniteGroupoid.pair_counts`.
+    Each orbit's representative is its least member by ``repr``, the orbits
+    are ordered by it, and an orbit's isotropy order is |Hom(x, x)| at its
+    representative x.  The tuple is memoized on the groupoid, whose tables
+    never change.
     """
     if g._orbit_cache is not None:
         return g._orbit_cache
@@ -547,7 +519,7 @@ def orbits(g: FiniteGroupoid) -> OrbitDecomposition:
         rep = min(members, key=repr)
         orbit_list.append(Orbit(rep, frozenset(members), counts[(rep, rep)]))
     orbit_list.sort(key=lambda o: repr(o.representative))
-    g._orbit_cache = OrbitDecomposition(orbit_list)
+    g._orbit_cache = tuple(orbit_list)
     return g._orbit_cache
 
 
@@ -695,14 +667,13 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
     One integer pair (b/a) / isotropy order per orbit, summed by
     :func:`_fraction_sum`.
     """
-    dec = orbits(g)
+    isotropy = {orb.representative: orb.isotropy_order for orb in orbits(g)}
     section = invariant_section(g, w)
     terms = []
     for rep in set(orbit_reps):
-        orb = dec.by_representative.get(rep)
-        if orb is None:
+        if rep not in isotropy:
             raise UnknownOrbitError(f"no orbit has representative {rep!r}")
-        terms.append((section[rep].numerator, section[rep].denominator * orb.isotropy_order))
+        terms.append((section[rep].numerator, section[rep].denominator * isotropy[rep]))
     return _fraction_sum(terms)
 
 
@@ -743,10 +714,11 @@ def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:
     arithmetic on large corpora stays cheap.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    dec = orbits(g)
     a = {x: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for x in g.objects}
-    section = {orb.representative: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for orb in dec}
-    b = {x: a[x] * section[dec.find(x).representative] for x in g.objects}
+    section = {}
+    for orb in orbits(g):  # one draw per orbit, in orbit order
+        section.update(dict.fromkeys(orb.objects, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+    b = {x: a[x] * section[x] for x in g.objects}
     return WeightData(a, b)
 
 

@@ -130,12 +130,14 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
 
 
 def _renaming(g: FiniteGroupoid):
-    """Deterministic string names for objects and arrows."""
-    if all(isinstance(x, str) for x in chain(g.objects, g.arrow_ids)):
-        return {x: x for x in g.objects}, {a: a for a in g.arrow_ids}
-    obj_map = {x: f"o{i}" for i, x in enumerate(sorted(g.objects, key=repr))}
-    arrow_map = {a: f"a{i}" for i, a in enumerate(sorted(g.arrow_ids, key=repr))}
-    return obj_map, arrow_map
+    """Deterministic string names for objects and arrows, memoized on g for every writer."""
+    if g._names is None:
+        if all(isinstance(x, str) for x in chain(g.objects, g.arrow_ids)):
+            g._names = {x: x for x in g.objects}, {a: a for a in g.arrow_ids}
+        else:
+            g._names = ({x: f"o{i}" for i, x in enumerate(sorted(g.objects, key=repr))},
+                        {a: f"a{i}" for i, a in enumerate(sorted(g.arrow_ids, key=repr))})
+    return g._names
 
 
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:

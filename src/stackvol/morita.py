@@ -192,11 +192,11 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     """The bibundle's report and its link, or None when an anchor leaves its groupoid.
 
     The domain checks and the link's factor tables read the factors'
-    ``_built()`` tables.  The link's product rule reads the factors' rules,
-    the action tables and the transports; a pair whose factor composite,
-    action or transport is undefined raises ``KeyError``, which
-    :func:`finite.validate` reports as a missing composition.  The link is
-    validated only when :func:`_laws_hold` cannot vouch for it.
+    ``_built()`` tables.  The link's product rule reads the factors' rules
+    and inverse tables, the action tables and the transports; a pair whose
+    factor composite, action or transport is undefined raises ``KeyError``,
+    which :func:`finite.validate` reports as a missing composition.  The
+    link is validated only when :func:`_laws_hold` cannot vouch for it.
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
@@ -213,7 +213,7 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
                 report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
     left, right, els = bib.left_action, bib.right_action, bib.element_set
-    ends1, ends2 = g1._built()[0], g2._built()[0]
+    (ends1, _, inv1), (ends2, _, inv2) = g1._built(), g2._built()
     for (g, b) in left:
         if not (b in els and g in ends1 and ends1[g][1] == bib.left_anchor[b]):
             report.add("left action domain", (g, b), "entry outside the defined domain")
@@ -268,9 +268,9 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
             return (BRIDGE, right[(vp, vq)])
         if tp == BRIDGE_INV and tq == LEFT:
             # (inverse of b) then g equals the inverse of (g inverse acting on b)
-            return (BRIDGE_INV, left[(g1.inverse(vq), vp)])
+            return (BRIDGE_INV, left[(inv1[vq], vp)])
         if tp == RIGHT and tq == BRIDGE_INV:
-            return (BRIDGE_INV, right[(vq, g2.inverse(vp))])
+            return (BRIDGE_INV, right[(vq, inv2[vp])])
         if tp == BRIDGE and tq == BRIDGE_INV:
             # unique left arrow carrying the second element to the first
             return (LEFT, left_transport[(vq, vp)])
@@ -392,8 +392,7 @@ class MoritaVolumeReport(namedtuple("MoritaVolumeReport", "equal volume_left vol
 def _object_section(g: FiniteGroupoid, w: WeightData) -> dict:
     """b/a at every object, read from its orbit's value in :func:`invariant_section`."""
     values = invariant_section(g, w)
-    dec = orbits(g)
-    return {x: values[dec.find(x).representative] for x in g.objects}
+    return {x: values[orb.representative] for orb in orbits(g) for x in orb.objects}
 
 
 def morita_volume_check(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle,

@@ -114,6 +114,18 @@ def _children(cell):
     return [c[::-1] for c in itertools.product(*halves[::-1])]
 
 
+def _halvable(lo, hi):
+    """Whether the panels of both halves of [lo, hi] put every node strictly inside their half.
+
+    The nodes are computed as :func:`_panel` computes them, and they are
+    monotone in the Gauss node, so the two outer ones decide.
+    """
+    mid = 0.5 * (lo + hi)
+    c1, h1, c2, h2 = 0.5 * (lo + mid), 0.5 * (mid - lo), 0.5 * (mid + hi), 0.5 * (hi - mid)
+    first, last = GAUSS_NODES[0], GAUSS_NODES[-1]
+    return lo < c1 + h1 * first and c1 + h1 * last < mid < c2 + h2 * first and c2 + h2 * last < hi
+
+
 def _gauss_panels(f, bounds, tol):
     """The rule of :func:`integrate_box` on bounds already checked."""
     require_positive_finite("tol", tol)
@@ -147,7 +159,8 @@ def _gauss_panels(f, bounds, tol):
         if err <= tol * size:  # the running sum passes: test the correctly rounded one
             err = abs(math.fsum(leaf[0] for leaf in leaves))
         neg_error, _, refined_size, cells, panels, delta = leaves[0]
-        narrow = any(not lo < 0.5 * (lo + hi) < hi for c in cells for lo, hi in c)
+        # the first and last cells hold every interval of the others, axis by axis
+        narrow = not all(_halvable(lo, hi) for c in (cells[0], cells[-1]) for lo, hi in c)
         if err <= tol * size or narrow or counter.count > budget:
             break
         heapq.heappop(leaves)
@@ -191,9 +204,11 @@ def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
     Scaling f scales every sum and changes no decision.  MAX_EVALUATIONS,
     the one budget, counts the nested work an :class:`EvalCounter` f adds;
     only one split's 4^d * 5^d nodes can carry the count past it.  Past it,
-    or at a leaf too narrow to halve, :class:`NonConvergenceError` carries
-    the partial sums.  Non-finite sums, or an integral of |f| below the
-    normal floats from an f nonzero at a node, raise NumericalFailure.
+    or at a leaf too narrow to halve, where a node of the next panels would
+    round onto a cell end, :class:`NonConvergenceError` carries the partial
+    sums; refinement never evaluates f at a cell end.  Non-finite sums, or
+    an integral of |f| below the normal floats from an f nonzero at a node,
+    raise NumericalFailure.
     """
     if len(bounds) not in (1, 2):
         raise ValueError("integrate_box supports dimensions 1 and 2")

@@ -137,7 +137,7 @@ def adjoint_orbit_density(t: float, cartan: CartanData) -> OrbitDensity:
     return OrbitDensity(factor * factor, factor == 0.0)
 
 
-def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndarray:
+def chamber_parameters(points: np.ndarray) -> np.ndarray:
     """Project Lie-algebra coordinate vectors to their chamber parameters.
 
     Each row is the coordinate vector of an algebra element.  The basis
@@ -146,9 +146,7 @@ def chamber_parameters(points: np.ndarray, cartan: CartanData = None) -> np.ndar
     the conjugate Cartan point, converted to lattice units by the period.
     Column sums add the squares as ``np.linalg.norm(axis=1)`` does, at half its cost.
     """
-    if cartan is None:
-        cartan = su2_cartan()
-    return _chamber_from_squares(np.square(np.asarray(points, dtype=float)), cartan.period)
+    return _chamber_from_squares(np.square(np.asarray(points, dtype=float)), su2_cartan().period)
 
 
 def _chamber_from_squares(sq, period):
@@ -186,7 +184,7 @@ class WeylReport(namedtuple("WeylReport", "lhs rhs relative_error mc_stderr eval
 
 
 def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
-                           tol: float = 0.02, cartan: CartanData = None) -> WeylReport:
+                           tol: float = 0.02) -> WeylReport:
     """Cross-check the chamber density against direct algebra integration.
 
     The left side averages phi of the chamber projection over the Lie
@@ -198,8 +196,7 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     Carlo standard error above a third of it raises NonConvergenceError.
     """
     require_positive_finite("tol", tol)
-    if cartan is None:
-        cartan = su2_cartan()
+    cartan = su2_cartan()
     s_max = 5.0 * phi.width
     half = s_max * cartan.period
 

@@ -78,7 +78,8 @@ def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
     elements = list(g.arrow_ids)
     composites = {(p, q): g.compose(p, q)
                   for y in g.objects for p in g.arrows_into(y) for q in g.arrows_from(y)}
-    return Bibundle(elements, {a: g.l(a) for a in elements}, {a: g.r(a) for a in elements},
+    ends = g._built()[0]
+    return Bibundle(elements, {a: ends[a][0] for a in elements}, {a: ends[a][1] for a in elements},
                     composites, composites)
 
 
@@ -208,9 +209,7 @@ class TestValidateBibundle:
                 raise UndefinedComposition((p, q))
             return g.compose(p, q)
 
-        broken = FiniteGroupoid(g.objects, {a: (g.l(a), g.r(a)) for a in g.arrow_ids},
-                                {x: g.identity(x) for x in g.objects},
-                                {a: g.inverse(a) for a in g.arrow_ids}, compose)
+        broken = FiniteGroupoid(g.objects, *g._built(), compose)
         left = validate_bibundle(broken, g, bib)
         assert any(v.axiom == "missing composition"
                    and v.witness == tuple((LEFT, a) for a in refused)
@@ -278,8 +277,21 @@ class TestLinkingGroupoid:
         # factor arrows act on bridge elements
         assert link.compose((LEFT, _arrow(1)), (BRIDGE, 0)) == (BRIDGE, 1)
         assert link.compose((BRIDGE, 0), (RIGHT, _arrow(1))) == (BRIDGE, 1)
+        # inverse bridges compose with factor arrows through the factors' inverses
+        for b, k in product((0, 1), (0, 1)):
+            assert link.compose((BRIDGE_INV, b), (LEFT, _arrow(k))) == (BRIDGE_INV, (k + b) % 2)
+            assert link.compose((RIGHT, _arrow(k)), (BRIDGE_INV, b)) == (BRIDGE_INV, (k + b) % 2)
+        # in Z/3, (Bi b)(L g) is Bi of g⁻¹·b and (R h)(Bi b) is Bi of b·h⁻¹
+        g3 = classifying_groupoid(FiniteGroup.cyclic(3))
+        z3 = Bibundle(range(3), dict.fromkeys(range(3), "pt"), dict.fromkeys(range(3), "pt"),
+                      {(_arrow(k), b): (k + b) % 3 for k in range(3) for b in range(3)},
+                      {(b, _arrow(k)): (b + k) % 3 for k in range(3) for b in range(3)})
+        link3 = linking_groupoid(g3, g3, z3)
+        assert link3.compose((BRIDGE_INV, 0), (LEFT, _arrow(1))) == (BRIDGE_INV, 2)
+        assert link3.compose((BRIDGE_INV, 2), (LEFT, _arrow(1))) == (BRIDGE_INV, 1)
+        assert link3.compose((RIGHT, _arrow(1)), (BRIDGE_INV, 0)) == (BRIDGE_INV, 2)
         # bridges invert to formal inverses
-        assert link.inverse((BRIDGE, 1)) == (BRIDGE_INV, 1)
+        assert link._built()[2][(BRIDGE, 1)] == (BRIDGE_INV, 1)
 
     def test_invalid_bibundle_blocks_linking(self):
         g1, g2, _ = z2_self_equivalence()
@@ -483,11 +495,11 @@ def test_linking_cardinality_counts_one_merged_orbit_per_block(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_linking_table_covers_exactly_the_composable_pairs(seed):
     link = linking_groupoid(*random_morita_triple(seed))
+    ends = link._built()[0]
     for p in link.arrow_ids:
         for q in link.arrow_ids:
-            if link.r(p) == link.l(q):
-                pq = link.compose(p, q)
-                assert (link.l(pq), link.r(pq)) == (link.l(p), link.r(q))
+            if ends[p][1] == ends[q][0]:
+                assert ends[link.compose(p, q)] == (ends[p][0], ends[q][1])
             else:
                 with pytest.raises(UndefinedComposition):
                     link.compose(p, q)
@@ -543,9 +555,9 @@ def random_triple_parts(seed, max_points=3, max_group_order=4):
 
 
 def _ordered_tables(g):
-    return (g.objects, [(a, g.l(a), g.r(a)) for a in g.arrow_ids],
-            [(x, g.identity(x)) for x in g.objects], [(a, g.inverse(a)) for a in g.arrow_ids],
-            [(a, b, g.compose(a, b)) for a in g.arrow_ids for b in g.arrows_from(g.r(a))])
+    ends, identity, inverse = g._built()
+    return (g.objects, list(ends.items()), list(identity.items()), list(inverse.items()),
+            [(a, b, g.compose(a, b)) for a, (_, ro) in ends.items() for b in g.arrows_from(ro)])
 
 
 def _ordered_bibundle(bib):
@@ -615,16 +627,14 @@ _BIBUNDLE_AXIOMS = {"anchor range", "anchor not surjective", "left action domain
 def _refusing(g, rng):
     """A copy of g whose product rule refuses one composable pair."""
     p = rng.choice(sorted(g.arrow_ids, key=repr))
-    refused = (p, rng.choice(sorted(g.arrows_from(g.r(p)), key=repr)))
+    refused = (p, rng.choice(sorted(g.arrows_from(g._built()[0][p][1]), key=repr)))
 
     def compose(a, b):
         if (a, b) == refused:
             raise UndefinedComposition((a, b))
         return g.compose(a, b)
 
-    return FiniteGroupoid(g.objects, {a: (g.l(a), g.r(a)) for a in g.arrow_ids},
-                          {x: g.identity(x) for x in g.objects},
-                          {a: g.inverse(a) for a in g.arrow_ids}, compose)
+    return FiniteGroupoid(g.objects, *g._built(), compose)
 
 
 def _mutated_triple(seed, kind, rng):
@@ -642,7 +652,7 @@ def _mutated_triple(seed, kind, rng):
     left, right = dict(bib.left_action), dict(bib.right_action)
     side = rng.randrange(2)  # 0: the left action and g1, 1: the right action and g2
     g, table = (g1, left) if side == 0 else (g2, right)
-    keys = sorted(table, key=repr)
+    keys, ends = sorted(table, key=repr), g._built()[0]
     if kind == "retarget":
         table[rng.choice(keys)] = rng.choice(elements)
     elif kind == "delete":
@@ -654,15 +664,15 @@ def _mutated_triple(seed, kind, rng):
     elif kind == "shuffle":
         b = rng.choice(elements)
         acting = g1.arrows_into(la[b]) if side == 0 else g2.arrows_from(ra[b])
-        far = g.l if side == 0 else g.r  # the end of an acting arrow away from b
-        x = far(rng.choice(acting))
-        row = [(a, b) if side == 0 else (b, a) for a in acting if far(a) == x]
+        # ends[a][side] is the end of an acting arrow a away from b
+        x = ends[rng.choice(acting)][side]
+        row = [(a, b) if side == 0 else (b, a) for a in acting if ends[a][side] == x]
         values = [table[k] for k in row]
         rng.shuffle(values)
         table.update(zip(row, values))
     elif kind == "swap":
         a = rng.choice(sorted(g.arrow_ids, key=repr))
-        twins = [c for c in g.arrow_ids if (g.l(c), g.r(c)) == (g.l(a), g.r(a))]
+        twins = [c for c in g.arrow_ids if ends[c] == ends[a]]
         c = rng.choice(twins)
         for k in keys:
             if k[side] == a:  # the arrow is first in a left key, second in a right key
@@ -747,8 +757,9 @@ def test_a_link_as_a_factor_is_decided_by_the_law_check(retarget, monkeypatch):
     outer = identity_bibundle(link)
     if retarget:  # to an element over another right object: free, but not closed
         key = ((LEFT, _arrow(1)), (BRIDGE, 0))
+        ends = link._built()[0]
         outer.left_action[key] = next(c for c in outer.elements
-                                      if link.r(c) != link.r(outer.left_action[key]))
+                                      if ends[c][1] != ends[outer.left_action[key]][1])
     verdicts = []
     laws = morita_module._laws_hold
     monkeypatch.setattr(morita_module, "_laws_hold",

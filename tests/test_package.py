@@ -28,29 +28,55 @@ def test_the_package_holds_no_aliases():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _uses(tree, skip=None, strings=False):
+    """The names a syntax tree reads and the attributes it accesses, outside ``skip``.
+
+    With ``strings``, each string literal counts as a name read.
+    """
+    names, attrs, stack = set(), set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names, attrs
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    # the package, the acceptance gate, README and the benchmark, whose tracer
-    # names the functions it wraps in strings
-    package = sorted((ROOT / "src" / "stackvol").glob("*.py"))
-    texts = {path: path.read_text() for path in [
-        *package, ROOT / "tests" / "test_acceptance.py", ROOT / "README.md",
-        *sorted((ROOT / "perfbench").glob("*.py"))]}
+    # a use is a reference in the code of the package, the acceptance gate,
+    # README's python blocks or the benchmark, whose tracer alone may name a
+    # function in a string.  A method is used only through an attribute access;
+    # names are matched, not types, so a method named like an attribute of
+    # another class, as ``identity`` is by FiniteGroup.identity, passes unseen
+    package = {path: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "stackvol").glob("*.py"))}
+    readme = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    others = [_uses(ast.parse(source)) for source in
+              [(ROOT / "tests" / "test_acceptance.py").read_text(), *readme]]
+    others += [_uses(ast.parse(path.read_text()), strings=True)
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    module_uses = {path: _uses(tree) for path, tree in package.items()}
     unused = []
-    for path in package:
-        lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
+    for path, tree in package.items():
+        uses = others + [u for p, u in module_uses.items() if p != path]
+        names, attrs = set().union(*(n for n, _ in uses)), set().union(*(a for _, a in uses))
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
-            defs = [(node.name, node, rf"\b{node.name}\b")]
-            if isinstance(node, ast.ClassDef):  # a method is used as an attribute
-                defs += [(f"{node.name}.{item.name}", item, rf"\.{item.name}\b")
-                         for item in node.body
+            defs = [(node.name, node, False)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{item.name}", item, True) for item in node.body
                          if isinstance(item, ast.FunctionDef) and item.name[0] != "_"]
-            for name, item, pattern in defs:
-                start = min(d.lineno for d in [item, *item.decorator_list]) - 1
-                rest = "\n".join(lines[:start] + lines[item.end_lineno:])
-                if not any(re.search(pattern, text) for text in
-                           [rest, *(t for p, t in texts.items() if p != path)]):
+            for name, item, method in defs:
+                own_names, own_attrs = _uses(tree, skip=item)
+                if item.name not in (attrs | own_attrs if method
+                                     else names | attrs | own_names | own_attrs):
                     unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names that only tests use: {', '.join(unused)}"
 

@@ -90,6 +90,19 @@ class TestIntegrate1D:
         assert partial.evaluations > 0
         assert abs(partial.value + 1.0) <= 1e-15
 
+    def test_a_cell_whose_halves_would_put_nodes_on_an_endpoint_is_too_narrow(self):
+        # refining toward 0 leaves cells a few subnormals wide, whose outer
+        # Gauss nodes would round onto 0, where x^-0.95 divides by zero
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x ** -0.95
+
+        with pytest.raises(NonConvergenceError, match="too narrow"):
+            integrate_1d(f, 0.0, 2e-160, tol=1e-9)
+        assert seen and 0.0 not in seen
+
     def test_tighter_tol_does_not_worsen_estimate(self):
         f = lambda x: math.sin(20.0 * x) + x * x
         loose = integrate_1d(f, 0.0, 3.0, tol=1e-4)

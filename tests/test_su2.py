@@ -84,21 +84,21 @@ class TestExponentialJacobian:
 class TestChamberProjection:
     def test_cartan_direction(self, cartan):
         h = np.array([[2.0, 0.0, 0.0]])
-        s = chamber_parameters(h, cartan)
+        s = chamber_parameters(h)
         assert s[0] == pytest.approx(2.0 / cartan.period, rel=1e-12)
 
     def test_rotation_invariance(self, cartan):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(4096, 3))
         norms = np.linalg.norm(pts, axis=1)
-        s = chamber_parameters(pts, cartan)
+        s = chamber_parameters(pts)
         # conjugation acts by rotations, so only the radius matters; on full
         # random mantissas any other order of addition (einsum's, say) moves
         # some radii by an ulp
         assert np.array_equal(s, norms / cartan.period)
 
-    def test_origin_maps_to_wall(self, cartan):
-        s = chamber_parameters(np.zeros((1, 3)), cartan)
+    def test_origin_maps_to_wall(self):
+        s = chamber_parameters(np.zeros((1, 3)))
         assert s[0] == 0.0
 
 
@@ -236,10 +236,13 @@ class TestWeylCheck:
         assert report.mc_stderr > 0
         assert "weyl check" in str(report)
 
-    def test_custom_cartan_is_used(self):
+    def test_custom_cartan_is_used(self, monkeypatch):
+        import stackvol.su2 as su2_module
+
         phi = gaussian_test_function()
         real = su2_cartan()
         fake = real._replace(volume_norm=2 * real.volume_norm)
         honest = weyl_integration_check(phi, mc_samples=1_000_000, seed=9)
-        skewed = weyl_integration_check(phi, mc_samples=1_000_000, seed=9, cartan=fake)
+        monkeypatch.setattr(su2_module, "su2_cartan", lambda: fake)
+        skewed = weyl_integration_check(phi, mc_samples=1_000_000, seed=9)
         assert skewed.lhs == pytest.approx(honest.lhs / 2.0, rel=1e-12)
