@@ -7,7 +7,8 @@ Lie-groupoid models.
 
 Importing the package loads no module: each public name is imported
 from its module, as in ``from stackvol.finite import fiber_volume``.
-Only Monte Carlo integration and the SU(2) model load numpy.
+Importing a module loads no numpy, ``su2`` included: numpy loads at the
+first Monte Carlo or SU(2) computation.
 """
 
 __version__ = "0.1.0"

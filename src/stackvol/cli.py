@@ -254,7 +254,7 @@ def _cmd_smooth_example(args) -> int:
         return _emit(args, [line], {"value": res.value, "errorEstimate": res.error_estimate,
                                     "evaluations": res.evaluations}, params)
 
-    # only the SU(2) model needs numpy, so su2 loads last
+    # only the SU(2) model needs su2, so the other models never compile it
     from .su2 import CartanData, adjoint_orbit_density
 
     if isinstance(model, CartanData):

@@ -132,6 +132,14 @@ def _gauss_panels(f, bounds, tol):
     cell = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if any(lo == hi for lo, hi in cell):
         return QuadratureResult(0.0, 0.0, 0)
+    # the first panel and its halves' panels are evaluated before any leaf's check
+    for lo, hi in cell:
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if not (lo < c + h * GAUSS_NODES[0] and c + h * GAUSS_NODES[-1] < hi
+                and _halvable(lo, hi)):
+            raise NonConvergenceError(f"adaptive Gauss panels hit a cell too narrow to halve "
+                                      f"before reaching tol={tol}",
+                                      QuadratureResult(0.0, math.inf, 0))
     weights = _TENSOR_WEIGHTS[len(cell)]
     counter = f if isinstance(f, EvalCounter) else EvalCounter(f)
     budget = MAX_EVALUATIONS - 4 ** len(cell) * len(weights)  # less one split's nodes
@@ -206,9 +214,11 @@ def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
     only one split's 4^d * 5^d nodes can carry the count past it.  Past it,
     or at a leaf too narrow to halve, where a node of the next panels would
     round onto a cell end, :class:`NonConvergenceError` carries the partial
-    sums; refinement never evaluates f at a cell end.  Non-finite sums, or
-    an integral of |f| below the normal floats from an f nonzero at a node,
-    raise NumericalFailure.
+    sums; refinement never evaluates f at a cell end.  A box too narrow for
+    the nodes of its own panel or of its halves' is refused so before f is
+    evaluated, with value 0, an infinite error and no evaluations.
+    Non-finite sums, or an integral of |f| below the normal floats from an
+    f nonzero at a node, raise NumericalFailure.
     """
     if len(bounds) not in (1, 2):
         raise ValueError("integrate_box supports dimensions 1 and 2")

@@ -9,6 +9,9 @@ integrating the exponential Jacobian, a product over the same adjoint
 eigenvalues, over a ball).  A Monte Carlo / quadrature cross-check of
 the Weyl integration identity then validates the whole normalization
 chain.  The normalization data and the reports are namedtuples.
+
+Importing the module loads no numpy: each function that computes with it
+imports it, so numpy loads at the first SU(2) computation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-
-import numpy as np
 
 from .quadrature import (
     NonConvergenceError,
@@ -34,6 +35,8 @@ CartanData = namedtuple("CartanData", "period sigma volume_norm")
 
 
 def _basis():
+    import numpy as np
+
     h = np.array([[1j, 0.0], [0.0, -1j]])
     x = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     y = np.array([[0.0, 1j], [1j, 0.0]])
@@ -45,12 +48,16 @@ def _bracket(a, b):
 
 
 def _coords(m, basis):
+    import numpy as np
+
     # the basis is orthonormal for <A,B> = Re tr(A B*)/2
     return np.array([float(np.real(np.trace(m @ b.conj().T))) / 2.0 for b in basis])
 
 
 def _adjoint_matrix(v, basis):
     """ad_v as a real 3x3 matrix in the given orthonormal basis."""
+    import numpy as np
+
     cols = [_coords(_bracket(v, b), basis) for b in basis]
     return np.column_stack(cols)
 
@@ -62,6 +69,8 @@ def _find_period(h) -> float:
     of 2 pi i; the fastest rotation fixes the candidate, and the defect
     check confirms that the slower ones close up with it.
     """
+    import numpy as np
+
     eigs, vecs = np.linalg.eig(h)
     speed = float(np.max(np.abs(eigs.imag)))
     if speed <= 0:
@@ -80,6 +89,8 @@ def _exp_jacobian(rho, ad_h):
     A is normal, so its eigenvalues are well conditioned, and det phi1(A)
     is the product of phi1 over them, with phi1(0) = 1.
     """
+    import numpy as np
+
     lam = -rho * np.linalg.eigvals(ad_h)
     return abs(math.prod(np.expm1(z) / z if z else 1.0 for z in lam))
 
@@ -93,6 +104,8 @@ def su2_cartan() -> CartanData:
     rotations on coordinates and the exponential Jacobian only depends
     on the radius.
     """
+    import numpy as np
+
     basis = _basis()
     h = basis[0]
 
@@ -137,7 +150,7 @@ def adjoint_orbit_density(t: float, cartan: CartanData) -> OrbitDensity:
     return OrbitDensity(factor * factor, factor == 0.0)
 
 
-def chamber_parameters(points: np.ndarray) -> np.ndarray:
+def chamber_parameters(points):
     """Project Lie-algebra coordinate vectors to their chamber parameters.
 
     Each row is the coordinate vector of an algebra element.  The basis
@@ -146,11 +159,15 @@ def chamber_parameters(points: np.ndarray) -> np.ndarray:
     the conjugate Cartan point, converted to lattice units by the period.
     Column sums add the squares as ``np.linalg.norm(axis=1)`` does, at half its cost.
     """
+    import numpy as np
+
     return _chamber_from_squares(np.square(np.asarray(points, dtype=float)), su2_cartan().period)
 
 
 def _chamber_from_squares(sq, period):
     """Chamber parameters of the rows whose squared coordinates are ``sq``."""
+    import numpy as np
+
     s = np.add(sq[:, 0], sq[:, 1])
     s += sq[:, 2]
     np.sqrt(s, out=s)
@@ -160,6 +177,8 @@ def _chamber_from_squares(sq, period):
 
 def gaussian_test_function(width: float = 0.25):
     """Centered Gaussian in the chamber parameter, vectorization-friendly."""
+    import numpy as np  # here, not in phi: building phi loads numpy, its first call does not
+
     require_positive_finite("width", width)
     twice_square = 2.0 * width * width
     inv = 1.0 / twice_square if twice_square else math.inf
@@ -195,6 +214,8 @@ def weyl_integration_check(phi, mc_samples: int = 1_000_000, seed: int = 94720,
     ``5 * phi.width``.  ``tol`` must be positive and finite, and a Monte
     Carlo standard error above a third of it raises NonConvergenceError.
     """
+    import numpy as np
+
     require_positive_finite("tol", tol)
     cartan = su2_cartan()
     s_max = 5.0 * phi.width

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stackvol.catalog import (
     CriticalPointError,
@@ -122,6 +123,23 @@ class TestPoissonDensity:
         probes.clear()
         assert natural_leaf_measure(pm, 1.0) == pytest.approx(4.0 * math.pi)
         assert probes == [1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-8, 8), st.floats(0.1, 10.0), st.sampled_from([1.0, -1.0]),
+           st.floats(-3.0, 3.0), st.floats(0.01, 0.99))
+    @example(-4, 10.0, 1.0, 0.0, 0.5)  # k = 1e5 on (0, 1e-4): 2.15e-3 with an absolute step
+    @example(7, 1.0, 1.0, 0.0, 0.5)    # k = 1e-7 on (0, 1e7): 1.55e-4 with an absolute step
+    def test_difference_derivative_is_scale_free(self, exponent, rate, sign, shift, where):
+        # V(t) = e^(kt) on a domain of width w = 10^exponent, k = +-rate / w: one
+        # family in other units.  Roundoff costs about eps / (1e-5 * rate) relative,
+        # so rate stays at 0.1 or more
+        w = 10.0 ** exponent
+        k = sign * rate / w
+        lo = shift * w
+        pm = PoissonFamilyModel(area=lambda t: math.exp(k * t), coeff=lambda t: 1.0,
+                                t_domain=(lo, lo + w))
+        t = lo + where * w
+        assert natural_leaf_measure(pm, t) == pytest.approx(k * math.exp(k * t), rel=1e-7)
 
     def test_domain_is_open(self):
         pm = linear_model()

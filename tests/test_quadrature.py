@@ -103,6 +103,20 @@ class TestIntegrate1D:
             integrate_1d(f, 0.0, 2e-160, tol=1e-9)
         assert seen and 0.0 not in seen
 
+    @pytest.mark.parametrize("width", [1e-322, 5e-324])
+    def test_a_box_too_narrow_for_its_nodes_is_refused_before_any_evaluation(self, width):
+        # the first panel's halves would put nodes on 0, where x^-0.95 divides by zero
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x ** -0.95
+
+        with pytest.raises(NonConvergenceError, match="too narrow") as exc:
+            integrate_1d(f, 0.0, width, tol=1e-9)
+        assert seen == []
+        assert exc.value.result == (0.0, math.inf, 0)
+
     def test_tighter_tol_does_not_worsen_estimate(self):
         f = lambda x: math.sin(20.0 * x) + x * x
         loose = integrate_1d(f, 0.0, 3.0, tol=1e-4)
