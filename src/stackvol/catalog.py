@@ -242,13 +242,8 @@ def _poisson_coeff(mode: str, d_area):
     raise UnknownModelError(f"mode must be one of {_POISSON_MODES}, got {mode!r}")
 
 
-def poisson_sphere_bundle(*, c1: float = 3.0, c2: float = 1.0,
-                          mode: str = "dv2") -> PoissonFamilyModel:
-    """Leaves with area V(t) = c1 t + c2 t^2 over t in (0.05, 5).
-
-    mode picks the total-space coefficient: "dv2" squares the natural
-    leaf density, "dv" uses it once, "one" is the constant 1.
-    """
+def _sphere_family(name: str, c1: float, c2: float, mode: str) -> PoissonFamilyModel:
+    """Leaves with area V(t) = c1 t + c2 t^2 over t in (0.05, 5)."""
 
     def area(t):
         return c1 * t + c2 * t * t
@@ -261,8 +256,18 @@ def poisson_sphere_bundle(*, c1: float = 3.0, c2: float = 1.0,
         coeff=_poisson_coeff(mode, d_area),
         t_domain=(0.05, 5.0),
         d_area=d_area,
-        name="poisson-sphere-bundle",
+        name=name,
     )
+
+
+def poisson_sphere_bundle(*, c1: float = 3.0, c2: float = 1.0,
+                          mode: str = "dv2") -> PoissonFamilyModel:
+    """Leaves with area V(t) = c1 t + c2 t^2 over t in (0.05, 5).
+
+    mode picks the total-space coefficient: "dv2" squares the natural
+    leaf density, "dv" uses it once, "one" is the constant 1.
+    """
+    return _sphere_family("poisson-sphere-bundle", c1, c2, mode)
 
 
 def su2_dual(*, mode: str = "dv2") -> PoissonFamilyModel:
@@ -270,23 +275,10 @@ def su2_dual(*, mode: str = "dv2") -> PoissonFamilyModel:
 
     The sphere through parameter t has symplectic area equal to the
     sphere area at unit scale times t, so the natural leaf measure is
-    the constant slope.
+    the constant slope: the sphere family with c1 = 4 pi and c2 = 0,
+    whose zero terms leave every value's bits as they are.
     """
-    slope = 2.0 * TWO_PI
-
-    def area(t):
-        return slope * t
-
-    def d_area(t):
-        return slope
-
-    return PoissonFamilyModel(
-        area=area,
-        coeff=_poisson_coeff(mode, d_area),
-        t_domain=(0.05, 5.0),
-        d_area=d_area,
-        name="su2-dual",
-    )
+    return _sphere_family("su2-dual", 2.0 * TWO_PI, 0.0, mode)
 
 
 CATALOG = {

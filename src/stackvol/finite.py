@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from contextlib import suppress
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -102,14 +101,7 @@ class FiniteGroupoid:
         return self._arrows, self._identity, self._inverse
 
     def _check_structure(self):
-        with suppress(TypeError):  # C-speed screen; a table failing it is walked below
-            if (set(map(len, self._arrows.values())) <= {2}
-                    and self._object_set.issuperset(chain.from_iterable(self._arrows.values()))
-                    and self._identity.keys() == self._object_set
-                    and self._inverse.keys() == self._arrows.keys()
-                    and all(map(self._arrows.__contains__,
-                                chain(self._identity.values(), self._inverse.values())))):
-                return
+        # one walk is the check; it names the first bad entry it meets
         for aid, (lo, ro) in self._arrows.items():
             if lo not in self._object_set or ro not in self._object_set:
                 raise ValueError(f"arrow {aid!r} references unknown objects {(lo, ro)!r}")
@@ -348,11 +340,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     by :func:`_generators`, so an associativity witness always has that
     form.  Given the closure and endpoint checks, the arrows that pass
     for every a and c are closed under composition, so the test is as
-    strong as a scan of all composable triples.  Each composable pair is
-    composed once, into rows a -> {b: ab} that every check reads; Light's
-    test costs two row lookups per generator s, arrow a into l(s) and
-    arrow c out of r(s), at worst the full scan.  A table holding more
-    pairs than the rows is scanned for spuriously composable pairs.
+    strong as a scan of all composable triples.  The product rule, a
+    table's too, composes each composable pair once, into rows a -> {b: ab}
+    that every check reads; Light's test costs two row lookups per generator
+    s, arrow a into l(s) and arrow c out of r(s), at worst the full scan.
+    The table is read only to scan for spurious pairs, when the rows hold fewer.
 
     The report is memoized on the groupoid, whose tables never change
     after construction; each call returns a fresh copy of it.  The
@@ -373,20 +365,16 @@ def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
     (ends, ident, inv), table = g._built(), g._compose_table
     by_l, by_r = ({x: f(x) for x in g.objects} for f in (g.arrows_from, g.arrows_into))
 
-    # rows[a] = {b: ab} over the composable pairs; a refused pair is absent
-    if table is not None:  # the table is its own marker for a miss
-        rows = {a: {b: c for b in by_l[ra] if (c := table.get((a, b), table)) is not table}
-                for a, (_, ra) in ends.items()}
-        composable = sum(map(len, rows.values()))
-    else:
-        product, rows = g._product, {}
-        for a, (_, ra) in ends.items():
-            rows[a] = row = {}
-            for b in by_l[ra]:
-                try:
-                    row[b] = product(a, b)
-                except KeyError:  # a refused pair
-                    pass
+    # rows[a] = {b: ab} by the product rule, a table's included; a refused pair is absent
+    product, rows = g._product, {}
+    for a, (_, ra) in ends.items():
+        rows[a] = row = {}
+        for b in by_l[ra]:
+            try:
+                row[b] = product(a, b)
+            except KeyError:  # a refused pair
+                pass
+    composable = sum(map(len, rows.values()))  # before the closure check deletes any
 
     for x in g.objects:
         if ends[ident[x]][0] != x or ends[ident[x]][1] != x:
@@ -584,9 +572,7 @@ def unit_weights(g: FiniteGroupoid) -> WeightData:
 
 
 def _require_coverage(g: FiniteGroupoid, w: WeightData):
-    if w.a.keys() >= g._object_set and w.b.keys() >= g._object_set:
-        return
-    for x in g.objects:  # only on a miss, to name the first missing object
+    for x in g.objects:  # names the first missing object
         if x not in w.a or x not in w.b:
             raise ValidationFailure(f"weights missing object {x!r}")
 

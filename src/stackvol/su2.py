@@ -82,16 +82,17 @@ def _find_period(h) -> float:
     return period
 
 
-def _exp_jacobian(rho, ad_h):
+def _exp_jacobian(rho, eigs):
     """|det d exp| at a Cartan point of norm rho, in basis coordinates.
 
-    The differential is phi1(A) with A = -rho ad_h and phi1(z) = expm1(z)/z.
-    A is normal, so its eigenvalues are well conditioned, and det phi1(A)
-    is the product of phi1 over them, with phi1(0) = 1.
+    ``eigs`` are the eigenvalues of ad_h.  The differential is phi1(A) with
+    A = -rho ad_h and phi1(z) = expm1(z)/z.  A is normal, so its eigenvalues
+    are well conditioned, and det phi1(A) is the product of phi1 over them,
+    with phi1(0) = 1.
     """
     import numpy as np
 
-    lam = -rho * np.linalg.eigvals(ad_h)
+    lam = -rho * eigs
     return abs(math.prod(np.expm1(z) / z if z else 1.0 for z in lam))
 
 
@@ -123,7 +124,7 @@ def su2_cartan() -> CartanData:
     # group volume in basis-Lebesgue coordinates: exp is injective on the
     # ball of radius period/2 (its boundary collapses to a point)
     def shell(rho):
-        return 4.0 * math.pi * rho * rho * _exp_jacobian(rho, ad_h)
+        return 4.0 * math.pi * rho * rho * _exp_jacobian(rho, eigs)
 
     vol = integrate_1d(shell, 0.0, period / 2.0, tol=1e-12)
 

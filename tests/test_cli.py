@@ -254,6 +254,22 @@ class TestMoritaCommands:
         assert validate(link).ok
         assert link.arrow_count == 18
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda bib: bib["elements"].append("b0"), "duplicate bibundle elements"),
+        (lambda bib: bib["leftAnchor"].pop("b3"), "anchors must cover exactly the elements"),
+    ], ids=["duplicate-element", "anchor-misses-an-element"])
+    def test_inconsistent_bibundle_tables_exit_three(self, capsys, tmp_path, edit, message):
+        paths = morita_fixture(tmp_path)
+        bib = json.loads(paths["bib"].read_text())
+        edit(bib)
+        paths["bib"].write_text(json.dumps(bib))
+        argv = ["morita", "link", "--json", "--left", str(paths["left"]),
+                "--right", str(paths["right"]), "--bibundle", str(paths["bib"])]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert_failure_stdout(argv, code, out, err, "SchemaError")
+        assert err == f"error: bibundle: inconsistent tables: {message}\n"
+
     def test_check_equal_volumes(self, capsys, tmp_path):
         paths = morita_fixture(tmp_path)
         code, out, _ = run(capsys, ["morita", "check",

@@ -375,16 +375,6 @@ class TestValidate:
             Violation("missing composition", refused),
         ]
 
-    def test_table_backed_link_calls_no_rule(self):
-        link = linking_groupoid(*random_morita_triple(4))
-        g = FiniteGroupoid(link.objects, *self._materialize(link))
-
-        def forbidden(p, q):
-            pytest.fail(f"product rule called on {(p, q)!r}")
-
-        g._product = forbidden
-        assert validate(g).ok
-
     def test_memoized_report_is_copied_on_each_call(self, monkeypatch):
         import stackvol.finite as finite_module
 

@@ -186,6 +186,16 @@ class TestGlobalRule:
         assert finer.evaluations > res.evaluations
         assert finer.error_estimate <= share * (1 - 1e-9) * finer.value
 
+    def test_the_stop_is_tested_on_the_correctly_rounded_error_sum(self):
+        # a near-pole Lorentzian where the running error sum, 2.3159e-11 at
+        # 1,555 evaluations, passes tol * size = 2.3761e-11 while the
+        # correctly rounded sum of the same leaves, 2.5359e-11, does not
+        a, c, tol = 0.7792596465947875, 0.03370686533994126, 2.2480082950207802e-13
+        res = integrate_1d(lambda x: c / ((x - a) ** 2 + 1e-6), 0.0, 1.0, tol=tol)
+        assert res.evaluations == 1575
+        assert res.error_estimate == pytest.approx(2.2621e-11, rel=1e-4)
+        assert res.error_estimate <= tol * res.value
+
 
 class TestIntegrateBox:
     def test_product_polynomial(self):

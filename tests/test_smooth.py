@@ -574,6 +574,13 @@ class TestHomogeneousVolume:
         with pytest.raises(ValueError):
             homogeneous_volume(am)
 
+    def test_a_ratio_that_overflows_is_a_numerical_failure(self):
+        # a finite b mass over a group volume weighted by a = 1e-308 is inf
+        am = dataclasses.replace(plane_so2(R=2.0), a_density=lambda p: 1e-308)
+        with pytest.raises(NumericalFailure,
+                           match="overflowed to inf in the b mass over the group volume"):
+            homogeneous_volume(am)
+
 
 class TestInvariance:
     # every catalog action has Jacobian 1 in its chart, so b must be unchanged by it
