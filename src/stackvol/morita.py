@@ -118,6 +118,8 @@ class Bibundle:
     from a table is undefined.  A valid bibundle defines the left action
     of an arrow g exactly when r(g) equals the left anchor, the right
     action of an arrow h exactly when the right anchor equals l(h).
+    Its public tables must not change once built: validation is memoized
+    on the bibundle, keyed only by the two groupoids, and is not redone.
     """
 
     def __init__(self, elements, left_anchor, right_anchor, left_action, right_action):

@@ -52,8 +52,9 @@ def refuse_non_finite(value, where):
 class EvalCounter:
     """An integrand that counts its calls and refuses non-finite values.
 
-    An infinite value is an overflow and raises NumericalFailure; a NaN
-    is an invalid integrand and raises ValueError.  Both name the node.
+    An infinite value is an overflow and raises NumericalFailure, as does
+    an ArithmeticError from f, such as ``0.0 ** -0.9`` at a pole; a NaN is
+    an invalid integrand and raises ValueError.  All three name the node.
 
     The adaptive rule counts an integrand given as an EvalCounter with
     that counter, so work the integrand adds to ``count`` itself, such as
@@ -68,7 +69,10 @@ class EvalCounter:
 
     def __call__(self, *args):
         self.count += 1
-        v = float(self.f(*args))
+        try:
+            v = float(self.f(*args))
+        except ArithmeticError as exc:
+            raise NumericalFailure(f"integrand raised {exc!r} at {args}") from exc
         if not math.isfinite(v):
             refuse_non_finite(v, f"at {args}")
         return v

@@ -1,13 +1,13 @@
 """Numerical stack volumes for transformation-groupoid models.
 
-A model packages a compact group (finitely many components times
-circle angles, with Haar measure), a coordinate chart for the
+A model packages a compact group (finitely many components times at
+most one circle angle, with Haar measure), a coordinate chart for the
 space acted on, the action in those coordinates, and a pair of
 densities: ``a_density`` along the group directions and ``b_density``
 on the chart.  The stack volume integrates b against the reciprocal of
 the fiber integral of a, mirroring the exact finite formula; each fiber
 integral is a sum over the components of a periodic trapezoid rule in
-the angles, refined until it settles.  Models may also carry an orbit
+the angle, refined until it settles.  Models may also carry an orbit
 chart describing the regular part of the orbit space, which gives the
 pushforward density of the stack measure on the orbit parameter.
 
@@ -18,7 +18,6 @@ and copied with the standard library's ``replace``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .quadrature import (
 )
 
 TWO_PI = 2.0 * math.pi
-# trapezoid Haar rule: first grid per angle, cap on one grid over all angles
+# trapezoid Haar rule: the first grid and the cap on the grid, in nodes
 HAAR_START_NODES = 16
 HAAR_MAX_NODES = 2 ** 16
 HAAR_TOL = 1e-9  # the agreement asked of two grids, relative to the integral of |fn|
@@ -53,18 +52,19 @@ class SingularOrbitError(ValidationFailure):
 
 
 class GroupModel:
-    """A compact group: a tuple of components times ``rank`` circle angles.
+    """A compact group: a tuple of components times ``rank`` circle angles, rank 0 or 1.
 
     "finite" is the table's elements with rank 0, "circle" one component
     with rank 1, and "o2" the components (0, 1), 1 for reflections, with
-    rank 1.  ``element`` maps (component, angles) to what ``act``
-    receives: a table element, an angle or a pair (flag, angle).
+    rank 1.  ``element`` maps (component, angle) to what ``act``
+    receives: a table element (rank 0 ignores the angle), the angle or a
+    pair (flag, angle).
     """
 
     ELEMENT_MAPS = {
-        "finite": lambda c, angles: c,
-        "circle": lambda c, angles: angles[0],
-        "o2": lambda c, angles: (c, angles[0]),
+        "finite": lambda c, angle: c,
+        "circle": lambda c, angle: angle,
+        "o2": lambda c, angle: (c, angle),
     }
 
     def __init__(self, kind: str, group=None):
@@ -80,71 +80,67 @@ class GroupModel:
 
     @property
     def volume(self) -> float:
-        return len(self.components) * TWO_PI ** self.rank
+        return len(self.components) * (TWO_PI if self.rank else 1.0)
 
-    def integrate(self, fn: Callable):
-        """Haar integral of fn over the group; returns (value, evaluations).
+    def integrate(self, fn: Callable) -> QuadratureResult:
+        """Haar integral of fn over the group, with its last gap and evaluations.
 
         Sums over the components and applies the periodic trapezoid rule
-        to the angles, which converges exponentially for smooth periodic
-        integrands.  The grid starts at HAAR_START_NODES per angle and
-        doubles, reusing its nodes, until two estimates agree to HAAR_TOL
-        relative to the integral of |fn|, the policy of the chart rule in
+        to the angle, which converges exponentially for smooth periodic
+        integrands.  The grid starts at HAAR_START_NODES and doubles,
+        reusing its nodes, until two estimates agree to HAAR_TOL relative
+        to the integral of |fn|, the policy of the chart rule in
         :mod:`quadrature`, so scaling fn never changes the number of
         evaluations.  Nested grids alias the same frequencies, so once the
         grids of n/2 and n nodes agree, a grid of n/2 nodes shifted by
         HAAR_SHIFT of its step must agree too; a frequency that both nested
         grids alias shows up there as a phase difference (Trefethen and
         Weideman, SIAM Review 56(3), 2014, section 3), and the grid keeps
-        doubling.  The evaluations count the shifted nodes.  An integrand
-        that does not settle within HAAR_MAX_NODES raises
-        NonConvergenceError with the last estimate; it never returns
-        silently.
+        doubling.  The evaluations count the shifted nodes, and the error
+        estimate is the gap of that last check.  A finite group's sum is
+        exact, with error 0.  An integrand that does not settle within
+        HAAR_MAX_NODES raises NonConvergenceError with the last estimate;
+        it never returns silently.
         """
-        n = HAAR_START_NODES
-        total = size = 0.0
-        prev = None
         evals = 0
 
-        def sample(nodes):
+        def sample(angles):
             """The sums of fn and |fn| over the components at the given angles."""
             nonlocal evals
-            values = [float(fn(self.element(c, angles)))
-                      for c in self.components for angles in nodes]
+            values = [float(fn(self.element(c, t))) for c in self.components for t in angles]
             evals += len(values)
             abs_sum = left_sum(map(abs, values))
             if math.isnan(abs_sum):
                 raise ValueError("Haar integrand returned NaN")
             if abs_sum == math.inf:  # an infinite value, or finite ones summing past the floats
                 i = max(range(len(values)), key=lambda i: abs(values[i]))
-                c, k = divmod(i, len(nodes))
+                c, k = divmod(i, len(angles))
                 raise NumericalFailure(f"Haar integrand overflowed: largest value {values[i]!r} "
-                                       f"at {self.element(self.components[c], nodes[k])!r}")
+                                       f"at {self.element(self.components[c], angles[k])!r}")
             return left_sum(values), abs_sum
 
+        if self.rank == 0:
+            return QuadratureResult(sample([0.0])[0], 0.0, evals)
+        n = HAAR_START_NODES
+        total = size = 0.0
+        prev = None
         while True:
-            grid = itertools.product(range(n), repeat=self.rank)
-            part, part_size = sample([tuple(TWO_PI * i / n for i in idx) for idx in grid
-                                      if prev is None or any(i % 2 for i in idx)])
+            nodes = range(n) if prev is None else range(1, n, 2)  # each finer grid adds the odd nodes
+            part, part_size = sample([TWO_PI * i / n for i in nodes])
             total += part
             size += part_size
-            weight = (TWO_PI / n) ** self.rank
+            weight = TWO_PI / n
             value = weight * total
-            if self.rank == 0:
-                return value, evals
             gap = math.inf if prev is None else abs(value - prev)
             if gap <= HAAR_TOL * weight * size:
                 half = n // 2
-                grid = itertools.product(range(half), repeat=self.rank)
-                shifted, _ = sample([tuple(TWO_PI * (i + HAAR_SHIFT) / half for i in idx)
-                                     for idx in grid])
-                gap = abs(2 ** self.rank * weight * shifted - value)
+                shifted, _ = sample([TWO_PI * (i + HAAR_SHIFT) / half for i in range(half)])
+                gap = abs(2 * weight * shifted - value)
                 if gap <= HAAR_TOL * weight * size:
-                    return value, evals
-            if (2 * n) ** self.rank > HAAR_MAX_NODES:
+                    return QuadratureResult(value, gap, evals)
+            if 2 * n > HAAR_MAX_NODES:
                 raise NonConvergenceError(
-                    f"trapezoid Haar rule hit {n ** self.rank} nodes before reaching "
-                    f"tol={HAAR_TOL}",
+                    f"trapezoid Haar rule hit {n} nodes before reaching tol={HAAR_TOL}",
                     QuadratureResult(value, gap, evals),
                 )
             prev = value
@@ -226,20 +222,15 @@ class ActionModel:
 # volume computations
 
 
-def _fiber(am: ActionModel, y):
-    """The fiber integral at y and the evaluations its Haar rule made."""
-    if am.a_constant:
-        return float(am.a_density(y)) * am.group.volume, 0
-    return am.group.integrate(lambda h: float(am.a_density(am.act(h, y))))
-
-
-def fiber_integral(am: ActionModel, y) -> float:
-    """Haar integral of a_density along the orbit through y.
+def fiber_integral(am: ActionModel, y) -> QuadratureResult:
+    """Haar integral of a_density along the orbit through y, by ``GroupModel.integrate``.
 
     For a constant a this is a(y) times the group volume, the direct
-    analog of the finite fiber sum.
+    analog of the finite fiber sum, with no evaluations and error 0.
     """
-    return _fiber(am, y)[0]
+    if am.a_constant:
+        return QuadratureResult(float(am.a_density(y)) * am.group.volume, 0.0, 0)
+    return am.group.integrate(lambda h: float(am.a_density(am.act(h, y))))
 
 
 def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
@@ -266,11 +257,11 @@ def stack_volume(am: ActionModel, tol: float = 1e-6) -> QuadratureResult:
             key = p[am.orbit_chart.param_axis]
             if key in fibers:
                 return fibers[key]
-        fib, evals = _fiber(am, p)
-        counter.count += evals  # a fiber rule's NonConvergenceError passes as it is
+        fib = fiber_integral(am, p)
+        counter.count += fib.evaluations  # a fiber rule's NonConvergenceError passes as it is
         if fibers is not None:
-            fibers[key] = fib
-        return fib
+            fibers[key] = fib.value
+        return fib.value
 
     def b_over_fiber(p):
         fib = fiber(p)

@@ -171,6 +171,15 @@ class TestFiniteCommands:
         # a single two-point orbit with isotropy order 2 and section 4: 4/2
         assert out.strip() == "2"
 
+    def test_a_repeated_orbit_counts_once(self, capsys, tmp_path):
+        gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
+        run(capsys, ["finite", "generate", "--seed", "1", "-o", str(gpath),
+                     "--weights-out", str(wpath)])
+        argv = ["finite", "measure", "--groupoid", str(gpath), "--weights", str(wpath)]
+        for orbit_list in ("o0", "o0,o0"):
+            code, out, _ = run(capsys, argv + ["--orbits", orbit_list])
+            assert (code, out) == (0, "3/2\n")
+
     def test_generate_is_deterministic(self, capsys, tmp_path):
         out1 = tmp_path / "g1.json"
         out2 = tmp_path / "g2.json"
@@ -420,6 +429,12 @@ _PAIR_TABLE_ERRORS = {
     ("rightAction", "int-id"): "bibundle.rightAction[1]: expected a string id, got 5",
     ("rightAction", "duplicate-pair"): "bibundle.rightAction[4]: duplicate action pair ('e', 's')",
 }
+
+
+def test_weight_keys_that_rename_to_non_strings_are_not_dumped():
+    w = WeightData({"x": Fraction(1)}, {"x": Fraction(1)})
+    with pytest.raises(SchemaError, match="weight keys must rename to strings for dumping"):
+        jsonio.weights_to_dict(w, {"x": 0})
 
 
 @pytest.mark.parametrize("field, edit", sorted(_PAIR_TABLE_ERRORS))
@@ -880,6 +895,19 @@ class TestErrorPaths:
                                     "--weights", str(wpath)])
         assert code == 3
         assert "rational" in err
+
+    def test_boolean_weights_rejected(self, capsys, tmp_path):
+        gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
+        run(capsys, ["finite", "generate", "--seed", "1", "-o", str(gpath),
+                     "--weights-out", str(wpath)])
+        weights = json.loads(wpath.read_text())
+        weights["a"]["o0"] = True
+        wpath.write_text(json.dumps(weights))
+        argv = ["finite", "volume", "--groupoid", str(gpath), "--weights", str(wpath), "--json"]
+        code, out, err = run(capsys, argv)
+        obj = assert_failure_stdout(argv, code, out, err, "SchemaError")
+        assert code == 3
+        assert obj["message"] == "weights.a['o0']: booleans are not weights"
 
     @pytest.mark.parametrize("value", ["1e100000000", "1E-100000000"])
     def test_a_weight_with_a_huge_exponent_is_refused_at_once(self, capsys, tmp_path, value):

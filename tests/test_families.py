@@ -165,6 +165,14 @@ class TestPoissonDensity:
         with pytest.raises(CriticalPointError):
             poisson_stack_density(pm, 1.0)
 
+    def test_a_slope_just_above_zero_is_critical(self):
+        # V' = 2 (t - 0.01) is 2e-10 at the probe, not zero but below the critical
+        # slope, 1e-8 times the largest |V| on the probe grid over the domain width
+        pm = PoissonFamilyModel(area=lambda t: (t - 0.01) ** 2, coeff=lambda t: 1.0,
+                                t_domain=(0.0, 1.0), d_area=lambda t: 2.0 * (t - 0.01))
+        with pytest.raises(CriticalPointError, match="critical at t=0.01"):
+            poisson_stack_density(pm, 0.01 + 1e-10)
+
     def test_sign_change_between_grid_nodes_rejected_at_construction(self):
         # the parabola's vertex at t = 1 falls between two nodes, where V' changes sign
         with pytest.raises(CriticalPointError, match="changes sign"):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import random
+import sys
 import tempfile
 import weakref
 from collections import Counter
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stackvol.finite as finite_module
-from stackvol.errors import ValidationFailure, Violation
+from stackvol.errors import ValidationFailure, Violation, bounded_exponent
 from stackvol.finite import (
     MAX_RANDOM_ARROWS,
     DegenerateWeightError,
@@ -232,6 +233,13 @@ class TestOrbitDecomposition:
         per_orbit = sorted(orbit_set_measure(g, w, [r]) for r in reps)
         assert per_orbit == [Fraction(3, 2), Fraction(2)]
         assert orbit_set_measure(g, w, reps) == Fraction(7, 2)
+
+    def test_a_repeated_representative_counts_once(self):
+        g = disjoint_union(z_n(2), z_n(3))
+        w = WeightData({x: Fraction(1) for x in g.objects},
+                       {x: Fraction(3) if x[0] == 0 else Fraction(6) for x in g.objects})
+        for r in (o.representative for o in orbits(g)):
+            assert orbit_set_measure(g, w, [r, r]) == orbit_set_measure(g, w, [r])
 
     def test_unknown_orbit_representative(self):
         g = z_n(2)
@@ -806,6 +814,13 @@ class TestRefusals:
     def test_huge_decimal_exponent_refused(self):
         with pytest.raises(ValueError, match="decimal exponent"):
             WeightData({1: 1}, {1: "1e-100000000"})
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_an_exponent_at_the_digit_limit_is_kept_and_one_past_it_refused(self, sign):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        assert bounded_exponent(f"1e{sign}{limit}") == f"1e{sign}{limit}"
+        with pytest.raises(ValueError, match=f"past the {limit}-digit integer limit"):
+            bounded_exponent(f"1e{sign}{limit + 1}")
 
     @pytest.mark.parametrize("bound", ["max_objects", "max_group_order"])
     def test_random_groupoid_bound_of_zero(self, bound):

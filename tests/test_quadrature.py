@@ -197,6 +197,43 @@ class TestGlobalRule:
         assert res.error_estimate <= tol * res.value
 
 
+def interior_pole(x):
+    return abs(x - 1.0) ** -0.9
+
+
+class TestInteriorPole:
+    # |x - 1|^-0.9 is integrable, but no float rule reaches tol=1e-12 beside it
+
+    @pytest.mark.parametrize("lo, hi, evaluations", [
+        (0.6373447036620625, 1.2054235356898917, 975),
+        (0.6, 1.2, 915),
+    ])
+    def test_the_narrow_cell_stop_is_pinned(self, lo, hi, evaluations):
+        with pytest.raises(NonConvergenceError, match="too narrow") as exc:
+            integrate_1d(interior_pole, lo, hi, tol=1e-12)
+        assert exc.value.result.evaluations == evaluations
+
+    def test_an_integrand_raising_at_a_node_is_a_numerical_failure(self):
+        # a node of the panels over (0.75, 1.3) lands on the pole, where
+        # 0.0 ** -0.9 raises ZeroDivisionError
+        with pytest.raises(NumericalFailure, match=r"ZeroDivisionError.* at \(1\.0,\)") as exc:
+            integrate_1d(interior_pole, 0.75, 1.3, tol=1e-12)
+        assert not isinstance(exc.value, NonConvergenceError)
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.5, 1.0, exclude_max=True), st.floats(1.0, 1.5, exclude_min=True))
+    @example(0.75, 1.3)
+    def test_no_box_around_the_pole_raises_an_arithmetic_error(self, lo, hi):
+        # a result, a NonConvergenceError or another NumericalFailure; a raw
+        # ArithmeticError escapes the except clause and fails the test
+        try:
+            res = integrate_1d(interior_pole, lo, hi, tol=1e-12)
+        except NumericalFailure:
+            return
+        assert math.isfinite(res.value)
+
+
 class TestIntegrateBox:
     def test_product_polynomial(self):
         res = integrate_box(lambda x, y: x * y, [(0.0, 1.0), (0.0, 1.0)])

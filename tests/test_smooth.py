@@ -106,34 +106,41 @@ class TestGroupModels:
 
     def test_integrate_circle(self):
         gm = GroupModel("circle")
-        value, evals = gm.integrate(lambda t: 1.0)
-        assert value == pytest.approx(TWO_PI)
-        assert evals > 0
+        res = gm.integrate(lambda t: 1.0)
+        assert res.value == pytest.approx(TWO_PI)
+        assert res.evaluations > 0
 
     def test_integrate_o2_sees_both_components(self):
         gm = GroupModel("o2")
-        value, _ = gm.integrate(lambda h: 1.0 if h[0] else 0.0)
-        assert value == pytest.approx(TWO_PI)
+        assert gm.integrate(lambda h: 1.0 if h[0] else 0.0).value == pytest.approx(TWO_PI)
 
     @settings(max_examples=40, deadline=None)
     @given(_circle_poly, _circle_poly)
     def test_trig_polynomials_below_degree_16_are_exact(self, p, q):
-        value, _ = GroupModel("circle").integrate(_trig(p))
+        value = GroupModel("circle").integrate(_trig(p)).value
         assert value == pytest.approx(TWO_PI * p[0], rel=1e-12)
         f, g = _trig(p), _trig(q)
-        value, _ = GroupModel("o2").integrate(lambda h: g(h[1]) if h[0] else f(h[1]))
+        value = GroupModel("o2").integrate(lambda h: g(h[1]) if h[0] else f(h[1])).value
         assert value == pytest.approx(TWO_PI * (p[0] + q[0]), rel=1e-12)
 
     def test_node_count_ignores_scales(self):
         def f(t):
             return 1.0 / (POLE + math.cos(t))
 
-        value, base = GroupModel("circle").integrate(f)
-        assert value == pytest.approx(POLE_INTEGRAL, rel=1e-9)
+        res = GroupModel("circle").integrate(f)
+        assert res.value == pytest.approx(POLE_INTEGRAL, rel=1e-9)
+        base = res.evaluations
         assert base > 2 * 16  # the first two grids do not settle this integrand
         for scale in (1e-13, 1.0, 1e13):
-            _, evals = GroupModel("circle").integrate(lambda t: scale * f(t))
-            assert evals == base
+            assert GroupModel("circle").integrate(lambda t: scale * f(t)).evaluations == base
+
+    def test_the_error_estimate_is_the_last_gap(self):
+        # f > 0, so the integral of |f| is the value, and the accepted gap is at most HAAR_TOL of it
+        res = GroupModel("circle").integrate(lambda t: 1.0 / (POLE + math.cos(t)))
+        assert 0.0 < res.error_estimate <= HAAR_TOL * res.value
+        s3 = GroupModel("finite", group=FiniteGroup.symmetric(3))
+        assert s3.integrate(lambda h: 1.0 + h[0]).error_estimate == 0.0
+        assert fiber_integral(plane_so2(), (1.0, 0.3)) == (TWO_PI, 0.0, 0)
 
     @pytest.mark.parametrize("gm, fn", [
         (GroupModel("finite", group=FiniteGroup.symmetric(3)), lambda h: 1.0 + h[0]),
@@ -148,8 +155,7 @@ class TestGroupModels:
             calls += 1
             return fn(h)
 
-        _, evals = gm.integrate(counted)
-        assert evals == calls
+        assert gm.integrate(counted).evaluations == calls
 
     @pytest.mark.parametrize("tol", [1e-4, HAAR_TOL])
     def test_kinked_integrand_meets_tol_or_raises(self, monkeypatch, tol):
@@ -157,7 +163,7 @@ class TestGroupModels:
         monkeypatch.setattr(smooth_module, "HAAR_TOL", tol)
         gm = GroupModel("circle")
         try:
-            value, _ = gm.integrate(lambda t: abs(math.sin(t)))
+            value = gm.integrate(lambda t: abs(math.sin(t))).value
         except NonConvergenceError as exc:
             assert exc.result.evaluations > 0
         else:
@@ -189,7 +195,7 @@ class TestCharts:
 class TestFiberIntegral:
     def test_constant_density_fast_path(self):
         am = plane_so2()
-        assert fiber_integral(am, (1.0, 0.3)) == pytest.approx(TWO_PI)
+        assert fiber_integral(am, (1.0, 0.3)).value == pytest.approx(TWO_PI)
 
     def test_orbitwise_constant_nonconstant_density(self):
         am = dataclasses.replace(plane_so2(),
@@ -197,12 +203,12 @@ class TestFiberIntegral:
                                  a_constant=False)
         for r in (0.25, 1.0, 1.75):
             expect = TWO_PI * (1.0 + r * r)
-            assert fiber_integral(am, (r, 1.0)) == pytest.approx(expect, rel=1e-9)
+            assert fiber_integral(am, (r, 1.0)).value == pytest.approx(expect, rel=1e-9)
 
     def test_frequency_16_is_not_aliased(self):
         # equispaced grids of 4 or 8 steps per period alias frequency 16 to 1.5 * 2pi
         am = _cosine_disk(16)
-        assert fiber_integral(am, (1.0, 0.3)) == pytest.approx(TWO_PI, rel=1e-9)
+        assert fiber_integral(am, (1.0, 0.3)).value == pytest.approx(TWO_PI, rel=1e-9)
         res = stack_volume(am)
         assert abs(res.value - 2.0) <= 1e-6
 
@@ -210,7 +216,7 @@ class TestFiberIntegral:
     def test_frequencies_both_first_grids_alias_are_caught(self, k):
         # the grids of 16 and 32 nodes both alias these frequencies and agree
         # on a wrong value; the shifted grid's phase exposes them
-        assert fiber_integral(_cosine_disk(k), (1.0, 0.3)) == pytest.approx(TWO_PI, rel=1e-9)
+        assert fiber_integral(_cosine_disk(k), (1.0, 0.3)).value == pytest.approx(TWO_PI, rel=1e-9)
 
     @pytest.mark.parametrize("b", ["r", "a r"])
     def test_volume_with_an_aliased_frequency_ends_quickly(self, b):
@@ -294,7 +300,7 @@ class TestFiberIntegral:
                                  {0: 1.0, 1: 1.0, 2: 1.0})
         for y in (0, 1, 2):
             expect = sum(a[p[y]] for p in s3.elements)
-            assert fiber_integral(am, y) == pytest.approx(expect)
+            assert fiber_integral(am, y).value == pytest.approx(expect)
 
 
 class TestStackVolume:
@@ -394,7 +400,7 @@ class TestStackVolume:
         # the chart rule's own evaluations plus the fiber rules that ran,
         # one per radius, each taking the same nodes on this a
         assert res.evaluations == counts["b"] + counts["act"]
-        _, per_fiber = GroupModel("circle").integrate(lambda h: theta((1.0, h)))
+        per_fiber = GroupModel("circle").integrate(lambda h: theta((1.0, h))).evaluations
         assert counts["act"] == len(radii) * per_fiber
         assert len(radii) < counts["b"]
         assert res.evaluations < uncached.evaluations / 4
@@ -417,7 +423,7 @@ class TestStackVolume:
         z3 = FiniteGroup.cyclic(3)
         am = finite_action_model(z3, range(3), lambda h, x: (x + h) % 3,
                                  {0: 0.1, 1: 0.2, 2: -0.3}, {x: 1.0 for x in range(3)})
-        assert all(0.0 < abs(fiber_integral(am, x)) < 1e-16 for x in range(3))
+        assert all(0.0 < abs(fiber_integral(am, x).value) < 1e-16 for x in range(3))
         with pytest.raises(DegenerateWeightError):
             stack_volume(am)
 
@@ -496,7 +502,7 @@ class TestOrbitCache:
             for frac in (0.0, 0.05, 0.37, 0.8):
                 p = [0.0, 0.0]
                 p[axis], p[1 - axis] = t, lo + frac * (hi - lo)
-                values.append(fiber_integral(am, tuple(p)))
+                values.append(fiber_integral(am, tuple(p)).value)
             assert values == pytest.approx([values[0]] * len(values), rel=1e-9)
             fibers.append(values[0])
         # the fibers do depend on the parameter, so agreement above is not vacuous
@@ -574,6 +580,11 @@ class TestHomogeneousVolume:
         with pytest.raises(ValueError):
             homogeneous_volume(am)
 
+    def test_zero_a_is_degenerate(self):
+        am = dataclasses.replace(plane_so2(R=2.0), a_density=lambda p: 0.0)
+        with pytest.raises(DegenerateWeightError, match="group volume weighted by a vanishes"):
+            homogeneous_volume(am)
+
     def test_a_ratio_that_overflows_is_a_numerical_failure(self):
         # a finite b mass over a group volume weighted by a = 1e-308 is inf
         am = dataclasses.replace(plane_so2(R=2.0), a_density=lambda p: 1e-308)
@@ -589,8 +600,7 @@ class TestInvariance:
         rng = random.Random(3)
         gm = am.group
         for _ in range(100):
-            h = gm.element(rng.choice(gm.components),
-                           tuple(rng.uniform(0.0, TWO_PI) for _ in range(gm.rank)))
+            h = gm.element(rng.choice(gm.components), rng.uniform(0.0, TWO_PI))
             p = tuple(rng.uniform(lo, hi) for lo, hi in am.chart.bounds)
             assert am.b_density(am.act(h, p)) == pytest.approx(am.b_density(p), rel=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stackvol.quadrature import NonConvergenceError
+from stackvol.quadrature import NonConvergenceError, integrate_1d
 from stackvol.su2 import (
     adjoint_orbit_density,
     chamber_parameters,
@@ -187,24 +187,31 @@ class TestWeylCheck:
     def test_shrinking_wall_neighborhood_loses_all_mass(self, cartan):
         # smooth bumps concentrating at the wall: the squared-root density
         # suppresses them cubically, so both sides must march to zero
-        values = []
-        for eps in (0.2, 0.1, 0.05):
-            def near_wall(s, eps=eps):
+        def near_wall(eps):
+            def bump(s):
                 return np.exp(-np.square(np.asarray(s) / eps))
 
-            near_wall.width = eps
-            # the box reaches 5 eps, seven of the bump's standard deviations,
-            # so the error gate needs 2M samples
-            report = weyl_integration_check(near_wall, mc_samples=2_000_000, seed=5)
+            bump.width = eps
+            return bump
+
+        rhs = {}
+        for eps in (0.2, 0.1, 0.05):
+            bump = near_wall(eps)
+            rhs[eps] = integrate_1d(lambda s: adjoint_orbit_density(s, cartan).value
+                                    * float(bump(s)), 0.0, 5.0 * eps, tol=1e-12).value
             # full-line closed form, the cut at 5 eps only sheds an e^-25 tail:
             #   int_0^inf (4 pi s)^2 exp(-(s/eps)^2) ds = 4 pi^2 sqrt(pi) eps^3
             exact = 4.0 * math.pi ** 2 * math.sqrt(math.pi) * eps ** 3
-            assert report.rhs == pytest.approx(exact, rel=1e-6)
-            assert abs(report.lhs - report.rhs) < 6 * report.mc_stderr
-            values.append((report.lhs, report.rhs))
-        assert values[0][1] > values[1][1] > values[2][1]
-        assert values[2][1] < 0.01
-        assert values[2][0] < 0.02
+            assert rhs[eps] == pytest.approx(exact, rel=1e-6)
+        # the box reaches 5 eps, so with one seed the Monte Carlo side at every
+        # eps is one computation scaled by eps^3, and one run checks it; the box
+        # spans seven of the bump's standard deviations, so its error gate
+        # needs 2M samples
+        report = weyl_integration_check(near_wall(0.05), mc_samples=2_000_000, seed=5)
+        assert report.rhs == rhs[0.05]
+        assert abs(report.lhs - report.rhs) < 6 * report.mc_stderr
+        assert report.rhs < 0.01
+        assert report.lhs < 0.02
 
     def test_scaling_linearity(self, cartan):
         phi = gaussian_test_function()
