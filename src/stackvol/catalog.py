@@ -109,7 +109,8 @@ class PoissonFamilyModel:
         return (4.0 * d2 - d1) / 3.0
 
 
-def _checked_derivative(pm: PoissonFamilyModel, t: float) -> float:
+def natural_leaf_measure(pm: PoissonFamilyModel, t: float) -> float:
+    """Density V'(t) of the measure pulled from the leaf areas."""
     lo, hi = pm.t_domain
     if not lo < t < hi:
         raise ValueError(f"parameter {t} outside the open domain ({lo}, {hi})")
@@ -124,12 +125,7 @@ def _checked_derivative(pm: PoissonFamilyModel, t: float) -> float:
 
 def poisson_stack_density(pm: PoissonFamilyModel, t: float) -> float:
     """Density f(t)/V'(t) of the stack measure on the leaf parameter line."""
-    return float(pm.coeff(t)) / _checked_derivative(pm, t)
-
-
-def natural_leaf_measure(pm: PoissonFamilyModel, t: float) -> float:
-    """Density V'(t) of the measure pulled from the leaf areas."""
-    return _checked_derivative(pm, t)
+    return float(pm.coeff(t)) / natural_leaf_measure(pm, t)
 
 
 def _disk(name: str, R: float, group: str, act, isotropy: float) -> ActionModel:

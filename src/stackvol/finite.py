@@ -27,7 +27,8 @@ from .groups import FiniteGroup, finite_sets_cardinality, group_zoo
 
 
 class UndefinedComposition(KeyError):
-    """Raised by a groupoid's composition on a non-composable or refused pair."""
+    """Raised only by :meth:`FiniteGroupoid.compose`: the pair is not composable, or the
+    product rule refused it by raising ``KeyError``, as every rule refuses."""
 
 
 class InvalidGroupoidError(ValidationFailure):
@@ -53,16 +54,16 @@ class UnknownOrbitError(ValidationFailure):
 class FiniteGroupoid:
     """Finite groupoid with table-backed or closure-backed composition.
 
-    ``compose`` may be a dict of exactly the composable pairs or a product
-    rule ``(g, h) -> gh``.  :meth:`compose` alone decides composability: for
-    a product rule it raises :class:`UndefinedComposition` unless g and h
-    are arrows with r(g) == l(h), so the rule is only ever called on
-    composable pairs; it may still raise :class:`UndefinedComposition` to
-    refuse one, which :func:`validate` reports as a missing composition.
-    Groupoids built in code, linking groupoids among them, use product
-    rules so that no quadratic table has to be materialized; JSON-loaded
-    groupoids keep an explicit table.  Inconsistent tables raise
-    ValueError naming the first bad entry; the tables never change, so
+    ``compose`` is a product rule ``(g, h) -> gh``, or a dict that becomes
+    the rule ``table[g, h]``.  A rule refuses a pair by raising ``KeyError``,
+    which :func:`validate` reports as a missing composition.  :meth:`compose`
+    checks r(g) == l(h) for every groupoid alike, so a table entry for a
+    non-composable pair, which :func:`validate` reports as spurious, is never
+    a composite, and only :meth:`compose` raises :class:`UndefinedComposition`.
+    Groupoids built in code, linking groupoids among them, use product rules
+    so that no quadratic table has to be materialized; JSON-loaded groupoids
+    keep an explicit table.  Inconsistent tables raise ValueError naming the
+    first bad entry; the tables never change, so
     :meth:`pair_counts` and its derivatives are memoized.  ``deferred``, as
     :func:`block_union` gives it, is ``(build, pair_counts, arrow_count)``: the
     arrow, identity and inverse tables stay ``None`` until a reader calls
@@ -83,12 +84,11 @@ class FiniteGroupoid:
             self._arrows, self._identity, self._inverse = dict(arrows), dict(identity), dict(inverse)
             self._arrow_count = len(self._arrows)
             self._check_structure()
-        if isinstance(compose, dict):
-            self._compose_table = dict(compose)
-            self._product = self._table_rule(self._compose_table)
+        if isinstance(compose, dict):  # read by validate's spurious-pair scan
+            table = self._compose_table = dict(compose)
+            self._product = lambda g, h: table[g, h]
         else:
-            self._compose_table = None
-            self._product = compose
+            self._compose_table, self._product = None, compose
         self._by_l = self._by_r = None
         self._orbit_cache = self._fiber_index = self._validation = self._gens = None
         self._names = None  # the string names of jsonio's dumps
@@ -116,17 +116,6 @@ class FiniteGroupoid:
             if bid not in self._arrows:
                 raise ValueError(f"inverse of {aid!r} is not an arrow")
 
-    @staticmethod
-    def _table_rule(table):
-        """A product rule that holds only ``table``; a miss is an undefined pair."""
-        def product(g, h):
-            try:
-                return table[(g, h)]
-            except KeyError:
-                raise UndefinedComposition((g, h)) from None
-
-        return product
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -142,12 +131,14 @@ class FiniteGroupoid:
         return self._arrow_count
 
     def compose(self, g, h):
-        """The composite gh; :class:`UndefinedComposition` unless r(g) == l(h) for arrows g, h."""
-        if self._compose_table is None:
-            ends = self._arrows or self._built()[0]
-            if g not in ends or h not in ends or ends[g][1] != ends[h][0]:
-                raise UndefinedComposition((g, h))
-        return self._product(g, h)
+        """gh for arrows with r(g) == l(h); else, or on the rule's refusal, UndefinedComposition."""
+        ends = self._arrows or self._built()[0]
+        if g not in ends or h not in ends or ends[g][1] != ends[h][0]:
+            raise UndefinedComposition((g, h))
+        try:
+            return self._product(g, h)
+        except KeyError:
+            raise UndefinedComposition((g, h)) from None
 
     def _build_indexes(self):
         by_l = {x: [] for x in self._objects}
@@ -344,7 +335,9 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     table's too, composes each composable pair once, into rows a -> {b: ab}
     that every check reads; Light's test costs two row lookups per generator
     s, arrow a into l(s) and arrow c out of r(s), at worst the full scan.
-    The table is read only to scan for spurious pairs, when the rows hold fewer.
+    A pair the rule refuses with ``KeyError`` is a missing composition.
+    The table is read only to scan for spurious pairs, entries for
+    non-composable pairs, when the rows hold fewer composites than it has.
 
     The report is memoized on the groupoid, whose tables never change
     after construction; each call returns a fresh copy of it.  The
@@ -708,9 +701,9 @@ def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:
     return WeightData(a, b)
 
 
-def random_positive_rescaling(g: FiniteGroupoid, seed) -> dict:
+def random_positive_rescaling(g: FiniteGroupoid, seed: int) -> dict:
     """A positive rational function on objects, for rescale-invariance checks."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     return {x: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for x in g.objects}
 
 

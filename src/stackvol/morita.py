@@ -197,8 +197,10 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     ``_built()`` tables.  The link's product rule reads the factors' rules
     and inverse tables, the action tables and the transports; a pair whose
     factor composite, action or transport is undefined raises ``KeyError``,
-    which :func:`finite.validate` reports as a missing composition.  The
-    link is validated only when :func:`_laws_hold` cannot vouch for it.
+    the refusal of every product rule: :func:`finite.validate` reports it as
+    a missing composition, and the link's ``compose`` alone turns it into
+    :class:`finite.UndefinedComposition`.  The link is validated only when
+    :func:`_laws_hold` cannot vouch for it.
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))

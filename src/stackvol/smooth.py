@@ -100,23 +100,31 @@ class GroupModel:
         estimate is the gap of that last check.  A finite group's sum is
         exact, with error 0.  An integrand that does not settle within
         HAAR_MAX_NODES raises NonConvergenceError with the last estimate;
-        it never returns silently.
+        it never returns silently.  As :class:`quadrature.EvalCounter` does
+        for the chart rule, an ArithmeticError from fn, or an overflow,
+        raises NumericalFailure naming the group element; a NaN raises
+        ValueError.
         """
         evals = 0
 
         def sample(angles):
             """The sums of fn and |fn| over the components at the given angles."""
             nonlocal evals
-            values = [float(fn(self.element(c, t))) for c in self.components for t in angles]
+            elements = [self.element(c, t) for c in self.components for t in angles]
+            values = []
+            try:
+                for x in elements:
+                    values.append(float(fn(x)))
+            except ArithmeticError as exc:
+                raise NumericalFailure(f"Haar integrand raised {exc!r} at {x!r}") from exc
             evals += len(values)
             abs_sum = left_sum(map(abs, values))
             if math.isnan(abs_sum):
                 raise ValueError("Haar integrand returned NaN")
             if abs_sum == math.inf:  # an infinite value, or finite ones summing past the floats
                 i = max(range(len(values)), key=lambda i: abs(values[i]))
-                c, k = divmod(i, len(angles))
                 raise NumericalFailure(f"Haar integrand overflowed: largest value {values[i]!r} "
-                                       f"at {self.element(self.components[c], angles[k])!r}")
+                                       f"at {elements[i]!r}")
             return left_sum(values), abs_sum
 
         if self.rank == 0:

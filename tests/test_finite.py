@@ -356,6 +356,21 @@ class TestValidate:
         assert not report.ok
         assert "spurious composition" in axioms_of(report)
 
+    def test_compose_refuses_spurious_and_missing_table_pairs(self):
+        g = block_groupoid([1, 2], FiniteGroup.cyclic(1))
+        arrows, identity, inverse, table = self._materialize(g)
+        a = (1, 2, 0)  # ends at 2 but starts at 1: not composable with itself
+        spurious, missing = (a, a), ((1, 1, 0), a)
+        table[spurious] = a
+        del table[missing]
+        broken = FiniteGroupoid(g.objects, arrows, identity, inverse, table)
+        for h, pair in ((g, spurious), (broken, spurious), (broken, missing)):
+            with pytest.raises(UndefinedComposition):
+                h.compose(*pair)
+        violations = validate(broken).violations
+        assert Violation("spurious composition", spurious) in violations
+        assert Violation("missing composition", missing) in violations
+
     def test_wrong_identity_endpoints_flagged(self):
         g = block_groupoid([1, 2], FiniteGroup.cyclic(1))
         arrows, _, inverse, table = self._materialize(g)
@@ -1379,6 +1394,32 @@ def test_compose_raises_exactly_off_the_fibered_product(built, data):
         else:
             with pytest.raises(UndefinedComposition):
                 g.compose(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([range(1), range(2), ["p", "q"]]),
+                          st.sampled_from(group_zoo(3))), max_size=3), st.data())
+def test_table_and_rule_copies_compose_alike(specs, data):
+    """A JSON round trip of a block union, with spurious entries added to its
+    compose table, composes every ordered pair of arrows as the union does."""
+    g = block_union(specs)
+    _, names = _renaming(g)
+    doc = groupoid_to_dict(g)
+    ends = g._built()[0]
+    apart = sorted(((p, q) for p in ends for q in ends if ends[p][1] != ends[q][0]), key=repr)
+    if apart:
+        for p, q in data.draw(st.lists(st.sampled_from(apart), max_size=4, unique=True)):
+            doc["compose"].append([names[p], names[q], names[p]])
+    loaded = groupoid_from_dict(doc)
+    for p in ends:
+        for q in ends:
+            try:
+                expected = names[g.compose(p, q)]
+            except UndefinedComposition:
+                with pytest.raises(UndefinedComposition):
+                    loaded.compose(names[p], names[q])
+            else:
+                assert loaded.compose(names[p], names[q]) == expected
 
 
 def test_union_and_restriction_keep_no_part_alive():

@@ -93,6 +93,12 @@ class TestGroupModels:
         with pytest.raises(NumericalFailure, match=message):
             GroupModel("circle").integrate(fn)
 
+    def test_haar_arithmetic_error_is_a_numerical_failure(self):
+        # node 8 of the 16-node grid is exactly pi
+        with pytest.raises(NumericalFailure, match=re.escape(f"at {math.pi!r}")) as exc:
+            GroupModel("circle").integrate(lambda t: 1.0 / (t - math.pi))
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
     def test_haar_nan_stays_invalid_input(self):
         with pytest.raises(ValueError, match="NaN"):
             GroupModel("o2").integrate(lambda h: math.nan if h[0] else 1.0)
