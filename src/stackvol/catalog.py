@@ -16,9 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import NumericalFailure, ValidationFailure, bounded_exponent
-from .smooth import ActionModel, BoxChart, GroupModel, OrbitChart
-
-TWO_PI = 2.0 * math.pi
+from .smooth import TWO_PI, ActionModel, BoxChart, GroupModel, OrbitChart
 
 
 class UnknownModelError(ValidationFailure):

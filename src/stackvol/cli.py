@@ -78,8 +78,7 @@ def _cmd_finite_volume(args) -> int:
     vo = orbit_volume(g, w)
     if vf != vo:
         # unreachable when the section is invariant; kept as a hard check
-        print(f"error: fiber {vf} differs from orbit {vo}", file=sys.stderr)
-        return 1
+        raise ValidationFailure(f"fiber {vf} differs from orbit {vo}")
     return _emit(args, [f"fiber {vf}", f"orbit {vo}"],
                  {"fiber": str(vf), "orbit": str(vo), "equal": True}, params)
 

@@ -383,12 +383,10 @@ def _check_axioms(g: FiniteGroupoid) -> ValidationReport:
             report.add("inverse axiom", (a, b), "composite with inverse is not the identity")
 
     for a, (la, ra) in ends.items():
-        ea, eb = ident[la], ident[ra]
-        try:  # a pair made non-composable by a misplaced identity goes to compose
-            if ((rows[ea][a] if ends[ea][1] == la else g.compose(ea, a)) != a
-                    or (rows[a][eb] if ends[eb][0] == ra else g.compose(a, eb)) != a):
+        try:  # a row holds only composable pairs, so a misplaced identity misses too
+            if rows[ident[la]][a] != a or rows[a][ident[ra]] != a:
                 report.add("identity unit", (a,))
-        except KeyError:  # a row miss or UndefinedComposition
+        except KeyError:  # a refused or non-composable pair
             report.add("identity unit", (a,), "unit composite undefined")
 
     for a, row in rows.items():

@@ -204,16 +204,17 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
     """
     report = ValidationReport()
     sides = (("left", bib.left_anchor, g1), ("right", bib.right_anchor, g2))
-    for side, anchor, g in sides:
+    fibers = over_l, over_r = {}, {}  # object -> the elements anchored at it, in element order
+    for (side, anchor, g), over in zip(sides, fibers):
         for b in bib.elements:
             if anchor[b] not in g._object_set:
                 report.add("anchor range", (b,), f"{side} anchor leaves the {side} object set")
+            over.setdefault(anchor[b], []).append(b)
     if not report.ok:
         return report, None
-    for side, anchor, g in sides:
-        hit = set(anchor.values())
+    for (side, _, g), over in zip(sides, fibers):
         for x in g.objects:
-            if x not in hit:
+            if x not in over:
                 report.add("anchor not surjective", (x,), f"{side} anchor misses this object")
 
     left, right, els = bib.left_action, bib.right_action, bib.element_set
@@ -284,14 +285,14 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
 
     link = FiniteGroupoid(objects, arrows, identity, inverse, compose)
     if (report.ok and validate(g1).ok and validate(g2).ok
-            and _laws_hold(g1, g2, bib, left_transport, right_transport)):
+            and _laws_hold(g1, g2, bib, over_l, over_r, left_transport, right_transport)):
         link._validation = ValidationReport()  # a groupoid, by the module docstring
     else:
         report.violations.extend(validate(link).violations)
     return report, link
 
 
-def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
+def _laws_hold(g1, g2, bib, over_l, over_r, left_transport, right_transport) -> bool:
     """Whether the bibundle laws of the module docstring hold.
 
     Assumes valid factors, anchors in range and free actions whose
@@ -299,14 +300,11 @@ def _laws_hold(g1, g2, bib, left_transport, right_transport) -> bool:
     checked.  The checks run in that docstring's order, so every table,
     transport and factor lookup of a law is defined by totality, closure
     and transitivity.  Each law is one check per action-table entry,
-    against the first element of the entry's anchor fiber.  It reads the
-    factors' endpoint tables and composes through their product rules.
+    against the first element of the entry's anchor fiber, as ``over_l``
+    and ``over_r`` list the fibers by object.  It reads the factors'
+    endpoint tables and composes through their product rules.
     """
     la, ra, left, right = bib.left_anchor, bib.right_anchor, bib.left_action, bib.right_action
-    over_l, over_r = {}, {}  # object -> the elements anchored at it
-    for b in bib.elements:
-        over_l.setdefault(la[b], []).append(b)
-        over_r.setdefault(ra[b], []).append(b)
     e1, e2 = g1._built()[0], g2._built()[0]  # arrow -> (l, r) in each factor
     if not (len(left) == sum(len(g1.arrows_into(x)) * len(bs) for x, bs in over_l.items())
             and len(right) == sum(len(g2.arrows_from(y)) * len(bs) for y, bs in over_r.items())

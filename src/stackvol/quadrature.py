@@ -118,29 +118,70 @@ def _children(cell):
     return [c[::-1] for c in itertools.product(*halves[::-1])]
 
 
-def _halvable(lo, hi):
-    """Whether the panels of both halves of [lo, hi] put every node strictly inside their half.
+def _inside(lo, hi):
+    """Whether the panel on [lo, hi] puts every node strictly inside it.
 
     The nodes are computed as :func:`_panel` computes them, and they are
     monotone in the Gauss node, so the two outer ones decide.
     """
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return lo < c + h * GAUSS_NODES[0] and c + h * GAUSS_NODES[-1] < hi
+
+
+def _halvable(lo, hi):
+    """Whether the panels of both halves of [lo, hi] put every node strictly inside their half."""
     mid = 0.5 * (lo + hi)
-    c1, h1, c2, h2 = 0.5 * (lo + mid), 0.5 * (mid - lo), 0.5 * (mid + hi), 0.5 * (hi - mid)
-    first, last = GAUSS_NODES[0], GAUSS_NODES[-1]
-    return lo < c1 + h1 * first and c1 + h1 * last < mid < c2 + h2 * first and c2 + h2 * last < hi
+    return _inside(lo, mid) and _inside(mid, hi)
 
 
-def _gauss_panels(f, bounds, tol):
-    """The rule of :func:`integrate_box` on bounds already checked."""
+def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
+    """Integral of f from a to b by the globally adaptive rule of :func:`integrate_box`.
+
+    ``tol`` bounds the summed refinement changes relative to the integral
+    of |f|.  Reversed bounds b < a raise ValueError; an empty interval
+    costs nothing.
+    """
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+    return integrate_box(f, [(a, b)], tol)
+
+
+def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
+    """Globally adaptive tensor Gauss panels over an axis-aligned box of dimension 1 or 2.
+
+    Each leaf cell holds the order-5 Gauss panels on its 2^d halves and
+    |delta|, the change from its own panel to their sum.  A leaf's error is
+    |delta|, except where halving its parent shrank |delta| only by a ratio
+    r in (1/2, 1), as beside an endpoint singularity x^(-alpha), where r is
+    2^(alpha - 1).  There it is |delta| r/(1 - r), the error an h^p law
+    leaves in the halves' sum, up to SLOW_DECAY_CAP |delta|; a |delta| that
+    did not shrink counts the cap (QUADPACK's error scaling: Piessens et
+    al., 1983; Gonnet, ACM Computing Surveys 44(4), 2012).  The leaf with
+    the largest error is split until the errors sum to at most
+    ``tol`` times the integral of |f|; that sum is the error estimate, and
+    the half-panels sum to the value (QUADPACK's QAG).
+    Scaling f scales every sum and changes no decision.  MAX_EVALUATIONS,
+    the one budget, counts the nested work an :class:`EvalCounter` f adds;
+    only one split's 4^d * 5^d nodes can carry the count past it.  Past it,
+    or at a leaf too narrow to halve, where a node of the next panels would
+    round onto a cell end, :class:`NonConvergenceError` carries the partial
+    sums; refinement never evaluates f at a cell end.  A box too narrow for
+    the nodes of its own panel or of its halves' is refused so before f is
+    evaluated, with value 0, an infinite error and no evaluations.
+    Non-finite sums, or an integral of |f| below the normal floats from an
+    f nonzero at a node, raise NumericalFailure.
+    """
+    if len(bounds) not in (1, 2):
+        raise ValueError("integrate_box supports dimensions 1 and 2")
+    if any(hi < lo for lo, hi in bounds):
+        raise ValueError("box bounds must satisfy lo <= hi")
     require_positive_finite("tol", tol)
     cell = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if any(lo == hi for lo, hi in cell):
         return QuadratureResult(0.0, 0.0, 0)
     # the first panel and its halves' panels are evaluated before any leaf's check
     for lo, hi in cell:
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if not (lo < c + h * GAUSS_NODES[0] and c + h * GAUSS_NODES[-1] < hi
-                and _halvable(lo, hi)):
+        if not (_inside(lo, hi) and _halvable(lo, hi)):
             raise NonConvergenceError(f"adaptive Gauss panels hit a cell too narrow to halve "
                                       f"before reaching tol={tol}",
                                       QuadratureResult(0.0, math.inf, 0))
@@ -185,50 +226,6 @@ def _gauss_panels(f, bounds, tol):
     bound = "a cell too narrow to halve" if narrow else f"{MAX_EVALUATIONS} evaluations"
     raise NonConvergenceError(f"adaptive Gauss panels hit {bound} before reaching tol={tol}",
                               result)
-
-
-def integrate_1d(f, a: float, b: float, tol: float = 1e-6) -> QuadratureResult:
-    """Integral of f from a to b by the globally adaptive rule of :func:`integrate_box`.
-
-    ``tol`` bounds the summed refinement changes relative to the integral
-    of |f|.  Reversed bounds b < a raise ValueError; an empty interval
-    costs nothing.
-    """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    return _gauss_panels(f, [(a, b)], tol)
-
-
-def integrate_box(f, bounds, tol: float = 1e-6) -> QuadratureResult:
-    """Globally adaptive tensor Gauss panels over an axis-aligned box of dimension 1 or 2.
-
-    Each leaf cell holds the order-5 Gauss panels on its 2^d halves and
-    |delta|, the change from its own panel to their sum.  A leaf's error is
-    |delta|, except where halving its parent shrank |delta| only by a ratio
-    r in (1/2, 1), as beside an endpoint singularity x^(-alpha), where r is
-    2^(alpha - 1).  There it is |delta| r/(1 - r), the error an h^p law
-    leaves in the halves' sum, up to SLOW_DECAY_CAP |delta|; a |delta| that
-    did not shrink counts the cap (QUADPACK's error scaling: Piessens et
-    al., 1983; Gonnet, ACM Computing Surveys 44(4), 2012).  The leaf with
-    the largest error is split until the errors sum to at most
-    ``tol`` times the integral of |f|; that sum is the error estimate, and
-    the half-panels sum to the value (QUADPACK's QAG).
-    Scaling f scales every sum and changes no decision.  MAX_EVALUATIONS,
-    the one budget, counts the nested work an :class:`EvalCounter` f adds;
-    only one split's 4^d * 5^d nodes can carry the count past it.  Past it,
-    or at a leaf too narrow to halve, where a node of the next panels would
-    round onto a cell end, :class:`NonConvergenceError` carries the partial
-    sums; refinement never evaluates f at a cell end.  A box too narrow for
-    the nodes of its own panel or of its halves' is refused so before f is
-    evaluated, with value 0, an infinite error and no evaluations.
-    Non-finite sums, or an integral of |f| below the normal floats from an
-    f nonzero at a node, raise NumericalFailure.
-    """
-    if len(bounds) not in (1, 2):
-        raise ValueError("integrate_box supports dimensions 1 and 2")
-    if any(hi < lo for lo, hi in bounds):
-        raise ValueError("box bounds must satisfy lo <= hi")
-    return _gauss_panels(f, bounds, tol)
 
 
 def integrate_mc(f, lo: float, hi: float, dim: int, samples: int, seed: int) -> QuadratureResult:

@@ -134,6 +134,18 @@ class TestFiniteCommands:
         assert code == 0 and obj["orbit"] == "3/8" and "fiber" not in obj
         assert obj["params"]["method"] == "orbit"
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_volume_mismatch_of_both_methods_fails_as_validation(self, capsys, half_point,
+                                                                 tmp_path, monkeypatch, fmt):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({"a": {"pt": "2"}, "b": {"pt": "3/2"}}))
+        monkeypatch.setattr("stackvol.finite.orbit_volume", lambda g, w: Fraction(1, 7))
+        argv = ["finite", "volume", "--groupoid", half_point, "--weights", str(wpath)] + fmt
+        code, out, err = run(capsys, argv)
+        assert code == 1 and err.count("error:") == 1
+        assert "fiber 3/8 differs from orbit 1/7" in err
+        assert_failure_stdout(argv, 1, out, err, "ValidationFailure")
+
     def test_measure_without_representatives_exits_one(self, capsys, half_point, tmp_path):
         wpath = tmp_path / "w.json"
         wpath.write_text(json.dumps({"a": {"pt": "1"}, "b": {"pt": "1"}}))
