@@ -6,7 +6,8 @@ errors), 2 numerical non-convergence or a result that overflowed, 3 I/O
 and schema problems.  Human output keeps results on stdout and a
 reproducibility echo of the effective parameters on stderr; --json
 emits a single JSON object including the parameters, and on a failure
-one JSON object naming the error next to the ``error:`` line on stderr.
+one JSON object naming the error, and any partial result, next to the
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -426,7 +427,8 @@ def _fail(args, exc, code) -> int:
     """Report a failure as one ``error:`` line on stderr and, with --json, as JSON on stdout.
 
     The JSON object holds the exception class name, the exit code, the
-    message and, for a failed validation, its first five violations.
+    message, a failed validation's first five violations and a
+    non-convergence's partial result, a non-finite number as null.
     """
     print(f"error: {exc}", file=sys.stderr)
     if args.json:
@@ -435,6 +437,10 @@ def _fail(args, exc, code) -> int:
         if report is not None:
             obj["violations"] = [{"axiom": v.axiom, "witness": repr(v.witness), "detail": v.detail}
                                  for v in report.violations[:SUMMARY_LIMIT]]
+        if (result := getattr(exc, "result", None)) is not None:
+            value, error_estimate = (v if math.isfinite(v) else None for v in result[:2])
+            obj["partial"] = {"value": value, "errorEstimate": error_estimate,
+                              "evaluations": result.evaluations}
         print(json.dumps(obj, sort_keys=True))
     return code
 

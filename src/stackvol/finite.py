@@ -279,6 +279,7 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
     for x in pts:
         if act(group.identity, x) != x:
             raise InvalidActionError(f"identity must act trivially, fails at {x!r}")
+    arrows, inverse = {}, {}
     for h in group.elements:
         for x in pts:
             y = act(h, x)
@@ -289,10 +290,9 @@ def action_groupoid(group: FiniteGroup, points, act) -> FiniteGroupoid:
                     raise InvalidActionError(
                         f"compatibility fails at {(k, h, x)!r}"
                     )
+            arrows[h, x], inverse[h, x] = (y, x), (group.inv(h), y)
 
-    arrows = {(h, x): (act(h, x), x) for h in group.elements for x in pts}
     identity = {x: (group.identity, x) for x in pts}
-    inverse = {(h, x): (group.inv(h), act(h, x)) for (h, x) in arrows}
     mult = group.mult
     return FiniteGroupoid(pts, arrows, identity, inverse,
                           lambda g, h: (mult(g[0], h[0]), h[1]))

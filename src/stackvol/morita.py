@@ -219,30 +219,20 @@ def _build_link(g1: FiniteGroupoid, g2: FiniteGroupoid, bib: Bibundle):
 
     left, right, els = bib.left_action, bib.right_action, bib.element_set
     (ends1, _, inv1), (ends2, _, inv2) = g1._built(), g2._built()
-    for (g, b) in left:
+    # the transports invert the actions and are well defined exactly when
+    # the actions are free
+    left_transport = {}
+    for (g, b), b2 in left.items():
         if not (b in els and g in ends1 and ends1[g][1] == bib.left_anchor[b]):
             report.add("left action domain", (g, b), "entry outside the defined domain")
-    for (b, h) in right:
+        elif (g0 := left_transport.setdefault((b, b2), g)) != g:
+            report.add("left action not free", (g0, g, b), f"both carry it to {b2!r}")
+    right_transport = {}
+    for (b, h), b2 in right.items():
         if not (b in els and h in ends2 and bib.right_anchor[b] == ends2[h][0]):
             report.add("right action domain", (b, h), "entry outside the defined domain")
-
-    # the transports invert the actions and are well defined exactly when
-    # the actions are free; a dict is never an element, so each table is
-    # its own marker for a missing pair
-    left_transport = {}
-    for b in bib.elements:
-        for g in g1.arrows_into(bib.left_anchor[b]):
-            if (b2 := left.get((g, b), left)) is not left:
-                g0 = left_transport.setdefault((b, b2), g)
-                if g0 != g:
-                    report.add("left action not free", (g0, g, b), f"both carry it to {b2!r}")
-    right_transport = {}
-    for b in bib.elements:
-        for h in g2.arrows_from(bib.right_anchor[b]):
-            if (b2 := right.get((b, h), right)) is not right:
-                h0 = right_transport.setdefault((b, b2), h)
-                if h0 != h:
-                    report.add("right action not free", (b, h0, h), f"both carry it to {b2!r}")
+        elif (h0 := right_transport.setdefault((b, b2), h)) != h:
+            report.add("right action not free", (b, h0, h), f"both carry it to {b2!r}")
 
     objects, identity, inverse, parts = [], {}, {}, {}
     for tag, g in ((LEFT, g1), (RIGHT, g2)):

@@ -610,6 +610,29 @@ class TestSmoothCommands:
         assert code == 2
         assert "standard error" in err
 
+    @pytest.mark.parametrize("argv, partial", [
+        # the evaluation budget runs out one panel short of tol
+        (["smooth", "example", "plane-so2", "R=2", "--tol", "1e-17"],
+         {"value": 1.9999999999999998, "errorEstimate": pytest.approx(2.68e-17, rel=1e-2),
+          "evaluations": 262125}),
+        # a box too narrow to halve: no estimate at all, written as null
+        (["smooth", "example", "plane-so2", "R=5e-324"],
+         {"value": 0.0, "errorEstimate": None, "evaluations": 0}),
+        (["smooth", "weyl-check", "--samples", "1000"],
+         {"value": pytest.approx(3.0409, abs=1e-4),
+          "errorEstimate": pytest.approx(0.4455, abs=1e-4), "evaluations": 1000}),
+    ])
+    def test_json_non_convergence_carries_its_partial_result(self, capsys, argv, partial):
+        code, out, err = run(capsys, [*argv, "--json"])
+        obj = assert_failure_stdout(["--json"], code, out, err, "NonConvergenceError")
+        assert code == 2
+        assert obj["partial"] == partial
+        # strict JSON: no NaN or Infinity tokens
+        json.loads(out, parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_weyl_moderate_run(self, capsys):
         code, out, _ = run(capsys, ["smooth", "weyl-check",
                                     "--samples", "200000", "--seed", "7",

@@ -289,6 +289,20 @@ class TestCompositionConvention:
         with pytest.raises(InvalidActionError):
             action_groupoid(z2, [0, 1], crush)
 
+    def test_action_is_evaluated_once_per_arrow_outside_the_law_check(self):
+        s3, calls = FiniteGroup.symmetric(3), []
+
+        def act(p, x):
+            calls.append((p, x))
+            return p[x]
+
+        g = action_groupoid(s3, range(3), act)
+        # |X| identity checks, then per arrow one act(h, x) and 2|G| compatibility calls
+        assert len(calls) == 3 + 6 * 3 * (1 + 2 * 6) == 237
+        ends, _, inv = g._built()
+        assert ends == {(h, x): (h[x], x) for h in s3.elements for x in range(3)}
+        assert inv == {(h, x): (s3.inv(h), h[x]) for h in s3.elements for x in range(3)}
+
     def test_action_leaving_point_set_rejected(self):
         z2 = FiniteGroup.cyclic(2)
         with pytest.raises(InvalidActionError):

@@ -184,6 +184,21 @@ class TestValidateBibundle:
         assert not report.ok
         assert "left action domain" in axioms_of(report)
 
+    def test_action_violations_come_in_table_order(self):
+        # each action table is walked once, so its faults follow its entry
+        # order and a non-free witness names the first arrow in that order
+        g1, g2, bib = z2_self_equivalence()
+        frozen_left = {(_arrow(k), b): b for k in (0, 1) for b in (0, 1)}
+        frozen_left[(_arrow(0), 7)] = 0
+        junk = Bibundle(bib.elements, bib.left_anchor, bib.right_anchor,
+                        frozen_left, bib.right_action)
+        report = validate_bibundle(g1, g2, junk)
+        assert [(v.axiom, v.witness) for v in report.violations
+                if v.axiom in _BIBUNDLE_AXIOMS] == [
+            ("left action not free", (_arrow(0), _arrow(1), 0)),
+            ("left action not free", (_arrow(0), _arrow(1), 1)),
+            ("left action domain", (_arrow(0), 7))]
+
     def test_right_entry_with_a_foreign_arrow_flagged(self):
         g1, g2, bib = z2_self_equivalence()
         right = {**bib.right_action, (0, "no-such-arrow"): 1}
