@@ -15,6 +15,7 @@ b/a is constant on orbits; the test suite leans on that identity heavily.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -65,9 +66,10 @@ class FiniteGroupoid:
     keep an explicit table.  Inconsistent tables raise ValueError naming the
     first bad entry; the tables never change, so
     :meth:`pair_counts` and its derivatives are memoized.  ``deferred``, as
-    :func:`block_union` gives it, is ``(build, pair_counts, arrow_count)``: the
+    :func:`block_union` gives it, is ``(build, pairs, arrow_count)``: the
     arrow, identity and inverse tables stay ``None`` until a reader calls
-    :meth:`_built`, which fills them from ``build()`` and checks them once.
+    :meth:`_built`, which fills them from ``build()`` and checks them once,
+    and the pair counts until :meth:`pair_counts` first calls ``pairs()``.
     Readers take endpoints, identities and inverses from those tables,
     ``arrows[g] == (l(g), r(g))``; :meth:`compose` is the one checked
     composition.
@@ -79,7 +81,7 @@ class FiniteGroupoid:
         if len(self._object_set) != len(self._objects):
             raise ValueError("duplicate object ids")
         self._arrows = self._identity = self._inverse = None
-        self._build, self._pair_counts, self._arrow_count = deferred or (None, None, None)
+        self._build, self._pairs, self._arrow_count = deferred or (None, None, None)
         if deferred is None:  # arrows maps an arrow id to (l, r)
             self._arrows, self._identity, self._inverse = dict(arrows), dict(identity), dict(inverse)
             self._arrow_count = len(self._arrows)
@@ -89,7 +91,7 @@ class FiniteGroupoid:
             self._product = lambda g, h: table[g, h]
         else:
             self._compose_table, self._product = None, compose
-        self._by_l = self._by_r = None
+        self._by_l = self._by_r = self._pair_counts = None
         self._orbit_cache = self._fiber_index = self._validation = self._gens = None
         self._names = None  # the string names of jsonio's dumps
 
@@ -164,7 +166,8 @@ class FiniteGroupoid:
     def pair_counts(self):
         """Memoized read-only |Hom(x, y)| by endpoint pair, in first-arrow order."""
         if self._pair_counts is None:
-            self._pair_counts = MappingProxyType(Counter(self._arrows.values()))
+            counts = self._pairs() if self._pairs else Counter(self._arrows.values())
+            self._pair_counts = MappingProxyType(counts)
         return self._pair_counts
 
     def fiber_index(self) -> tuple:
@@ -230,12 +233,13 @@ def block_groupoid(points, group: FiniteGroup) -> FiniteGroupoid:
 def block_union(specs) -> FiniteGroupoid:
     """The union of blocks ``block_groupoid(p, g)``, objects (i, x), arrows (i, (x, y, gamma)).
 
-    The objects, the duplicate-point check and the pair counts (n*n pairs of
-    count |G| per block) come from the specs at once.  The arrow, identity and
+    The objects, the duplicate-point check and the arrow count (n*n*|G| per
+    block) come from the specs at once.  The pair counts (n*n pairs of count
+    |G| per block) are built on first use, and so are the arrow, identity and
     inverse tables, with the order and ids of a union of separately built
-    blocks, are built on first use; the fiber and orbit sums never need them.
+    blocks; the fiber and orbit sums never need the tables.
     """
-    blocks, objects, pairs = [], [], {}
+    blocks, objects = [], []
     for i, (points, group) in enumerate(specs):
         pts = tuple(points)
         if len(set(pts)) != len(pts):
@@ -243,7 +247,12 @@ def block_union(specs) -> FiniteGroupoid:
         objs = [(i, x) for x in pts]
         blocks.append((pts, objs, group))
         objects += objs
-        pairs.update(zip(product(objs, objs), repeat(group.order)))
+
+    def pairs():
+        counts = {}
+        for _, objs, group in blocks:
+            counts.update(zip(product(objs, objs), repeat(group.order)))
+        return Counter(counts)
 
     def tables():
         arrows, identity, inverse = {}, {}, {}
@@ -258,7 +267,8 @@ def block_union(specs) -> FiniteGroupoid:
     mults = [group.mult for _, _, group in blocks]
     return FiniteGroupoid(objects, None, None, None,
                           lambda a, b: (a[0], (a[1][0], b[1][1], mults[a[0]](a[1][2], b[1][2]))),
-                          deferred=(tables, MappingProxyType(Counter(pairs)), sum(pairs.values())))
+                          deferred=(tables, pairs,
+                                    sum(len(objs) ** 2 * group.order for _, objs, group in blocks)))
 
 
 def classifying_groupoid(group: FiniteGroup) -> FiniteGroupoid:
@@ -467,7 +477,9 @@ Orbit = namedtuple("Orbit", "representative objects isotropy_order")
 def orbits(g: FiniteGroupoid) -> tuple:
     """Connected components of the object set under arrows, as a tuple of :class:`Orbit`.
 
-    Union-find runs over the distinct pairs of :meth:`FiniteGroupoid.pair_counts`.
+    Union-find runs over the distinct pairs of :meth:`FiniteGroupoid.pair_counts`,
+    skipping a pair whose ends already share a parent; a union hangs the
+    second root under the first, so a block's later rows skip every pair.
     Each orbit's representative is its least member by ``repr``, the orbits
     are ordered by it, and an orbit's isotropy order is |Hom(x, x)| at its
     representative x.  The tuple is memoized on the groupoid, whose tables
@@ -485,9 +497,8 @@ def orbits(g: FiniteGroupoid) -> tuple:
         return x
 
     for lo, ro in counts:
-        a, b = find(lo), find(ro)
-        if a != b:
-            parent[a] = b
+        if parent[lo] != parent[ro] and (a := find(lo)) != (b := find(ro)):
+            parent[b] = a
 
     groups = {}
     for x in g.objects:
@@ -658,6 +669,8 @@ def orbit_set_measure(g: FiniteGroupoid, w: WeightData, orbit_reps) -> Fraction:
 # generators
 
 
+_small = functools.cache(Fraction)  # the generators' quotients, a few hundred by their draw ranges
+
 MAX_RANDOM_ARROWS = 150_000  # over ten times the 12,800 arrows of 40 points x order 8
 MAX_RANDOM_BLOCKS = 4
 
@@ -691,18 +704,18 @@ def random_invariant_weights(g: FiniteGroupoid, seed) -> WeightData:
     arithmetic on large corpora stays cheap.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    a = {x: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for x in g.objects}
+    a = {x: (rng.randint(1, 6), rng.randint(1, 4)) for x in g.objects}  # a(x) = p/q
     section = {}
     for orb in orbits(g):  # one draw per orbit, in orbit order
-        section.update(dict.fromkeys(orb.objects, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
-    b = {x: a[x] * section[x] for x in g.objects}
-    return WeightData(a, b)
+        section.update(dict.fromkeys(orb.objects, (rng.randint(-6, 6), rng.randint(1, 4))))
+    b = {x: _small(p * section[x][0], q * section[x][1]) for x, (p, q) in a.items()}
+    return WeightData({x: _small(p, q) for x, (p, q) in a.items()}, b)
 
 
 def random_positive_rescaling(g: FiniteGroupoid, seed: int) -> dict:
     """A positive rational function on objects, for rescale-invariance checks."""
     rng = random.Random(seed)
-    return {x: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for x in g.objects}
+    return {x: _small(rng.randint(1, 9), rng.randint(1, 5)) for x in g.objects}
 
 
 # ---------------------------------------------------------------------------

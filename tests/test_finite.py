@@ -1549,3 +1549,104 @@ def test_random_groupoid_is_the_union_of_its_blocks(bounds):
         ref = disjoint_union(*(block_groupoid(*spec) for spec in random_block_specs(seed, *bounds)))
         assert _ordered_tables(g) == _ordered_tables(ref)
         assert g.fiber_index() == ref.fiber_index()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.sampled_from(group_zoo(8))),
+                min_size=1, max_size=4))
+def test_block_union_builds_its_pair_counts_on_first_use(blocks):
+    specs = [(range(n) if as_range else [f"p{j}" for j in range(n)], grp)
+             for n, as_range, grp in blocks]
+    # what a sampler reads of a draw it keeps or throws away builds no pair count
+    fresh = block_union(specs)
+    assert len(fresh.objects) == sum(n for n, _, _ in blocks)
+    assert fresh.arrow_count == sum(n * n * grp.order for n, _, grp in blocks)
+    assert fresh._pair_counts is None and _unbuilt(fresh)
+    g = block_union(specs)
+    counts = list(g.pair_counts().items())
+    assert _unbuilt(g)
+    ends = g._built()[0]
+    assert counts == list(Counter(ends.values()).items())
+    assert g.arrow_count == len(g.arrow_ids)
+
+
+def _reference_invariant_weights(g, rng):
+    """random_invariant_weights as a product of Fractions: a, then one draw per orbit."""
+    a = {x: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for x in g.objects}
+    section = {}
+    for orb in orbits(g):
+        section.update(dict.fromkeys(orb.objects, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+    return a, {x: a[x] * section[x] for x in g.objects}
+
+
+def _items(weights):
+    return [(x, v, type(v)) for x, v in weights.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 63), st.integers(0, 2 ** 63), st.integers(1, 12), st.integers(1, 6))
+def test_weight_generators_keep_their_values_and_draw_order(seed, draw_seed, n, order):
+    g = random_groupoid(seed, max_objects=n, max_group_order=order)
+    a, b = _reference_invariant_weights(g, random.Random(draw_seed))
+    w = random_invariant_weights(g, draw_seed)
+    assert (_items(w.a), _items(w.b)) == (_items(a), _items(b))
+    rng, ref_rng = random.Random(draw_seed), random.Random(draw_seed)
+    w = random_invariant_weights(g, rng)
+    assert (_items(w.a), _items(w.b)) == (_items(a), _items(b))
+    _reference_invariant_weights(g, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    rng = random.Random(draw_seed)
+    assert _items(random_positive_rescaling(g, draw_seed)) == _items(
+        {x: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for x in g.objects})
+
+
+def _bfs_orbits(g):
+    """Orbits by breadth-first search over the endpoint pairs, both ways."""
+    neighbours = {x: [] for x in g.objects}
+    for lo, ro in g.pair_counts():
+        neighbours[lo].append(ro)
+        neighbours[ro].append(lo)
+    seen, found = set(), []
+    for x in g.objects:
+        if x in seen:
+            continue
+        seen.add(x)
+        members, queue = [x], [x]
+        for y in queue:
+            for z in neighbours[y]:
+                if z not in seen:
+                    seen.add(z)
+                    members.append(z)
+                    queue.append(z)
+        rep = min(members, key=repr)
+        found.append((rep, frozenset(members), g.pair_counts()[rep, rep]))
+    return sorted(found, key=lambda o: repr(o[0]))
+
+
+@st.composite
+def _shuffled_json_groupoid(draw):
+    """A JSON-loaded groupoid with its arrows in drawn order: a dump of a valid
+    one, or identities plus arrows between drawn objects with no composites,
+    whose Hom relation need be neither symmetric nor transitive."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        doc = groupoid_to_dict(draw(_any_groupoid(("random", "action", "link"))))
+    else:
+        objects = [f"x{i}" for i in range(draw(st.integers(0, 8)))]
+        extra = draw(st.lists(st.tuples(st.sampled_from(objects), st.sampled_from(objects)),
+                              max_size=12)) if objects else []
+        ends = [(x, x) for x in objects] + extra
+        doc = {"objects": objects,
+               "arrows": [{"id": f"a{i}", "l": lo, "r": ro} for i, (lo, ro) in enumerate(ends)],
+               "identity": {x: f"a{i}" for i, x in enumerate(objects)},
+               "inverse": {f"a{i}": f"a{i}" for i in range(len(ends))},
+               "compose": []}
+    rng.shuffle(doc["arrows"])
+    rng.shuffle(doc["objects"])
+    return groupoid_from_dict(doc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_shuffled_json_groupoid())
+def test_orbits_match_a_breadth_first_search_over_pair_counts(g):
+    assert [(o.representative, o.objects, o.isotropy_order) for o in orbits(g)] == _bfs_orbits(g)

@@ -49,7 +49,8 @@ from stackvol.morita import (
     validate_bibundle,
 )
 
-from test_finite import axioms_of, disjoint_union  # disjoint_union: the reference union of parts
+from test_finite import (  # disjoint_union: the reference union of parts
+    _items, _reference_invariant_weights, axioms_of, disjoint_union)
 from test_smooth import _coset_action
 
 # frozen oracles:
@@ -809,3 +810,17 @@ def test_an_action_groupoid_and_its_point_presentation_are_equivalent(group, dat
         table[key] = data.draw(st.sampled_from([k for k in group.elements if k != table[key]]))
         assert not _agreeing_report(g1, g2, Bibundle(group.elements, coset, right_anchor,
                                                      left, right)).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.integers(0, 2 ** 63))
+def test_morita_weights_keep_their_values_and_draw_order(triple_seed, seed):
+    g1, g2, bib = random_morita_triple(triple_seed)
+    rng = random.Random(seed)
+    a1, b1 = _reference_invariant_weights(g1, rng)
+    section2 = transfer_section(g1, g2, bib, {x: b1[x] / a1[x] for x in g1.objects})
+    a2 = {y: Fraction(rng.randint(1, 6), rng.randint(1, 4)) for y in g2.objects}
+    b2 = {y: a2[y] * section2[y] for y in g2.objects}
+    w1, w2 = random_morita_weights(g1, g2, bib, seed)
+    assert [_items(w.a) + _items(w.b) for w in (w1, w2)] == [
+        _items(a1) + _items(b1), _items(a2) + _items(b2)]
